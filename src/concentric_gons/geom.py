@@ -182,8 +182,25 @@ def circle_circle_intersection(
 
 
 def distance_multiset(poly: RegularPolygonSpec, point: PlanePoint) -> tuple[float, ...]:
-    """Distances from a point to every vertex, sorted ascending."""
-    return tuple(sorted(point.distance_to(v) for v in vertices(poly)))
+    """Distances from a point to every vertex, sorted ascending.
+
+    Each vertex and distance is computed with the expressions of
+    :func:`vertices` and :meth:`PlanePoint.distance_to`, so the values are
+    bit-identical, but no point is built; a non-finite vertex raises the
+    ValueError that building it would.
+    """
+    cx, cy, radius, phase = poly.center.x, poly.center.y, poly.circumradius, poly.phase
+    px, py = point.x, point.y
+    step = TWO_PI / poly.n
+    distances = []
+    for k in range(poly.n):
+        x = cx + radius * math.cos(phase + step * k)
+        y = cy + radius * math.sin(phase + step * k)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        distances.append(math.hypot(px - x, py - y))
+    distances.sort()
+    return tuple(distances)
 
 
 def multiset_close(

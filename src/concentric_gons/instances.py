@@ -32,12 +32,19 @@ class InstanceDocument:
     load_warnings: tuple[str, ...] = ()
 
 
+def _is_number(raw) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int.
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _as_number(raw, where: str) -> float:
+    if not _is_number(raw):
+        raise InstanceFormatError(f"{where} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _as_point(raw, where: str) -> PlanePoint:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, (int, float)) for v in raw)
-    ):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 or not all(map(_is_number, raw)):
         raise InstanceFormatError(f"{where} must be a [x, y] pair, got {raw!r}")
     return PlanePoint(float(raw[0]), float(raw[1]))
 
@@ -46,15 +53,18 @@ def _as_polygon(raw, where: str) -> RegularPolygonSpec:
     if not isinstance(raw, dict):
         raise InstanceFormatError(f"{where} must be an object, got {raw!r}")
     try:
+        n = raw["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InstanceFormatError(f"{where}.n must be an integer, got {n!r}")
         return RegularPolygonSpec(
-            n=int(raw["n"]),
+            n=n,
             center=_as_point(raw["center"], f"{where}.center"),
-            circumradius=float(raw["circumradius"]),
-            phase=float(raw.get("phase", 0.0)),
+            circumradius=_as_number(raw["circumradius"], f"{where}.circumradius"),
+            phase=_as_number(raw.get("phase", 0.0), f"{where}.phase"),
         )
     except KeyError as exc:
         raise InstanceFormatError(f"{where} is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InstanceFormatError(f"{where} is invalid: {exc}") from None
 
 
@@ -77,11 +87,9 @@ def parse_instance(raw: object) -> InstanceDocument:
         if not isinstance(payload, dict):
             raise InstanceFormatError("circles payload missing")
         radii_raw = payload.get("radii")
-        if not isinstance(radii_raw, list) or not all(
-            isinstance(v, (int, float)) for v in radii_raw
-        ):
+        if not isinstance(radii_raw, list):
             raise InstanceFormatError("circles.radii must be a list of numbers")
-        radii = [float(v) for v in radii_raw]
+        radii = [_as_number(v, f"circles.radii[{i}]") for i, v in enumerate(radii_raw)]
         if sorted(radii) != radii:
             warnings.append("radii were not sorted ascending; sorted them")
             radii = sorted(radii)

@@ -1,5 +1,5 @@
 """Independent brute-force checks: direct power-sum evaluation against the
-closed form, dense angle sweeps, and reproducible random instances.
+library's closed form, dense angle sweeps, and reproducible random instances.
 
 Nothing here reuses the library's recovery or phase-search paths, so these
 routines can certify them. Randomness comes from splitmix64, a fixed,
@@ -9,14 +9,13 @@ documented recurrence, so instances reproduce bit-for-bit anywhere.
 import math
 from typing import NamedTuple
 
-from .errors import InvalidMomentOrder
 from .geom import (
     PlanePoint,
     RegularPolygonSpec,
     normalize_angle,
     vertices,
 )
-from .moments import CircleFamily
+from .moments import CircleFamily, two_radius_power_sum
 
 TWO_PI = 2.0 * math.pi
 _MASK64 = (1 << 64) - 1
@@ -55,22 +54,16 @@ def power_identity_residual(
     distances and their closed form in the circumradius and the distance
     from the point to the polygon center.
 
-    This is an identity for every regular polygon, point, and m in 1..n-1;
-    the residual certifies the arithmetic, not the input.
+    The closed form is the library's own :func:`two_radius_power_sum`, the
+    recurrence condition II runs on; the direct side sums Cartesian vertex
+    coordinates. This is an identity for every regular polygon, point, and
+    m in 1..n-1 (other orders raise InvalidMomentOrder); the residual
+    certifies the arithmetic, not the input.
     """
-    if not 1 <= m <= poly.n - 1:
-        raise InvalidMomentOrder(f"order m={m} outside 1..{poly.n - 1}")
+    closed = two_radius_power_sum(poly.circumradius, point.distance_to(poly.center), poly.n, m)
     direct = math.fsum(
         ((v.x - point.x) ** 2 + (v.y - point.y) ** 2) ** m for v in vertices(poly)
     )
-    r = poly.circumradius
-    l = point.distance_to(poly.center)
-    square_sum = r * r + l * l
-    closed = square_sum ** m
-    for k in range(1, m // 2 + 1):
-        coeff = math.comb(m, 2 * k) * math.comb(2 * k, k)
-        closed += coeff * (r * l) ** (2 * k) * square_sum ** (m - 2 * k)
-    closed *= poly.n
     return abs(direct - closed) / max(1.0, abs(closed))
 
 

@@ -6,6 +6,13 @@ the +x axis from M, the first at distance ``smaller`` with circumradius
 ``larger`` and the second at distance ``larger`` with circumradius
 ``smaller``. Only distances are forced by the mathematics; fixing the
 directions makes outputs deterministic and diffable.
+
+Both polygons share one opening angle. The law of cosines that ties a
+radius to an angle, ``d^2 = r^2 + l^2 - 2 r l cos(t)``, is symmetric in the
+two arms, and so is its floating-point evaluation (``2.0 * r * l`` doubles
+exactly and addition commutes): the angle found with arms (larger,
+smaller) is the one a search with (smaller, larger) would find, bit for
+bit. The search therefore runs once.
 """
 
 import math
@@ -147,21 +154,22 @@ def reconstruct_polygons(
         )
         point_polygon = True
     else:
-        t1 = _find_phase(n, pair.larger, pair.smaller, family.radii, tol)
-        t2 = _find_phase(n, pair.smaller, pair.larger, family.radii, tol)
+        t = _find_phase(n, pair.larger, pair.smaller, family.radii, tol)
         # Each center sits on the +x axis, so the direction back to the
         # family center is pi; vertex angles are measured from that line.
+        # One angle serves both polygons (see the module docstring).
+        phase = normalize_angle(math.pi + t)
         poly1 = RegularPolygonSpec(
             n,
             PlanePoint(center.x + pair.smaller, center.y),
             pair.larger,
-            normalize_angle(math.pi + t1),
+            phase,
         )
         poly2 = RegularPolygonSpec(
             n,
             PlanePoint(center.x + pair.larger, center.y),
             pair.smaller,
-            normalize_angle(math.pi + t2),
+            phase,
         )
         point_polygon = False
     residuals = (

@@ -202,6 +202,20 @@ def test_triangle_distances_from_antipode():
 
 
 @given(orders, coords, coords, lengths, angles, coords, coords)
+def test_multiset_equals_distances_to_built_vertices(n, cx, cy, radius, phase, px, py):
+    poly = RegularPolygonSpec(n, PlanePoint(cx, cy), radius, phase)
+    point = PlanePoint(px, py)
+    built = tuple(sorted(point.distance_to(v) for v in vertices(poly)))
+    assert distance_multiset(poly, point) == built
+
+
+def test_multiset_rejects_non_finite_vertices():
+    poly = RegularPolygonSpec(4, PlanePoint(1e308, 0.0), 1e308, 0.0)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        distance_multiset(poly, PlanePoint(0.0, 0.0))
+
+
+@given(orders, coords, coords, lengths, angles, coords, coords)
 def test_multiset_invariant_under_vertex_relabeling(n, cx, cy, radius, phase, px, py):
     center = PlanePoint(cx, cy)
     point = PlanePoint(px, py)

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,9 @@ from concentric_gons import (
     condition_two,
     cyclic_averages,
     distance_multiset,
+    higher_average_prediction,
+    random_instance,
+    reconstruct_polygons,
     recover_circumradii,
     two_radius_power_sum,
 )
@@ -65,6 +70,31 @@ def test_averages_match_brute_force(radii):
         assert av.power(m) == pytest.approx(
             brute_force_average(fam.radii, m), rel=1e-12, abs=1e-12
         )
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=3, max_size=24))
+def test_first_two_averages_are_compensated_sums(radii):
+    fam = family(*radii)
+    squares = [r * r for r in fam.radii]
+    av = cyclic_averages(fam)
+    assert av.power(1) == math.fsum(squares) / fam.n
+    assert av.power(2) == math.fsum(q ** 2 for q in squares) / fam.n
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        (1e6,) * 64,  # overflows from order 2m = 52 on
+        (10 ** 51.5,) * 4,  # only the top order, 2m = 6, overflows
+    ],
+)
+def test_overflowing_powers_raise_overflow_error(radii):
+    fam = family(*radii)
+    with pytest.raises(OverflowError):
+        cyclic_averages(fam)
+    # Not an InfeasibleFamily verdict built on an infinite average.
+    with pytest.raises(OverflowError):
+        reconstruct_polygons(fam)
 
 
 def test_vertex_count_cap():
@@ -177,6 +207,64 @@ def test_condition_two_rejects_arithmetic_progression():
     ok, residuals = condition_two(cyclic_averages(family(1, 2, 3, 4)))
     assert not ok
     assert residuals[0] == pytest.approx(75.0 / 1222.5, abs=1e-12)
+
+
+def binomial_prediction(s2: float, s4: float, m: int) -> Fraction:
+    """Reference: the order-2m prediction as the exact binomial sum
+    ``s2^m + sum_k C(m,2k) C(2k,k) / 2^k (s4 - s2^2)^k s2^(m-2k)``."""
+    s2, s4 = Fraction(s2), Fraction(s4)
+    spread = max(s4 - s2 * s2, Fraction(0))
+    return sum(
+        Fraction(math.comb(m, 2 * k) * math.comb(2 * k, k), 2 ** k)
+        * spread ** k
+        * s2 ** (m - 2 * k)
+        for k in range(m // 2 + 1)
+    )
+
+
+@given(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.integers(min_value=3, max_value=63),
+)
+def test_prediction_matches_binomial_form(s2, h, m):
+    s4 = s2 * s2 * (1.0 + h)
+    exact = binomial_prediction(s2, s4, m)
+    assert higher_average_prediction(s2, s4, m) == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.0, 0.1, 0.25, 0.4, 0.5])
+def test_prediction_matches_binomial_form_near_the_largest_double(h):
+    # S(2) chosen so the exact prediction sits just below DBL_MAX: the
+    # normalized recurrence must neither overflow nor lose accuracy there.
+    for m in range(3, 64):
+        ratio = binomial_prediction(1.0, 1.0 + h, m)
+        s2 = (sys.float_info.max / 4.0 / float(ratio)) ** (1.0 / m)
+        s4 = s2 * s2 * (1.0 + h)
+        exact = float(binomial_prediction(s2, s4, m))
+        assert exact > sys.float_info.max / 8.0
+        assert higher_average_prediction(s2, s4, m) == pytest.approx(exact, rel=1e-12)
+
+
+def test_prediction_of_all_zero_radii():
+    assert higher_average_prediction(0.0, 0.0, 5) == 0.0
+    assert two_radius_power_sum(0.0, 0.0, 8, 7) == 0.0
+
+
+def test_feasible_family_with_averages_near_the_largest_double():
+    # n = 64 with radii 144 to 275: S(126) is about 2.3e306. A recurrence
+    # on unnormalized averages overflows here and calls the family
+    # infeasible.
+    scale = 25.71799092463461
+    fam = CircleFamily(
+        PlanePoint(0, 0),
+        tuple(r * scale for r in random_instance(64, 7730298120121206983).family.radii),
+    )
+    av = cyclic_averages(fam)
+    assert 1e306 < av.power(63) < 1e307
+    assert assess_feasibility(av).feasible
+    rec = reconstruct_polygons(fam)
+    assert max(rec.residuals) <= 1e-9 * fam.radii[-1]
 
 
 # -------------------------------------------------------------- recovery

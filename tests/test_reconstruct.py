@@ -9,6 +9,7 @@ from concentric_gons import (
     InfeasibleFamily,
     PlanePoint,
     RegularPolygonSpec,
+    Tolerance,
     distance_multiset,
     phase_candidates,
     random_instance,
@@ -22,6 +23,35 @@ TRIANGLE_FAMILY = (math.sqrt(5 - 2 * SQRT3), math.sqrt(5), math.sqrt(5 + 2 * SQR
 
 
 # -------------------------------------------------------- phase candidates
+
+
+arms = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@given(arms, arms, st.floats(min_value=0.0, max_value=2e3))
+def test_phase_candidates_symmetric_in_the_arms(r, l, d):
+    assert phase_candidates(r, l, d) == phase_candidates(l, r, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=10), st.integers(min_value=0, max_value=100_000))
+def test_phase_search_symmetric_in_the_arms(n, seed):
+    # The reconstruction searches once and uses the angle for both
+    # polygons; swapping the arms must give the very same angle.
+    from concentric_gons.reconstruct import _find_phase
+
+    inst = random_instance(n, seed)
+    r, l = inst.polygon1.circumradius, inst.polygon2.circumradius
+    radii = inst.family.radii
+    assert _find_phase(n, r, l, radii, Tolerance()) == _find_phase(n, l, r, radii, Tolerance())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=10), st.integers(min_value=0, max_value=100_000))
+def test_both_polygons_share_the_phase(n, seed):
+    rec = reconstruct_polygons(random_instance(n, seed).family)
+    assert not rec.point_polygon
+    assert rec.polygon1.phase == rec.polygon2.phase
 
 
 def test_phase_candidates_worked_pair():

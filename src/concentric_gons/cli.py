@@ -7,6 +7,7 @@ summary is printed. JSON and SVG output are byte-deterministic.
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import (
@@ -281,9 +282,11 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance, max_n: int) -> tuple[
     if report.feasible:
         pair = recover_circumradii(averages, tol)
         if pair.smaller > tol.gap(pair.larger):
+            # The sweep is bit-symmetric in its arms (2.0*r*l doubles exactly,
+            # addition commutes), so one sweep serves both arm orders.
+            sweep = angle_sweep(pair.larger, pair.smaller, family.n, family.radii)
             arms = [(pair.larger, pair.smaller), (pair.smaller, pair.larger)]
             for r, l in arms:
-                sweep = angle_sweep(r, l, family.n, family.radii)
                 sweeps.append(
                     {"vertex_arm": r, "center_arm": l, "best_phase": sweep.best_phase,
                      "best_residual": sweep.best_residual}
@@ -478,10 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one per process serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse help/usage paths
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.command == "pair" and not args.input:
@@ -495,7 +503,7 @@ def main(argv=None) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

@@ -118,9 +118,8 @@ def cyclic_averages(family: CircleFamily, max_n: int = MAX_VERTEX_COUNT) -> Cycl
     # The running product saturates at inf silently where ``q ** m`` would
     # raise. If an order overflows, its largest power exceeds DBL_MAX / n,
     # so that square is far above n and all its later powers are inf: the
-    # top order shows every overflow. A finite S(4) means every square was
-    # finite to begin with.
-    if not math.isfinite(values[-1]) and math.isfinite(values[1]):
+    # top order shows every overflow, including squares that overflow.
+    if not math.isfinite(values[-1]):
         raise OverflowError(f"order-{2 * (n - 1)} radius powers overflow a double")
     return CyclicAverages(n=n, values=tuple(values))
 

@@ -7,6 +7,9 @@ documented recurrence, so instances reproduce bit-for-bit anywhere.
 """
 
 import math
+from itertools import repeat
+from math import cos, sqrt
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .geom import (
@@ -67,13 +70,17 @@ def power_identity_residual(
     return abs(direct - closed) / max(1.0, abs(closed))
 
 
-def _sweep_residual(n: int, r: float, l: float, t: float, target: tuple[float, ...]) -> float:
-    step = TWO_PI / n
-    generated = sorted(
-        math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + step * k), 0.0))
-        for k in range(n)
-    )
-    return max(abs(a - b) for a, b in zip(generated, target))
+def _sweep_residual(
+    a: float, b: float, offsets: list[float], t: float, target: tuple[float, ...]
+) -> float:
+    """Largest gap between the sorted distances sqrt(a - b cos(t + offset))
+    and the target; a = r^2 + l^2 and b = 2rl, as the law of cosines has them.
+    """
+    cosines = map(cos, map(add, repeat(t), offsets))
+    squares = list(map(sub, repeat(a), map(mul, repeat(b), cosines)))
+    if min(squares) < 0.0:
+        squares = [max(v, 0.0) for v in squares]
+    return max(map(abs, map(sub, sorted(map(sqrt, squares)), target)))
 
 
 class SweepResult(NamedTuple):
@@ -95,15 +102,27 @@ def angle_sweep(
     A uniform grid over [0, 2*pi/n) locates the best cell, then golden
     section refinement narrows it; 3600 cells with 40 iterations pin the
     phase to roughly 1e-9 rad. Deterministic for fixed inputs.
+
+    Phases t and -t generate the same multiset, since
+    cos(-t + 2*pi*k/n) = cos(t + 2*pi*(n-k)/n), so cells i and
+    ``grid_size - i`` tie and only cells 0..grid_size // 2 are scanned. The
+    reported phase is therefore the first-half representative, within one
+    grid step of [0, pi/n]; its mirror ``2*pi/n - best_phase`` fits equally
+    well. ``target`` must hold exactly n distances.
     """
     if grid_size < 360:
         raise ValueError(f"grid_size must be >= 360, got {grid_size}")
+    if len(target) != n:
+        raise ValueError(f"target must hold n = {n} distances, got {len(target)}")
     period = TWO_PI / n
     step = period / grid_size
+    a = r * r + l * l
+    b = 2.0 * r * l
+    offsets = [period * k for k in range(n)]
     best_i = 0
     best = math.inf
-    for i in range(grid_size):
-        res = _sweep_residual(n, r, l, i * step, target)
+    for i in range(grid_size // 2 + 1):
+        res = _sweep_residual(a, b, offsets, i * step, target)
         if res < best:
             best = res
             best_i = i
@@ -111,19 +130,19 @@ def angle_sweep(
     hi = (best_i + 1) * step
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _sweep_residual(n, r, l, x1, target)
-    f2 = _sweep_residual(n, r, l, x2, target)
+    f1 = _sweep_residual(a, b, offsets, x1, target)
+    f2 = _sweep_residual(a, b, offsets, x2, target)
     for _ in range(refine_iters):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _sweep_residual(n, r, l, x1, target)
+            f1 = _sweep_residual(a, b, offsets, x1, target)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _sweep_residual(n, r, l, x2, target)
+            f2 = _sweep_residual(a, b, offsets, x2, target)
     mid = (lo + hi) / 2.0
-    res_mid = _sweep_residual(n, r, l, mid, target)
+    res_mid = _sweep_residual(a, b, offsets, mid, target)
     phase = math.fmod(mid, period)
     if phase < 0.0:
         phase += period

@@ -1,14 +1,18 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from concentric_gons import PlanePoint, RegularPolygonSpec, random_instance
-from concentric_gons.cli import main
+from concentric_gons.cli import build_parser, main
 from concentric_gons.instances import (
     InstanceFormatError,
     canonical_json,
@@ -193,6 +197,24 @@ def test_check_usage_errors():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "radii",
+    [
+        # Order-126 powers of radii near 1e3 overflow a double.
+        ",".join(str(1000.0 + 0.5 * k) for k in range(64)),
+        # The squares themselves overflow.
+        "1e308,1e308,1.5e308",
+    ],
+)
+def test_check_overflowing_powers_is_an_error_not_a_traceback(radii):
+    code, out, err = run_cli("check", "--radii", radii, "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "overflow" in err
+    assert "nan" not in err
+
+
 def test_check_tol_flag_loosens_comparison():
     # barely-unbalanced progression accepted under a huge tolerance
     code, _, _ = run_cli("check", "--radii", "1,2,3,4", "--tol", "4e-4")
@@ -346,6 +368,20 @@ def test_verify_circles_kind_runs_sweeps_only(tmp_path):
     assert all(s["best_residual"] <= 1e-6 for s in section["angle_sweeps"])
 
 
+def test_verify_circles_sweeps_agree_across_arm_orders(tmp_path):
+    for n in (3, 8):
+        inst = random_instance(n, 7)
+        path = write_circles(tmp_path / f"c{n}.json", inst.family.radii)
+        code, out, _ = run_cli("verify", "--input", path, "--json")
+        assert code == 0
+        first, second = json.loads(out)["result"]["angle_sweeps"]
+        assert (first["vertex_arm"], first["center_arm"]) == (
+            second["center_arm"], second["vertex_arm"]
+        )
+        assert first["best_phase"] == second["best_phase"]
+        assert first["best_residual"] == second["best_residual"]
+
+
 def test_verify_corrupted_radii_identifies_failing_order(tmp_path):
     base = random_instance(5, 31)
     radii = list(base.family.radii)
@@ -430,3 +466,21 @@ def test_svg_outputs_are_byte_identical(tmp_path):
     run_cli("reconstruct", "--radii", radii, "--svg", str(a))
     run_cli("reconstruct", "--radii", radii, "--svg", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path):
+    argv = ["check", "--radii", "1,1,2", "--json"]
+    assert run_cli("check", "--radii")[0] == 1
+    first = run_cli(*argv)
+    second = run_cli(*argv)
+    assert first[1] == second[1] != ""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "concentric_gons", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert fresh.returncode == first[0] == 0
+    assert fresh.stdout == first[1]
+    assert build_parser() is not build_parser()

@@ -134,6 +134,90 @@ def test_sweep_validates_grid():
         angle_sweep(1.0, 0.5, 3, TRIANGLE_FAMILY, grid_size=100)
 
 
+def test_sweep_rejects_target_of_wrong_length():
+    with pytest.raises(ValueError, match="3"):
+        angle_sweep(2.0, 1.0, 3, (1.0, 1.0))
+    with pytest.raises(ValueError):
+        angle_sweep(2.0, 1.0, 3, (1.0, 1.0, 2.0, 3.0))
+
+
+def _full_grid_sweep(r, l, n, target, grid_size=3600, refine_iters=40):
+    """The sweep as first written: every grid cell, one residual expression."""
+    period = 2.0 * math.pi / n
+
+    def residual(t):
+        generated = sorted(
+            math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + period * k), 0.0))
+            for k in range(n)
+        )
+        return max(abs(a - b) for a, b in zip(generated, target))
+
+    step = period / grid_size
+    best_i, best = 0, math.inf
+    for i in range(grid_size):
+        res = residual(i * step)
+        if res < best:
+            best, best_i = res, i
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = (best_i - 1) * step, (best_i + 1) * step
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = residual(x1), residual(x2)
+    for _ in range(refine_iters):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = residual(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = residual(x2)
+    mid = (lo + hi) / 2.0
+    phase = math.fmod(mid, period)
+    if phase < 0.0:
+        phase += period
+    return phase, min(residual(mid), best)
+
+
+def _sweep_cases():
+    for n in (3, 4, 5, 8, 12, 32):
+        for seed in (1, 2):
+            inst = random_instance(n, seed)
+            r1, r2 = inst.polygon1.circumradius, inst.polygon2.circumradius
+            yield n, r1, r2, inst.family.radii
+            yield n, r2, r1, inst.family.radii
+    # No phase reaches an arithmetic progression.
+    yield 4, 2.0, 0.8, (1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("n, r, l, target", list(_sweep_cases()))
+def test_half_grid_sweep_matches_full_grid_reference(n, r, l, target):
+    period = 2.0 * math.pi / n
+    step = period / 3600
+    ref_phase, ref_residual = _full_grid_sweep(r, l, n, target)
+    result = angle_sweep(r, l, n, target)
+    assert abs(result.best_residual - ref_residual) <= 1e-12 * max(1.0, max(target))
+    # The reported phase is the reference or its mirror, modulo the period.
+    gaps = (
+        abs(math.remainder(result.best_phase - ref_phase, period)),
+        abs(math.remainder(result.best_phase - (period - ref_phase), period)),
+    )
+    assert min(gaps) <= 1e-9
+    # ... and always the first-half representative: in [-step, period/2 + step]
+    # modulo the period.
+    phase = result.best_phase
+    assert 0.0 <= phase < period
+    assert phase <= period / 2.0 + step or phase >= period - step
+
+
+def test_sweep_is_symmetric_in_the_arms():
+    for n in (3, 8, 32):
+        inst = random_instance(n, 5)
+        r1, r2 = inst.polygon1.circumradius, inst.polygon2.circumradius
+        assert angle_sweep(r1, r2, n, inst.family.radii) == angle_sweep(
+            r2, r1, n, inst.family.radii
+        )
+
+
 def test_sweep_agrees_with_reconstruction_phase_search():
     from concentric_gons import CircleFamily
 

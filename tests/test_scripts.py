@@ -1,0 +1,40 @@
+"""Smoke tests: each script under scripts/ runs to completion on tiny inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def test_certify_runs_on_a_tiny_sweep(tmp_path):
+    done = run_script("certify.py", "--samples", "2", "--max-order", "4", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert rows[0].split() == ["n", "identity", "round", "trip", "radii"]
+    assert [row.split()[0] for row in rows[1:3]] == ["3", "4"]
+
+
+def test_draw_figures_writes_every_figure(tmp_path):
+    out_dir = tmp_path / "figs"
+    done = run_script("draw_figures.py", "--out-dir", str(out_dir), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+    written = sorted(out_dir.iterdir())
+    assert len(written) == 4
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("<svg") or text.startswith("<?xml")
+        assert text.rstrip().endswith("</svg>")

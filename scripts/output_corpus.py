@@ -1,0 +1,209 @@
+#!/usr/bin/env python3
+"""Record everything the CLI shows over a fixed corpus of commands.
+
+Each command runs in-process through ``concentric_gons.cli.main``. The
+output file lists, per command, its argv, exit code, stdout, stderr, the
+warnings raised and the text of every SVG it wrote, with the temporary
+directory written as ``<tmp>``. Run the script on two commits and compare
+the files: equal files mean byte-identical CLI output on the corpus.
+
+The corpus covers every subcommand with and without ``--json``: the worked
+families; ``random_instance`` circles files (feasible, perturbed to
+infeasible, point polygon) and polygon-pair files (meeting, far apart,
+point polygon) for each size; identical, mismatched-order and shared-vertex
+pairs; and usage, file-format, overflow and underflow errors.
+
+  PYTHONPATH=src python3 scripts/output_corpus.py --out corpus.json
+"""
+
+import argparse
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+from concentric_gons import random_instance
+from concentric_gons.cli import main as cli_main
+
+SIZES = (3, 4, 5, 8, 12, 32, 64)
+SEEDS = (1, 2)
+SQRT3 = math.sqrt(3.0)
+TRIANGLE_FAMILY = (math.sqrt(5 - 2 * SQRT3), math.sqrt(5), math.sqrt(5 + 2 * SQRT3))
+SQUARE_FAMILY = (math.sqrt(5 - 2 * SQRT3), SQRT3, math.sqrt(7), math.sqrt(5 + 2 * SQRT3))
+RADII_LISTS = (
+    "1,1,2",
+    "1,2,3,4",
+    ",".join(map(repr, TRIANGLE_FAMILY)),
+    ",".join(map(repr, SQUARE_FAMILY)),
+    "1,1,1",
+    "0,0,0",
+    "2,1,1",
+    "0.01,0.013,0.02,0.022,0.026",
+    "1e308,1e308,1.5e308",
+    "1e-100,1e-100,2e-100",
+    "1e-200,1e-200,2e-200",
+    "-1,1,2",
+    "1,2",
+    "not-numbers",
+)
+
+
+def _circles(center, radii) -> dict:
+    return {
+        "format": "concentric-gons/1",
+        "kind": "circles",
+        "circles": {"center": list(center), "radii": list(radii)},
+    }
+
+
+def _polygon_pair(*polygons) -> dict:
+    return {
+        "format": "concentric-gons/1",
+        "kind": "polygon_pair",
+        "polygons": [
+            {"n": n, "center": list(center), "circumradius": radius, "phase": phase}
+            for n, center, radius, phase in polygons
+        ],
+    }
+
+
+def _spec(poly, dx: float = 0.0) -> tuple:
+    return poly.n, (poly.center.x + dx, poly.center.y), poly.circumradius, poly.phase
+
+
+def instance_files(sizes) -> dict[str, object]:
+    """File name -> decoded document (or raw text for malformed files)."""
+    files: dict[str, object] = {
+        "unsorted.json": _circles((0.5, -0.5), (2.0, 1.0, 1.0)),
+        "triangle_family.json": _circles((0.0, 0.0), TRIANGLE_FAMILY),
+        "square_family.json": _circles((1.0, 2.0), SQUARE_FAMILY),
+        "worked_pair.json": _polygon_pair((3, (0.0, 0.0), 2.0, 0.0), (3, (2.0, 0.0), 1.0, 0.5)),
+        "shared_vertex.json": _polygon_pair(
+            (3, (0.0, 0.0), 1.0, 0.0), (3, (2.0, 0.0), 1.0, math.pi)
+        ),
+        "identical.json": _polygon_pair((4, (1.0, 1.0), 2.0, 0.3), (4, (1.0, 1.0), 2.0, 0.3)),
+        "mismatched.json": _polygon_pair((3, (0.0, 0.0), 2.0, 0.0), (4, (2.0, 0.0), 1.0, 0.0)),
+        "not_json.json": "{not json",
+        "bad_kind.json": {"format": "concentric-gons/1", "kind": "triangle"},
+    }
+    for n in sizes:
+        for seed in SEEDS:
+            inst = random_instance(n, seed)
+            radii = inst.family.radii
+            center = (inst.point.x, inst.point.y)
+            files[f"circles_n{n}_s{seed}.json"] = _circles(center, radii)
+            files[f"infeasible_n{n}_s{seed}.json"] = _circles(
+                center, radii[:-1] + (radii[-1] * 1.01,)
+            )
+            files[f"pair_n{n}_s{seed}.json"] = _polygon_pair(
+                _spec(inst.polygon1), _spec(inst.polygon2)
+            )
+            far = 3.0 * (inst.polygon1.circumradius + inst.polygon2.circumradius) + 10.0
+            files[f"missing_n{n}_s{seed}.json"] = _polygon_pair(
+                _spec(inst.polygon1), _spec(inst.polygon2, far)
+            )
+        point = random_instance(n, 1, zero_smaller_radius=True)
+        files[f"point_circles_n{n}.json"] = _circles(
+            (point.point.x, point.point.y), point.family.radii
+        )
+        files[f"point_pair_n{n}.json"] = _polygon_pair(
+            _spec(point.polygon1), _spec(point.polygon2)
+        )
+    return files
+
+
+def commands(files) -> list[list[str]]:
+    """Argument lists; ``{tmp}`` stands for the temporary directory."""
+    cmds: list[list[str]] = []
+
+    def both(*argv: str) -> None:
+        cmds.append(list(argv))
+        cmds.append([*argv, "--json"])
+
+    for radii in RADII_LISTS:
+        both("check", "--radii", radii)
+        both("reconstruct", "--radii", radii, "--svg", "{tmp}/rec.svg")
+    both("check", "--radii", "1,1,2", "--tol", "1e-6")
+    both("reconstruct", "--radii", ",".join(map(repr, SQUARE_FAMILY)), "--tol", "5e-4")
+    wide = ",".join(str(1.0 + k / 100.0) for k in range(70))
+    both("check", "--radii", wide, "--max-n", "100")
+    both("reconstruct", "--radii", wide, "--max-n", "100")
+    both("check", "--radii", wide)
+    both("verify", "--seed", "1")
+    for name, doc in files.items():
+        path = "{tmp}/" + name
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind == "polygon_pair":
+            both("pair", "--input", path, "--svg", "{tmp}/pair.svg")
+            both("verify", "--input", path)
+            both("render", "--input", path, "--svg", "{tmp}/render.svg")
+            cmds.append(["check", "--input", path])
+        else:
+            both("check", "--input", path)
+            both("reconstruct", "--input", path, "--svg", "{tmp}/rec.svg")
+            both("verify", "--input", path)
+            both("render", "--input", path, "--svg", "{tmp}/render.svg")
+            cmds.append(["pair", "--input", path])
+    cmds.append(["check", "--input", "{tmp}/no_such_file.json"])
+    cmds.append(["check"])
+    cmds.append(["check", "--radii", "1,1,2", "--bogus"])
+    cmds.append(["pair"])
+    cmds.append(["render", "--input", "{tmp}/worked_pair.json"])
+    return cmds
+
+
+def run(argv: list[str], tmp: str) -> dict:
+    real = [arg.replace("{tmp}", tmp) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    for name in os.listdir(tmp):
+        if name.endswith(".svg"):
+            os.remove(os.path.join(tmp, name))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code: object = cli_main(real)
+            except Exception as exc:  # an uncaught error is output too
+                code = f"raised {type(exc).__name__}: {exc}"
+    svgs = {}
+    for name in sorted(os.listdir(tmp)):
+        if name.endswith(".svg"):
+            with open(os.path.join(tmp, name), encoding="utf-8") as handle:
+                svgs[name] = handle.read()
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout": out.getvalue().replace(tmp, "<tmp>"),
+        "stderr": err.getvalue().replace(tmp, "<tmp>"),
+        "warnings": [str(w.message).replace(tmp, "<tmp>") for w in caught],
+        "svg": svgs,
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="write the corpus JSON here")
+    parser.add_argument(
+        "--sizes", default=",".join(map(str, SIZES)),
+        help="comma-separated vertex counts for the random instances",
+    )
+    args = parser.parse_args()
+    sizes = [int(part) for part in args.sizes.split(",")]
+    files = instance_files(sizes)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(doc if isinstance(doc, str) else json.dumps(doc))
+        records = [run(argv, tmp) for argv in commands(files)]
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    svg_count = sum(len(record["svg"]) for record in records)
+    print(f"wrote {args.out}: {len(records)} commands, {svg_count} SVG files")
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,6 @@ from .errors import (
     InfeasibleMoments,
     InvalidMomentOrder,
     MismatchedOrder,
-    NoSharedVertex,
     NotACandidateCenter,
     PhaseSearchFailed,
     SumConditionViolated,
@@ -35,6 +34,7 @@ from .geom import (
     heron_area,
     multiset_close,
     normalize_angle,
+    phase_candidates,
     vertices,
 )
 from .moments import (
@@ -64,11 +64,9 @@ from .pairing import (
     candidate_centers,
     intersection_feasible,
     pair_polygons,
-    shared_vertex_pairing,
 )
 from .reconstruct import (
     Reconstruction,
-    phase_candidates,
     reconstruct_polygons,
     verify_reconstruction,
 )
@@ -102,7 +100,6 @@ __all__ = [
     "InfeasibleMoments",
     "InvalidMomentOrder",
     "MismatchedOrder",
-    "NoSharedVertex",
     "NotACandidateCenter",
     "PairingResult",
     "PhaseSearchFailed",
@@ -139,7 +136,6 @@ __all__ = [
     "random_instance",
     "reconstruct_polygons",
     "recover_circumradii",
-    "shared_vertex_pairing",
     "square_circle_radii",
     "square_cubic_residual",
     "square_feasibility",

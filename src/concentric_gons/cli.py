@@ -29,6 +29,7 @@ from .instances import (
 from .moments import (
     CircleFamily,
     MAX_VERTEX_COUNT,
+    RadiiPair,
     assess_feasibility,
     cyclic_averages,
     recover_circumradii,
@@ -74,13 +75,19 @@ def _family_from_args(args) -> CircleFamily:
             values = tuple(sorted(values))
         return CircleFamily(center=PlanePoint(0.0, 0.0), radii=values)
     if args.input is not None:
-        doc = load_instance(args.input)
-        for note in doc.load_warnings:
-            print(f"warning: {note}", file=sys.stderr)
-        if doc.kind != "circles":
-            raise InstanceFormatError(f"expected a circles instance, got {doc.kind}")
-        return doc.circles
+        return _load(args.input, "circles").circles
     raise InstanceFormatError("provide --radii or --input")
+
+
+def _load(path: str, kind: str | None = None) -> InstanceDocument:
+    """Load an instance file, require ``kind`` if given, then print its
+    load warnings (a file of the wrong kind fails without them)."""
+    doc = load_instance(path)
+    if kind is not None and doc.kind != kind:
+        raise InstanceFormatError(f"expected a {kind} instance, got {doc.kind}")
+    for note in doc.load_warnings:
+        print(f"warning: {note}", file=sys.stderr)
+    return doc
 
 
 def _tolerance_from_args(args) -> Tolerance:
@@ -102,9 +109,14 @@ def _report_record(report) -> dict:
     }
 
 
+def _pair_record(pair: RadiiPair) -> dict:
+    return {"larger": pair.larger, "smaller": pair.smaller, "degenerate": pair.degenerate}
+
+
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.json:
-        sys.stdout.write(dump_canonical(payload))
+        document = {"format": FORMAT_NAME, "command": args.command, **payload}
+        sys.stdout.write(dump_canonical(document))
     else:
         for line in human_lines:
             print(line)
@@ -117,17 +129,10 @@ def cmd_check(args) -> int:
     report = assess_feasibility(averages, tol)
     recovered = None
     try:
-        pair = recover_circumradii(averages, tol)
-        recovered = {
-            "larger": pair.larger,
-            "smaller": pair.smaller,
-            "degenerate": pair.degenerate,
-        }
+        recovered = _pair_record(recover_circumradii(averages, tol))
     except InfeasibleMoments:
         pass
     payload = {
-        "format": FORMAT_NAME,
-        "command": "check",
         "n": family.n,
         "radii": list(family.radii),
         "feasible": report.feasible,
@@ -168,8 +173,6 @@ def cmd_reconstruct(args) -> int:
         rec = reconstruct_polygons(family, tol)
     except InfeasibleFamily as exc:
         payload = {
-            "format": FORMAT_NAME,
-            "command": "reconstruct",
             "n": family.n,
             "radii": list(family.radii),
             "feasible": False,
@@ -178,17 +181,11 @@ def cmd_reconstruct(args) -> int:
         _emit(args, payload, ["feasible: no"])
         return EXIT_INFEASIBLE
     payload = {
-        "format": FORMAT_NAME,
-        "command": "reconstruct",
         "n": family.n,
         "radii": list(family.radii),
         "feasible": True,
         "report": _report_record(rec.report),
-        "circumradii": {
-            "larger": rec.circumradii.larger,
-            "smaller": rec.circumradii.smaller,
-            "degenerate": rec.circumradii.degenerate,
-        },
+        "circumradii": _pair_record(rec.circumradii),
         "polygons": [polygon_record(rec.polygon1), polygon_record(rec.polygon2)],
         "point_polygon": rec.point_polygon,
         "residuals": list(rec.residuals),
@@ -209,15 +206,29 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
+def _pairing_svg(p1, p2, results) -> str:
+    """The first configuration found, or both polygons with their auxiliary
+    circles when there is none."""
+    if not results:
+        return render_configuration(
+            circles=[(p1.center, p2.circumradius), (p2.center, p1.circumradius)],
+            polygons=[p1, p2],
+            centers=[p1.center, p2.center],
+            common_points=[],
+        )
+    first = results[0]
+    return render_configuration(
+        circles=[(first.center, r) for r in first.circles.radii],
+        polygons=[p1, first.aligned_second],
+        centers=[p1.center, p2.center],
+        common_points=[first.center],
+    )
+
+
 def cmd_pair(args) -> int:
     tol = _tolerance_from_args(args)
-    doc = load_instance(args.input)
-    if doc.kind != "polygon_pair":
-        raise InstanceFormatError(f"expected a polygon_pair instance, got {doc.kind}")
-    p1, p2 = doc.polygons
+    p1, p2 = _load(args.input, "polygon_pair").polygons
     payload = {
-        "format": FORMAT_NAME,
-        "command": "pair",
         "n": p1.n,
         "polygons": [polygon_record(p1), polygon_record(p2)],
     }
@@ -253,23 +264,8 @@ def cmd_pair(args) -> int:
         )
     _emit(args, payload, lines)
     if args.svg:
-        if results:
-            first = results[0]
-            text = render_configuration(
-                circles=[(first.center, r) for r in first.circles.radii],
-                polygons=[p1, first.aligned_second],
-                centers=[p1.center, p2.center],
-                common_points=[first.center],
-            )
-        else:
-            text = render_configuration(
-                circles=[(p1.center, p2.circumradius), (p2.center, p1.circumradius)],
-                polygons=[p1, p2],
-                centers=[p1.center, p2.center],
-                common_points=[],
-            )
         with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(_pairing_svg(p1, p2, results))
     return EXIT_OK if results else EXIT_INFEASIBLE
 
 
@@ -373,16 +369,14 @@ def _verify_certification(seed: int) -> tuple[dict, bool]:
 def cmd_verify(args) -> int:
     tol = _tolerance_from_args(args)
     if args.input is not None:
-        doc = load_instance(args.input)
-        for note in doc.load_warnings:
-            print(f"warning: {note}", file=sys.stderr)
+        doc = _load(args.input)
         if doc.kind == "circles":
             section, ok = _verify_circles(doc, tol, args.max_n)
         else:
             section, ok = _verify_polygon_pair(doc, tol)
     else:
         section, ok = _verify_certification(args.seed)
-    payload = {"format": FORMAT_NAME, "command": "verify", "result": section}
+    payload = {"result": section}
     lines = [f"verify kind: {section['kind']}", f"pass: {'yes' if ok else 'no'}"]
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_INFEASIBLE
@@ -390,18 +384,17 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     tol = _tolerance_from_args(args)
-    doc = load_instance(args.input)
-    for note in doc.load_warnings:
-        print(f"warning: {note}", file=sys.stderr)
+    doc = _load(args.input)
     if doc.kind == "circles":
         family = doc.circles
-        circles = [(family.center, r) for r in family.radii]
         try:
-            rec = reconstruct_polygons(family, tol)
-            text = _reconstruction_svg(family, rec)
+            text = _reconstruction_svg(family, reconstruct_polygons(family, tol))
         except GeometryError:
             text = render_configuration(
-                circles=circles, polygons=[], centers=[], common_points=[family.center]
+                circles=[(family.center, r) for r in family.radii],
+                polygons=[],
+                centers=[],
+                common_points=[family.center],
             )
     else:
         p1, p2 = doc.polygons
@@ -409,28 +402,10 @@ def cmd_render(args) -> int:
             results = pair_polygons(p1, p2, tol)
         except GeometryError:
             results = []
-        if results:
-            first = results[0]
-            text = render_configuration(
-                circles=[(first.center, r) for r in first.circles.radii],
-                polygons=[p1, first.aligned_second],
-                centers=[p1.center, p2.center],
-                common_points=[first.center],
-            )
-        else:
-            text = render_configuration(
-                circles=[(p1.center, p2.circumradius), (p2.center, p1.circumradius)],
-                polygons=[p1, p2],
-                centers=[p1.center, p2.center],
-                common_points=[],
-            )
+        text = _pairing_svg(p1, p2, results)
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(text)
-    if args.json:
-        payload = {"format": FORMAT_NAME, "command": "render", "svg": args.svg}
-        sys.stdout.write(dump_canonical(payload))
-    else:
-        print(f"wrote {args.svg}")
+    _emit(args, {"svg": args.svg}, [f"wrote {args.svg}"])
     return EXIT_OK
 
 
@@ -453,10 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=1, help="certification seed")
         p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--max-n", type=int, default=MAX_VERTEX_COUNT,
-            help="vertex-count cap for moment computations",
-        )
 
     p_check = sub.add_parser("check", help="decide whether radii admit two polygons")
     add_common(p_check, radii=True, input_file=True)
@@ -478,6 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_render, input_file=True, svg=True)
     p_render.set_defaults(func=cmd_render)
 
+    # Only the subcommands that compute radius powers read the cap.
+    for p in (p_check, p_rec, p_verify):
+        p.add_argument(
+            "--max-n", type=int, default=MAX_VERTEX_COUNT,
+            help="vertex-count cap for moment computations",
+        )
     return parser
 
 
@@ -500,10 +477,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # InstanceFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

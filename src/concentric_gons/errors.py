@@ -33,10 +33,6 @@ class NotACandidateCenter(GeometryError):
     """The point does not satisfy the required center distances."""
 
 
-class NoSharedVertex(GeometryError):
-    """No vertex of one polygon coincides with a vertex of the other."""
-
-
 class SumConditionViolated(GeometryError):
     """Outer and inner squared-radius sums differ beyond tolerance."""
 

@@ -1,5 +1,6 @@
 """Plane primitives: points, regular polygons, distances, stable triangle area,
-circle intersection, and tolerance-aware multiset comparison.
+circle intersection, the law-of-cosines opening angle, and tolerance-aware
+multiset comparison.
 
 Everything here is a pure function over immutable values. Tolerances are
 explicit: comparisons accept a :class:`Tolerance` and default to
@@ -9,7 +10,7 @@ explicit: comparisons accept a :class:`Tolerance` and default to
 import math
 from dataclasses import dataclass
 
-from .errors import CoincidentCircles, TriangleInequalityViolated
+from .errors import CoincidentCircles, DegenerateGeometry, TriangleInequalityViolated
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,14 +37,17 @@ class Tolerance:
         """Largest difference still considered zero at the given magnitude."""
         return self.absolute_floor + self.relative_eps * max(1.0, abs(scale))
 
-    def close(self, a: float, b: float, scale: float | None = None) -> bool:
-        return abs(a - b) <= self.gap(a if scale is None else scale)
+    def multiset_gate(self) -> "Tolerance":
+        """The 10x looser gate for comparing whole distance multisets.
 
-    def scaled(self, factor: float) -> "Tolerance":
-        """A loosened copy; relative_eps stays below its validity ceiling."""
+        Distances generated from a recovered angle carry trig rounding from
+        each of the n vertices, and a tangency point is rounded by up to one
+        gap; a single-gap gate would read either as misalignment.
+        ``relative_eps`` stays below its validity ceiling.
+        """
         return Tolerance(
-            relative_eps=min(self.relative_eps * factor, 9.9e-4),
-            absolute_floor=self.absolute_floor * factor,
+            relative_eps=min(self.relative_eps * 10.0, 9.9e-4),
+            absolute_floor=self.absolute_floor * 10.0,
         )
 
 
@@ -201,6 +205,30 @@ def distance_multiset(poly: RegularPolygonSpec, point: PlanePoint) -> tuple[floa
         distances.append(math.hypot(px - x, py - y))
     distances.sort()
     return tuple(distances)
+
+
+def phase_candidates(
+    r: float, l: float, d: float, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[float, ...]:
+    """Opening angles t with d^2 = r^2 + l^2 - 2 r l cos(t).
+
+    Returns the +/- pair, one angle at the extremes (d equal to r + l or
+    |r - l| within tolerance), and nothing when d is out of range. Zero arm
+    lengths leave the angle underdetermined and raise DegenerateGeometry.
+    """
+    if r <= 0.0 or l <= 0.0:
+        raise DegenerateGeometry(
+            f"arm lengths must be positive, got ({r}, {l}): any angle works "
+            "when d equals |r - l|, none otherwise"
+        )
+    cos_t = (r * r + l * l - d * d) / (2.0 * r * l)
+    if abs(cos_t) > 1.0 + tol.gap(1.0):
+        return ()
+    cos_t = max(-1.0, min(1.0, cos_t))
+    t = math.acos(cos_t)
+    if abs(cos_t) >= 1.0 - tol.gap(1.0):  # the mirror coincides at 0 and pi
+        return (t,)
+    return (t, -t)
 
 
 def multiset_close(

@@ -14,6 +14,7 @@ When both hold, the two circumradii follow from S(2) and S(4) alone.
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import InfeasibleMoments, InvalidMomentOrder
@@ -104,13 +105,22 @@ def cyclic_averages(family: CircleFamily, max_n: int = MAX_VERTEX_COUNT) -> Cycl
     1.4e-14 at n = 64, far below the condition-II gate.
     Vertex counts above ``max_n`` are rejected: with radii far from 1 the
     top-order powers overflow doubles, which raises OverflowError. Rescale
-    radii to geometric mean 1 before raising the cap.
+    radii to geometric mean 1 before raising the cap. A positive largest
+    radius whose fourth power is below the smallest normal double (radii
+    below about 1.2e-77) raises ValueError: S(4) would be subnormal or zero,
+    and the verdict would no longer follow the family's shape.
     """
     n = family.n
     if n > max_n:
         raise ValueError(f"vertex count {n} exceeds the cap {max_n}")
     squares = [r * r for r in family.radii]
     powers = [q ** 2 for q in squares]
+    if 0.0 < family.radii[-1] and powers[-1] < sys.float_info.min:
+        raise ValueError(
+            f"radius powers underflow a double: the largest radius "
+            f"{family.radii[-1]!r} has a fourth power below "
+            f"{sys.float_info.min!r}; rescale the radii toward 1"
+        )
     values = [math.fsum(squares) / n, math.fsum(powers) / n]
     for _ in range(3, n):
         powers = list(map(operator.mul, powers, squares))

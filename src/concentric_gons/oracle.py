@@ -13,6 +13,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .geom import (
+    TWO_PI,
     PlanePoint,
     RegularPolygonSpec,
     normalize_angle,
@@ -20,7 +21,6 @@ from .geom import (
 )
 from .moments import CircleFamily, two_radius_power_sum
 
-TWO_PI = 2.0 * math.pi
 _MASK64 = (1 << 64) - 1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -5,7 +5,9 @@ The working point must sit at distance R2 from the first center and R1 from
 the second (the circumradii swap roles), so candidates are intersections of
 the two auxiliary circles. Rotating the second polygon until one distance
 pair agrees then forces the whole multisets to agree; both rotation branches
-are produced and each result is re-verified against the full multiset.
+are produced and each result is re-verified against the full multiset. The
+rotation's opening angle solves the law of cosines with
+:func:`geom.phase_candidates`, the solve reconstruction uses too.
 """
 
 import math
@@ -16,11 +18,11 @@ from .errors import (
     CoincidentAuxiliaryCircles,
     CoincidentCircles,
     MismatchedOrder,
-    NoSharedVertex,
     NotACandidateCenter,
 )
 from .geom import (
     DEFAULT_TOLERANCE,
+    TWO_PI,
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
@@ -28,11 +30,10 @@ from .geom import (
     distance_multiset,
     multiset_close,
     normalize_angle,
+    phase_candidates,
     vertices,
 )
 from .moments import CircleFamily
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -117,18 +118,16 @@ def align_second_polygon(
         # One polygon is a point: every vertex of the second already sits at
         # the only achievable distance, so no rotation is needed.
         return (p2,)
-    cos_open = (r1 * r1 + r2 * r2 - d_star * d_star) / (2.0 * r1 * r2)
-    if abs(cos_open) > 1.0 + tol.gap(1.0):
+    openings = phase_candidates(r1, r2, d_star, tol)
+    if not openings:
         raise NotACandidateCenter(
             f"reference distance {d_star} is unreachable from the second polygon"
         )
-    cos_open = max(-1.0, min(1.0, cos_open))
     toward_point = math.atan2(point.y - p2.center.y, point.x - p2.center.x)
-    opening = math.acos(cos_open)
-    plus = RegularPolygonSpec(p2.n, p2.center, r2, normalize_angle(toward_point + opening))
-    if abs(cos_open) >= 1.0 - tol.gap(1.0):  # mirror coincides at 0 and pi
+    plus = RegularPolygonSpec(p2.n, p2.center, r2, normalize_angle(toward_point + openings[0]))
+    if len(openings) == 1:
         return (plus,)
-    minus = RegularPolygonSpec(p2.n, p2.center, r2, normalize_angle(toward_point - opening))
+    minus = RegularPolygonSpec(p2.n, p2.center, r2, normalize_angle(toward_point + openings[1]))
     return (plus, minus)
 
 
@@ -197,10 +196,7 @@ def pair_polygons(
             "distance from the shared center works"
         )
     results: list[PairingResult] = []
-    # The tangency collapse in the circle intersection rounds the point by
-    # up to one comparison gap; the full-multiset gate gets 10x slack so
-    # that boundary behavior does not read as misalignment.
-    gate = tol.scaled(10.0)
+    gate = tol.multiset_gate()
     for point in candidate_centers(p1, p2, tol):
         first_distances = distance_multiset(p1, point)
         ref_vertex = _best_conditioned_vertex(p1, p2, point)
@@ -225,22 +221,3 @@ def pair_polygons(
                 results.append(result)
     return results
 
-
-def shared_vertex_pairing(
-    p1: RegularPolygonSpec, p2: RegularPolygonSpec, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[PairingResult]:
-    """Pairing for two polygons that share a vertex.
-
-    A shared vertex guarantees the auxiliary circles meet and that one
-    distance pair (the shared vertex against itself) already agrees, so at
-    least one configuration always exists.
-    """
-    _require_same_order(p1, p2)
-    coincide_gap = tol.gap(max(p1.circumradius, p2.circumradius, 1.0))
-    if not any(
-        v1.distance_to(v2) <= coincide_gap
-        for v1 in vertices(p1)
-        for v2 in vertices(p2)
-    ):
-        raise NoSharedVertex("no vertex pair coincides within tolerance")
-    return pair_polygons(p1, p2, tol)

@@ -12,26 +12,24 @@ radius to an angle, ``d^2 = r^2 + l^2 - 2 r l cos(t)``, is symmetric in the
 two arms, and so is its floating-point evaluation (``2.0 * r * l`` doubles
 exactly and addition commutes): the angle found with arms (larger,
 smaller) is the one a search with (smaller, larger) would find, bit for
-bit. The search therefore runs once.
+bit. The search therefore runs once. Solving that law for the angle is
+:func:`geom.phase_candidates`, which pairing's rotation step shares.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateGeometry,
-    InfeasibleFamily,
-    InfeasibleMoments,
-    PhaseSearchFailed,
-)
+from .errors import InfeasibleFamily, InfeasibleMoments, PhaseSearchFailed
 from .geom import (
     DEFAULT_TOLERANCE,
+    TWO_PI,
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
     distance_multiset,
     multiset_close,
     normalize_angle,
+    phase_candidates,
 )
 from .moments import (
     CircleFamily,
@@ -41,32 +39,6 @@ from .moments import (
     cyclic_averages,
     recover_circumradii,
 )
-
-TWO_PI = 2.0 * math.pi
-
-
-def phase_candidates(
-    r: float, l: float, d: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[float, ...]:
-    """Opening angles t with d^2 = r^2 + l^2 - 2 r l cos(t).
-
-    Returns the +/- pair, one angle at the extremes (d equal to r + l or
-    |r - l| within tolerance), and nothing when d is out of range. Zero arm
-    lengths leave the angle underdetermined and raise DegenerateGeometry.
-    """
-    if r <= 0.0 or l <= 0.0:
-        raise DegenerateGeometry(
-            f"arm lengths must be positive, got ({r}, {l}): any angle works "
-            "when d equals |r - l|, none otherwise"
-        )
-    cos_t = (r * r + l * l - d * d) / (2.0 * r * l)
-    if abs(cos_t) > 1.0 + tol.gap(1.0):
-        return ()
-    cos_t = max(-1.0, min(1.0, cos_t))
-    t = math.acos(cos_t)
-    if abs(cos_t) >= 1.0 - tol.gap(1.0):
-        return (t,)
-    return (t, -t)
 
 
 @dataclass(frozen=True)
@@ -106,10 +78,10 @@ def _find_phase(
     """An opening angle whose full generated multiset matches the radii.
 
     Tries the largest radius first (its cosine is nearest -1 and best
-    conditioned), then smaller ones, + branch before -; the acceptance
-    tolerance is 10x the base to absorb trig rounding across n vertices.
+    conditioned), then smaller ones, + branch before -, and accepts at
+    :meth:`Tolerance.multiset_gate`.
     """
-    accept = tol.scaled(10.0)
+    accept = tol.multiset_gate()
     for d in sorted(radii, reverse=True):
         for t in phase_candidates(r, l, d, tol):
             if multiset_close(_generated_distances(n, r, l, t), radii, accept):

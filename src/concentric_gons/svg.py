@@ -25,7 +25,12 @@ def _num(value: float) -> str:
 
 @dataclass
 class SvgScene:
-    """Collects primitives, then renders one standalone SVG document."""
+    """Collects primitives, then renders one standalone SVG document.
+
+    Marker sizes and dash lengths follow the stroke width, which is known
+    only once every primitive is in; elements hold ``{size}``, ``{half}``,
+    ``{dot}`` and ``{dash}`` fields that :meth:`to_svg` fills in.
+    """
 
     elements: list[str] = field(default_factory=list)
     _extent: float = 0.0
@@ -50,7 +55,7 @@ class SvgScene:
             self._track(p.x, p.y)
         self._track(poly.center.x, poly.center.y, poly.circumradius)
         coords = " ".join(f"{_num(p.x)},{_num(p.y)}" for p in pts)
-        dash = ' stroke-dasharray="REPLACE_DASH"' if dashed else ""
+        dash = ' stroke-dasharray="{dash}"' if dashed else ""
         self.elements.append(
             f'<polygon points="{coords}" fill="none" stroke="{SHAPE_STROKE}"{dash}/>'
         )
@@ -58,14 +63,14 @@ class SvgScene:
     def add_cross(self, point: PlanePoint) -> None:
         self._track(point.x, point.y)
         self.elements.append(
-            f'<path d="M {_num(point.x)} {_num(point.y)} m -HALF 0 l SIZE 0 '
-            f'm -HALF -HALF l 0 SIZE" stroke="{SHAPE_STROKE}" fill="none"/>'
+            f'<path d="M {_num(point.x)} {_num(point.y)} m -{{half}} 0 l {{size}} 0 '
+            f'm -{{half}} -{{half}} l 0 {{size}}" stroke="{SHAPE_STROKE}" fill="none"/>'
         )
 
     def add_dot(self, point: PlanePoint) -> None:
         self._track(point.x, point.y)
         self.elements.append(
-            f'<circle cx="{_num(point.x)}" cy="{_num(point.y)}" r="DOT" '
+            f'<circle cx="{_num(point.x)}" cy="{_num(point.y)}" r="{{dot}}" '
             f'fill="{MARKER_FILL}" stroke="none"/>'
         )
 
@@ -74,13 +79,13 @@ class SvgScene:
         bound = self._extent if self._extent > 0.0 else 1.0
         half = bound * 1.1  # bounding circle plus 10% margin
         stroke = 2.0 * half / 300.0
-        body = []
-        for element in self.elements:
-            element = element.replace("SIZE", _num(stroke * 8.0))
-            element = element.replace("HALF", _num(stroke * 4.0))
-            element = element.replace("REPLACE_DASH", f"{_num(stroke * 4.0)} {_num(stroke * 2.5)}")
-            element = element.replace("DOT", _num(stroke * 2.0))
-            body.append("  " + element)
+        sizes = {
+            "size": _num(stroke * 8.0),
+            "half": _num(stroke * 4.0),
+            "dot": _num(stroke * 2.0),
+            "dash": f"{_num(stroke * 4.0)} {_num(stroke * 2.5)}",
+        }
+        body = ["  " + element.format(**sizes) for element in self.elements]
         min_x = anchor.x - half
         # The y axis is flipped so the figure keeps math orientation.
         min_y = -(anchor.y + half)

@@ -215,6 +215,16 @@ def test_check_overflowing_powers_is_an_error_not_a_traceback(radii):
     assert "nan" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+@pytest.mark.parametrize("radii", ["1e-200,1e-200,2e-200", "1e-100,1e-100,2e-100"])
+def test_underflowing_radius_powers_are_a_usage_error(command, radii):
+    code, out, err = run_cli(command, "--radii", radii, "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "underflow" in err and "rescale" in err
+
+
 def test_check_tol_flag_loosens_comparison():
     # barely-unbalanced progression accepted under a huge tolerance
     code, _, _ = run_cli("check", "--radii", "1,2,3,4", "--tol", "4e-4")
@@ -260,12 +270,52 @@ def test_reconstruct_infeasible_exit():
     assert json.loads(out)["feasible"] is False
 
 
+def test_reconstruct_tolerance_at_the_gate_clamp():
+    # 10 x 5e-4 exceeds the tolerance ceiling, so the phase search's gate
+    # runs clamped at 9.9e-4.
+    radii = f"{math.sqrt(5 - 2 * SQRT3)},{SQRT3},{math.sqrt(7)},{math.sqrt(5 + 2 * SQRT3)}"
+    code, out, _ = run_cli("reconstruct", "--radii", radii, "--tol", "5e-4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["feasible"] is True
+    assert max(payload["residuals"]) <= 1e-12
+
+
 # -------------------------------------------------------------------- pair
 
 
 def test_pair_requires_input():
     code, _, _ = run_cli("pair")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["pair", "render"])
+def test_max_n_is_not_a_pair_or_render_flag(command, tmp_path):
+    p = RegularPolygonSpec(3, PlanePoint(0, 0), 1.0, 0.0)
+    path = write_polygon_pair(tmp_path / "pp.json", p, p)
+    code, out, err = run_cli(
+        command, "--input", path, "--svg", str(tmp_path / "x.svg"), "--max-n", "5"
+    )
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --max-n 5" in err
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct", "verify"])
+def test_max_n_caps_the_moment_subcommands(command, tmp_path):
+    path = write_circles(tmp_path / "c.json", [1.0] * 6)
+    assert run_cli(command, "--input", path, "--max-n", "6")[0] == 0
+    code, _, err = run_cli(command, "--input", path, "--max-n", "5")
+    assert code == 1
+    assert err == "error: vertex count 6 exceeds the cap 5\n"
+
+
+def test_pair_on_an_unsorted_circles_file_prints_only_the_error(tmp_path):
+    path = write_circles(tmp_path / "unsorted.json", [2.0, 1.0, 1.0])
+    code, out, err = run_cli("pair", "--input", path)
+    assert code == 1
+    assert out == ""
+    assert err == "error: expected a polygon_pair instance, got circles\n"
 
 
 def test_pair_worked_pair(tmp_path):

@@ -78,6 +78,18 @@ def test_tolerance_validation():
         Tolerance(absolute_floor=-1.0)
 
 
+def test_multiset_gate_is_ten_times_looser():
+    assert Tolerance().multiset_gate() == Tolerance(1e-9 * 10.0, 1e-12 * 10.0)
+    custom = Tolerance(relative_eps=2e-6, absolute_floor=3e-10)
+    assert custom.multiset_gate() == Tolerance(2e-6 * 10.0, 3e-10 * 10.0)
+
+
+def test_multiset_gate_clamps_below_the_validity_ceiling():
+    gate = Tolerance(relative_eps=5e-4).multiset_gate()
+    assert gate.relative_eps == 9.9e-4
+    assert gate.absolute_floor == 1e-12 * 10.0
+
+
 # ---------------------------------------------------------------- heron
 
 

@@ -76,6 +76,10 @@ def test_averages_match_brute_force(radii):
 def test_first_two_averages_are_compensated_sums(radii):
     fam = family(*radii)
     squares = [r * r for r in fam.radii]
+    if 0.0 < fam.radii[-1] and squares[-1] ** 2 < sys.float_info.min:
+        with pytest.raises(ValueError, match="underflow"):
+            cyclic_averages(fam)
+        return
     av = cyclic_averages(fam)
     assert av.power(1) == math.fsum(squares) / fam.n
     assert av.power(2) == math.fsum(q ** 2 for q in squares) / fam.n
@@ -95,6 +99,31 @@ def test_overflowing_powers_raise_overflow_error(radii):
     # Not an InfeasibleFamily verdict built on an infinite average.
     with pytest.raises(OverflowError):
         reconstruct_polygons(fam)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 5e-78])
+def test_underflowing_radius_powers_raise(scale):
+    # Fourth powers below the smallest normal double lose the family's
+    # shape: at 1e-200 they vanish (feasible, circumradii 0, 0) and at
+    # 1e-100 condition I reads inf/0; the shape of 1, 1, 2 is feasible.
+    fam = family(scale, scale, 2 * scale)
+    with pytest.raises(ValueError, match="underflow.*rescale"):
+        cyclic_averages(fam)
+    with pytest.raises(ValueError, match="underflow"):
+        reconstruct_polygons(fam)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-76])
+def test_smallest_representable_scale_keeps_the_shape(scale):
+    report = assess_feasibility(cyclic_averages(family(scale, scale, 2 * scale)))
+    assert report.feasible
+    assert report.condition1_ratio == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def test_all_zero_radii_stay_feasible():
+    averages = cyclic_averages(family(0.0, 0.0, 0.0, 0.0))
+    assert averages.values == (0.0, 0.0, 0.0)
+    assert assess_feasibility(averages).feasible
 
 
 def test_vertex_count_cap():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from concentric_gons import (
     CoincidentAuxiliaryCircles,
     MismatchedOrder,
-    NoSharedVertex,
     NotACandidateCenter,
     PlanePoint,
     RegularPolygonSpec,
@@ -22,7 +21,6 @@ from concentric_gons import (
     pair_polygons,
     random_instance,
     recover_circumradii,
-    shared_vertex_pairing,
     vertices,
 )
 
@@ -154,6 +152,15 @@ def test_alignment_rejects_wrong_point():
         align_second_polygon(p1, p2, PlanePoint(10, 10), 0)
 
 
+def test_alignment_rejects_unreachable_reference_distance():
+    # (8, 0) sits r1 = 2 from the second center, but vertex 0 of p1 at
+    # (2, 0) is 6 away, beyond r1 + r2 = 3: the opening-angle solve is empty.
+    p1 = triangle(0, 0, 2)
+    p2 = triangle(10, 0, 1)
+    with pytest.raises(NotACandidateCenter, match="unreachable"):
+        align_second_polygon(p1, p2, PlanePoint(8, 0), 0)
+
+
 # ---------------------------------------------------------------- pairing
 
 
@@ -266,12 +273,15 @@ def test_pair_with_point_polygon():
 
 
 # ---------------------------------------------------------- shared vertex
+# A shared vertex puts the point on both auxiliary circles with one distance
+# pair (the vertex against itself) already equal, so pair_polygons always
+# finds at least one configuration.
 
 
 def test_shared_vertex_tangent_triangles():
     p1 = triangle(0, 0, 1)
     p2 = triangle(2, 0, 1, math.pi)  # vertex 0 of both sits at (1, 0)
-    results = shared_vertex_pairing(p1, p2)
+    results = pair_polygons(p1, p2)
     assert len(results) == 1
     res = results[0]
     assert res.center.x == pytest.approx(1.0, abs=1e-12)
@@ -293,7 +303,7 @@ def test_shared_vertex_squares():
     assert any(
         v1.distance_to(v2) <= 1e-12 for v1 in vertices(p1) for v2 in vertices(p2)
     )
-    results = shared_vertex_pairing(p1, p2)
+    results = pair_polygons(p1, p2)
     assert results
     for res in results:
         assert multiset_close(
@@ -302,11 +312,6 @@ def test_shared_vertex_squares():
         assert multiset_close(
             distance_multiset(res.aligned_second, res.center), res.circles.radii
         )
-
-
-def test_shared_vertex_requires_coincidence():
-    with pytest.raises(NoSharedVertex):
-        shared_vertex_pairing(triangle(0, 0, 1), triangle(5, 0, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,5 +332,5 @@ def test_shared_vertex_always_pairs(n, r1, r2, phase1, direction):
     )
     phase2 = math.atan2(shared.y - center2.y, shared.x - center2.x)
     p2 = RegularPolygonSpec(n, center2, r2, phase2)
-    results = shared_vertex_pairing(p1, p2)
+    results = pair_polygons(p1, p2)
     assert len(results) >= 1

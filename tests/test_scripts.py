@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs to completion on tiny inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -38,3 +39,16 @@ def test_draw_figures_writes_every_figure(tmp_path):
         text = path.read_text(encoding="utf-8")
         assert text.startswith("<svg") or text.startswith("<?xml")
         assert text.rstrip().endswith("</svg>")
+
+
+def test_output_corpus_is_reproducible(tmp_path):
+    # Each run writes into a fresh temporary directory, so equal files also
+    # show that its path is normalized away.
+    for name in ("a.json", "b.json"):
+        done = run_script("output_corpus.py", "--out", name, "--sizes", "3", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+    first = (tmp_path / "a.json").read_bytes()
+    assert first == (tmp_path / "b.json").read_bytes()
+    records = json.loads(first)
+    assert {record["exit"] for record in records} == {0, 1, 2}
+    assert any(record["svg"] for record in records)

@@ -8,6 +8,7 @@ summary is printed. JSON and SVG output are byte-deterministic.
 
 import argparse
 import functools
+import math
 import sys
 
 from .errors import (
@@ -15,7 +16,6 @@ from .errors import (
     GeometryError,
     InfeasibleFamily,
     InfeasibleMoments,
-    MismatchedOrder,
 )
 from .geom import PlanePoint, Tolerance
 from .instances import (
@@ -28,7 +28,6 @@ from .instances import (
 )
 from .moments import (
     CircleFamily,
-    MAX_VERTEX_COUNT,
     RadiiPair,
     assess_feasibility,
     cyclic_averages,
@@ -36,7 +35,7 @@ from .moments import (
 )
 from .oracle import angle_sweep, power_identity_residual, random_instance
 from .pairing import candidate_centers, pair_polygons
-from .reconstruct import reconstruct_polygons
+from .reconstruct import reconstruct_polygons, smaller_vanishes
 from .svg import render_configuration
 
 EXIT_OK = 0
@@ -122,10 +121,19 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
             print(line)
 
 
+def _write_svg(path: str, text: str) -> None:
+    """Write an SVG drawing; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_check(args) -> int:
     tol = _tolerance_from_args(args)
     family = _family_from_args(args)
-    averages = cyclic_averages(family, max_n=args.max_n)
+    averages = cyclic_averages(family)
     report = assess_feasibility(averages, tol)
     recovered = None
     try:
@@ -157,10 +165,12 @@ def cmd_check(args) -> int:
 
 
 def _reconstruction_svg(family: CircleFamily, rec) -> str:
+    """The family's circles with both polygons, or alone when ``rec`` is None."""
+    polygons = [rec.polygon1, rec.polygon2] if rec is not None else []
     return render_configuration(
         circles=[(family.center, r) for r in family.radii],
-        polygons=[rec.polygon1, rec.polygon2],
-        centers=[rec.polygon1.center, rec.polygon2.center],
+        polygons=polygons,
+        centers=[poly.center for poly in polygons],
         common_points=[family.center],
     )
 
@@ -168,7 +178,6 @@ def _reconstruction_svg(family: CircleFamily, rec) -> str:
 def cmd_reconstruct(args) -> int:
     tol = _tolerance_from_args(args)
     family = _family_from_args(args)
-    cyclic_averages(family, max_n=args.max_n)  # enforce the vertex-count cap
     try:
         rec = reconstruct_polygons(family, tol)
     except InfeasibleFamily as exc:
@@ -199,10 +208,9 @@ def cmd_reconstruct(args) -> int:
         f"phase {rec.polygon2.phase!r}" + (" (point polygon)" if rec.point_polygon else ""),
         f"verification residuals: {rec.residuals[0]!r}, {rec.residuals[1]!r}",
     ]
-    _emit(args, payload, lines)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(_reconstruction_svg(family, rec))
+        _write_svg(args.svg, _reconstruction_svg(family, rec))
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -234,9 +242,6 @@ def cmd_pair(args) -> int:
     }
     try:
         results = pair_polygons(p1, p2, tol)
-    except MismatchedOrder as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CoincidentAuxiliaryCircles as exc:
         payload.update({"results": [], "count": 0, "degenerate_continuum": True})
         _emit(args, payload, [f"degenerate continuum: {exc}"])
@@ -262,32 +267,35 @@ def cmd_pair(args) -> int:
             f"  point ({res.center.x!r}, {res.center.y!r}), "
             f"second phase {res.aligned_second.phase!r}"
         )
-    _emit(args, payload, lines)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(_pairing_svg(p1, p2, results))
+        _write_svg(args.svg, _pairing_svg(p1, p2, results))
+    _emit(args, payload, lines)
     return EXIT_OK if results else EXIT_INFEASIBLE
 
 
-def _verify_circles(doc: InstanceDocument, tol: Tolerance, max_n: int) -> tuple[dict, bool]:
+def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> tuple[dict, bool]:
     family = doc.circles
-    averages = cyclic_averages(family, max_n=max_n)
+    averages = cyclic_averages(family)
     report = assess_feasibility(averages, tol)
     sweeps = []
     ok = report.feasible
     if report.feasible:
         pair = recover_circumradii(averages, tol)
-        if pair.smaller > tol.gap(pair.larger):
+        # Sweep in the units of the averages, as reconstruction searches:
+        # the sweep decision and its gate are then relative to the family.
+        larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
+        if not smaller_vanishes(larger, smaller, tol):
             # The sweep is bit-symmetric in its arms (2.0*r*l doubles exactly,
             # addition commutes), so one sweep serves both arm orders.
-            sweep = angle_sweep(pair.larger, pair.smaller, family.n, family.radii)
-            arms = [(pair.larger, pair.smaller), (pair.smaller, pair.larger)]
-            for r, l in arms:
-                sweeps.append(
-                    {"vertex_arm": r, "center_arm": l, "best_phase": sweep.best_phase,
-                     "best_residual": sweep.best_residual}
-                )
-            ok = all(s["best_residual"] <= SWEEP_TOLERANCE for s in sweeps)
+            radii = tuple(map(averages.scaled, family.radii))
+            sweep = angle_sweep(larger, smaller, family.n, radii)
+            residual = math.ldexp(sweep.best_residual, averages.exponent)
+            sweeps = [
+                {"vertex_arm": r, "center_arm": l, "best_phase": sweep.best_phase,
+                 "best_residual": residual}
+                for r, l in ((pair.larger, pair.smaller), (pair.smaller, pair.larger))
+            ]
+            ok = sweep.best_residual <= SWEEP_TOLERANCE
     section = {
         "kind": "circles",
         "report": _report_record(report),
@@ -371,7 +379,7 @@ def cmd_verify(args) -> int:
     if args.input is not None:
         doc = _load(args.input)
         if doc.kind == "circles":
-            section, ok = _verify_circles(doc, tol, args.max_n)
+            section, ok = _verify_circles(doc, tol)
         else:
             section, ok = _verify_polygon_pair(doc, tol)
     else:
@@ -386,16 +394,11 @@ def cmd_render(args) -> int:
     tol = _tolerance_from_args(args)
     doc = _load(args.input)
     if doc.kind == "circles":
-        family = doc.circles
         try:
-            text = _reconstruction_svg(family, reconstruct_polygons(family, tol))
+            rec = reconstruct_polygons(doc.circles, tol)
         except GeometryError:
-            text = render_configuration(
-                circles=[(family.center, r) for r in family.radii],
-                polygons=[],
-                centers=[],
-                common_points=[family.center],
-            )
+            rec = None
+        text = _reconstruction_svg(doc.circles, rec)
     else:
         p1, p2 = doc.polygons
         try:
@@ -403,8 +406,7 @@ def cmd_render(args) -> int:
         except GeometryError:
             results = []
         text = _pairing_svg(p1, p2, results)
-    with open(args.svg, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_svg(args.svg, text)
     _emit(args, {"svg": args.svg}, [f"wrote {args.svg}"])
     return EXIT_OK
 
@@ -448,13 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="draw an instance to SVG")
     add_common(p_render, input_file=True, svg=True)
     p_render.set_defaults(func=cmd_render)
-
-    # Only the subcommands that compute radius powers read the cap.
-    for p in (p_check, p_rec, p_verify):
-        p.add_argument(
-            "--max-n", type=int, default=MAX_VERTEX_COUNT,
-            help="vertex-count cap for moment computations",
-        )
     return parser
 
 

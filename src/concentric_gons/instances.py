@@ -109,6 +109,10 @@ def parse_instance(raw: object) -> InstanceDocument:
         if not isinstance(payload, list) or len(payload) != 2:
             raise InstanceFormatError("polygons payload must list exactly two polygons")
         polys = tuple(_as_polygon(p, f"polygons[{i}]") for i, p in enumerate(payload))
+        if polys[0].n != polys[1].n:
+            raise InstanceFormatError(
+                f"polygons have different vertex counts: {polys[0].n} vs {polys[1].n}"
+            )
         return InstanceDocument(
             kind="polygon_pair", polygons=polys, metadata=dict(metadata),
             load_warnings=tuple(warnings),

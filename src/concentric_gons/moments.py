@@ -14,13 +14,16 @@ When both hold, the two circumradii follow from S(2) and S(4) alone.
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 from .errors import InfeasibleMoments, InvalidMomentOrder
 from .geom import DEFAULT_TOLERANCE, PlanePoint, Tolerance
 
-MAX_VERTEX_COUNT = 64
+# A realizable family has max d^2 <= 2 S(2): the largest distance is
+# R + r <= sqrt(2 (R^2 + r^2)). With the largest radius rescaled into
+# [1/2, 1), S(2) >= 1/8, so each rescaled average and prediction of order 2m
+# is at least 8^-m, a normal double for every m <= 340.
+MAX_VERTEX_COUNT = 256
 
 
 @dataclass(frozen=True)
@@ -47,23 +50,31 @@ class CircleFamily:
 
 @dataclass(frozen=True)
 class CyclicAverages:
-    """Averages of the 2m-th radius powers for m = 1..n-1.
+    """Averages of the 2m-th radius powers for m = 1..n-1, in units of
+    ``2^exponent``.
 
-    ``values[m-1]`` holds the order-2m average.
+    ``values[m-1]`` holds the order-2m average of the radii divided by
+    ``2^exponent``; :meth:`power` gives it in the family's units.
     """
 
     n: int
     values: tuple[float, ...]
+    exponent: int = 0
 
     def __post_init__(self):
         if len(self.values) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} averages, got {len(self.values)}")
 
     def power(self, m: int) -> float:
-        """The average of the 2m-th powers."""
+        """The average of the 2m-th powers, in the family's units
+        (OverflowError where that exceeds a double)."""
         if not 1 <= m <= self.n - 1:
             raise InvalidMomentOrder(f"order m={m} outside 1..{self.n - 1}")
-        return self.values[m - 1]
+        return math.ldexp(self.values[m - 1], 2 * m * self.exponent)
+
+    def scaled(self, length: float) -> float:
+        """A length of the family in the units of ``values``."""
+        return math.ldexp(length, -self.exponent)
 
 
 @dataclass(frozen=True)
@@ -94,44 +105,29 @@ class FeasibilityReport:
         return self.condition1_ok and self.condition2_ok
 
 
-def cyclic_averages(family: CircleFamily, max_n: int = MAX_VERTEX_COUNT) -> CyclicAverages:
-    """Averages of the 2m-th radius powers, m = 1..n-1.
+def cyclic_averages(family: CircleFamily) -> CyclicAverages:
+    """Averages of the 2m-th radius powers, m = 1..n-1, of the radii divided
+    by ``2^e``, ``e = math.frexp(largest radius)[1]``: exactly, so every
+    power is at most 1 and every decision on them depends on shape alone.
 
     S(2) and S(4) are compensated sums (``math.fsum``): the circumradii are
     recovered from them alone. Orders m >= 3 carry a running product of the
-    squared radii and add it up plainly. Each power takes at most m - 1
-    roundings and the sum n - 1 more, all on nonnegative values, so each of
-    those averages is within a relative (m + n)u of exact, u = 2^-53: about
-    1.4e-14 at n = 64, far below the condition-II gate.
-    Vertex counts above ``max_n`` are rejected: with radii far from 1 the
-    top-order powers overflow doubles, which raises OverflowError. Rescale
-    radii to geometric mean 1 before raising the cap. A positive largest
-    radius whose fourth power is below the smallest normal double (radii
-    below about 1.2e-77) raises ValueError: S(4) would be subnormal or zero,
-    and the verdict would no longer follow the family's shape.
+    squared radii and add it up plainly, each within a relative (m + n)u of
+    exact, u = 2^-53 (about 1.4e-14 at n = 64, far below the condition-II
+    gate). More than ``MAX_VERTEX_COUNT`` radii raise ValueError.
     """
     n = family.n
-    if n > max_n:
-        raise ValueError(f"vertex count {n} exceeds the cap {max_n}")
-    squares = [r * r for r in family.radii]
+    if n > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTEX_COUNT}")
+    exponent = math.frexp(family.radii[-1])[1]
+    radii = [math.ldexp(r, -exponent) for r in family.radii]
+    squares = [r * r for r in radii]
     powers = [q ** 2 for q in squares]
-    if 0.0 < family.radii[-1] and powers[-1] < sys.float_info.min:
-        raise ValueError(
-            f"radius powers underflow a double: the largest radius "
-            f"{family.radii[-1]!r} has a fourth power below "
-            f"{sys.float_info.min!r}; rescale the radii toward 1"
-        )
     values = [math.fsum(squares) / n, math.fsum(powers) / n]
     for _ in range(3, n):
         powers = list(map(operator.mul, powers, squares))
         values.append(sum(powers) / n)
-    # The running product saturates at inf silently where ``q ** m`` would
-    # raise. If an order overflows, its largest power exceeds DBL_MAX / n,
-    # so that square is far above n and all its later powers are inf: the
-    # top order shows every overflow, including squares that overflow.
-    if not math.isfinite(values[-1]):
-        raise OverflowError(f"order-{2 * (n - 1)} radius powers overflow a double")
-    return CyclicAverages(n=n, values=tuple(values))
+    return CyclicAverages(n=n, values=tuple(values), exponent=exponent)
 
 
 def _power_averages(a: float, h: float, top: int) -> list[float]:
@@ -184,8 +180,7 @@ def condition_one(
     The upper bound holds automatically for real radii; checking it anyway
     guards against corrupted inputs.
     """
-    s2 = av.power(1)
-    s4 = av.power(2)
+    s2, s4 = av.values[:2]
     if s4 <= 0.0:
         ratio = 1.0 if s2 <= 0.0 else math.inf  # all-zero radii are feasible
     else:
@@ -220,49 +215,51 @@ def condition_two(
 
     The predictions come from one pass of the normalized Legendre/Bonnet
     recurrence (:func:`higher_average_prediction`), O(1) per order.
-    Residuals are relative: ``|S(2m) - predicted| / max(1, S(2m))``. For
-    n = 3 the range is empty and the test passes vacuously.
+    Residuals are relative: ``|S(2m) - predicted| / S(2m)`` (0 for all-zero
+    radii), the same in every unit. For n = 3 the range is empty and the
+    test passes vacuously.
     """
-    predictions = _predicted_averages(av.power(1), av.power(2), av.n - 1)
+    predictions = _predicted_averages(av.values[0], av.values[1], av.n - 1)
     residuals = tuple(
-        abs(actual - predicted) / max(1.0, actual)
+        abs(actual - predicted) / (actual or 1.0)
         for actual, predicted in zip(av.values[2:], predictions[2:])
     )
     g = tol.gap(1.0)
     return all(r <= g for r in residuals), residuals
 
 
-def _discriminant(s2: float, s4: float) -> float:
-    """(difference of squared circumradii)^2, from the first two averages."""
-    return 3.0 * s2 * s2 - 2.0 * s4
+def _discriminant(av: CyclicAverages, tol: Tolerance) -> tuple[float, float]:
+    """(difference of squared circumradii)^2 from the first two averages,
+    and the gate below which it counts as zero: ``relative_eps`` times its
+    own scale, ``max(S(2)^2, S(4))``."""
+    s2, s4 = av.values[:2]
+    return 3.0 * s2 * s2 - 2.0 * s4, tol.relative_eps * max(s2 * s2, s4)
 
 
 def recover_circumradii(
     av: CyclicAverages, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> RadiiPair:
-    """The two circumradii determined by the first two averages.
+    """The two circumradii determined by the first two averages, in the
+    family's units.
 
     ``larger^2, smaller^2 = (S(2) +/- sqrt(3 S(2)^2 - 2 S(4))) / 2``. A
     discriminant within tolerance of zero is clamped and flagged degenerate
-    (exactly one polygon exists); below that it raises InfeasibleMoments.
+    (exactly one polygon exists); below that it raises InfeasibleMoments,
+    as does a squared radius below ``-relative_eps * S(2)``.
     """
-    s2 = av.power(1)
-    s4 = av.power(2)
-    disc = _discriminant(s2, s4)
-    g = tol.gap(max(s2 * s2, s4))
+    s2 = av.values[0]
+    disc, g = _discriminant(av, tol)
     if disc < -g:
         raise InfeasibleMoments(f"discriminant {disc} is negative beyond tolerance")
     degenerate = disc <= g
     root = math.sqrt(max(disc, 0.0))
     larger_sq = (s2 + root) / 2.0
     smaller_sq = (s2 - root) / 2.0
-    if smaller_sq < -g:
+    if smaller_sq < -tol.relative_eps * s2:
         raise InfeasibleMoments(f"squared radius {smaller_sq} is negative beyond tolerance")
     larger = math.sqrt(max(larger_sq, 0.0))
-    smaller = math.sqrt(max(smaller_sq, 0.0))
-    if degenerate:
-        smaller = larger
-    return RadiiPair(larger=larger, smaller=min(smaller, larger), degenerate=degenerate)
+    smaller = larger if degenerate else min(math.sqrt(max(smaller_sq, 0.0)), larger)
+    return RadiiPair(math.ldexp(larger, av.exponent), math.ldexp(smaller, av.exponent), degenerate)
 
 
 def assess_feasibility(
@@ -271,13 +268,11 @@ def assess_feasibility(
     """Run both conditions and flag the vanishing-discriminant case."""
     ok1, ratio = condition_one(av, tol)
     ok2, residuals = condition_two(av, tol)
-    s2 = av.power(1)
-    s4 = av.power(2)
-    degenerate = abs(_discriminant(s2, s4)) <= tol.gap(max(s2 * s2, s4))
+    disc, g = _discriminant(av, tol)
     return FeasibilityReport(
         condition1_ok=ok1,
         condition1_ratio=ratio,
         condition2_ok=ok2,
         condition2_residuals=residuals,
-        degenerate_single_polygon=degenerate,
+        degenerate_single_polygon=abs(disc) <= g,
     )

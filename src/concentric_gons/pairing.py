@@ -113,7 +113,11 @@ def align_second_polygon(
         raise NotACandidateCenter(
             f"point sits {arm} from the second center, expected {r1}"
         )
-    d_star = point.distance_to(vertices(p1)[ref_vertex])
+    # Only the reference vertex, by the expressions of geom.vertices and
+    # PlanePoint.distance_to.
+    angle = p1.phase + TWO_PI / p1.n * ref_vertex
+    vx, vy = p1.center.x + r1 * math.cos(angle), p1.center.y + r1 * math.sin(angle)
+    d_star = math.hypot(point.x - vx, point.y - vy)
     if r1 * r2 <= tol.gap(0.0) ** 2:
         # One polygon is a point: every vertex of the second already sits at
         # the only achievable distance, so no rotation is needed.

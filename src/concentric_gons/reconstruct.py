@@ -62,6 +62,13 @@ def verify_reconstruction(family: CircleFamily, poly: RegularPolygonSpec) -> flo
     return max(abs(a - b) for a, b in zip(measured, family.radii))
 
 
+def smaller_vanishes(larger: float, smaller: float, tol: Tolerance) -> bool:
+    """Whether the second polygon is a point: ``smaller^2 <= relative_eps *
+    larger^2``, on squares because recovery ends in a square root. Pass the
+    radii in the units of the averages, where no square underflows."""
+    return smaller * smaller <= tol.relative_eps * (larger * larger)
+
+
 def _generated_distances(n: int, r: float, l: float, t: float) -> tuple[float, ...]:
     step = TWO_PI / n
     return tuple(
@@ -116,34 +123,22 @@ def reconstruct_polygons(
         raise InfeasibleFamily(str(exc), report) from exc
     center = family.center
     n = family.n
-    # Collapse detection happens at the squared-radius level: recovery goes
-    # through a square root, so an exactly-zero radius resurfaces only as
-    # sqrt(rounding) in length units.
-    if pair.smaller ** 2 <= tol.gap(pair.larger ** 2):
-        poly1 = RegularPolygonSpec(n, center, pair.larger, 0.0)
-        poly2 = RegularPolygonSpec(
-            n, PlanePoint(center.x + pair.larger, center.y), 0.0, 0.0
-        )
-        point_polygon = True
+    # Decisions and the phase search run in the units of the averages,
+    # where every gate is relative and no square under- or overflows.
+    larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
+    point_polygon = smaller_vanishes(larger, smaller, tol)
+    if point_polygon:
+        # The first polygon is centered on the family, the second is a point.
+        second, phase = 0.0, 0.0
     else:
-        t = _find_phase(n, pair.larger, pair.smaller, family.radii, tol)
+        second = pair.smaller
+        t = _find_phase(n, larger, smaller, tuple(map(averages.scaled, family.radii)), tol)
         # Each center sits on the +x axis, so the direction back to the
         # family center is pi; vertex angles are measured from that line.
         # One angle serves both polygons (see the module docstring).
         phase = normalize_angle(math.pi + t)
-        poly1 = RegularPolygonSpec(
-            n,
-            PlanePoint(center.x + pair.smaller, center.y),
-            pair.larger,
-            phase,
-        )
-        poly2 = RegularPolygonSpec(
-            n,
-            PlanePoint(center.x + pair.larger, center.y),
-            pair.smaller,
-            phase,
-        )
-        point_polygon = False
+    poly1 = RegularPolygonSpec(n, PlanePoint(center.x + second, center.y), pair.larger, phase)
+    poly2 = RegularPolygonSpec(n, PlanePoint(center.x + pair.larger, center.y), second, phase)
     residuals = (
         verify_reconstruction(family, poly1),
         verify_reconstruction(family, poly2),

@@ -207,22 +207,32 @@ def test_check_usage_errors():
     ],
 )
 def test_check_overflowing_powers_is_an_error_not_a_traceback(radii):
+    """Radii whose powers overflow a double in the family's units, once an
+    error: the family is decided by its shape. An arithmetic progression is
+    infeasible at any scale; 1, 1, 1.5 is feasible at any scale."""
     code, out, err = run_cli("check", "--radii", radii, "--json")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "overflow" in err
-    assert "nan" not in err
+    assert err == ""
+    payload = json.loads(out)
+    assert code == (0 if payload["n"] == 3 else 2)
+    assert payload["feasible"] is (code == 0)
+    shape = ",".join(repr(float(r) / 1e3) for r in radii.split(","))
+    assert run_cli("check", "--radii", shape)[0] == code
 
 
 @pytest.mark.parametrize("command", ["check", "reconstruct"])
 @pytest.mark.parametrize("radii", ["1e-200,1e-200,2e-200", "1e-100,1e-100,2e-100"])
 def test_underflowing_radius_powers_are_a_usage_error(command, radii):
+    """Radii whose fourth powers underflow a double, once a usage error:
+    the family 1, 1, 2 keeps its shape at any scale (feasible, one polygon
+    of circumradius 1 in the family's units)."""
     code, out, err = run_cli(command, "--radii", radii, "--json")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "underflow" in err and "rescale" in err
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["feasible"] is True
+    scale = float(radii.split(",")[0])
+    pair = payload["recovered" if command == "check" else "circumradii"]
+    assert pair["degenerate"] is True
+    assert pair["larger"] == pair["smaller"] == pytest.approx(scale, rel=1e-12)
 
 
 def test_check_tol_flag_loosens_comparison():
@@ -303,11 +313,13 @@ def test_max_n_is_not_a_pair_or_render_flag(command, tmp_path):
 
 @pytest.mark.parametrize("command", ["check", "reconstruct", "verify"])
 def test_max_n_caps_the_moment_subcommands(command, tmp_path):
+    """``--max-n`` is gone: the vertex count is capped at 256, and no
+    subcommand accepts the flag (``pair`` and ``render``: above)."""
     path = write_circles(tmp_path / "c.json", [1.0] * 6)
-    assert run_cli(command, "--input", path, "--max-n", "6")[0] == 0
-    code, _, err = run_cli(command, "--input", path, "--max-n", "5")
-    assert code == 1
-    assert err == "error: vertex count 6 exceeds the cap 5\n"
+    assert run_cli(command, "--input", path)[0] == 0
+    code, out, err = run_cli(command, "--input", path, "--max-n", "6")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --max-n 6" in err
 
 
 def test_pair_on_an_unsorted_circles_file_prints_only_the_error(tmp_path):
@@ -534,3 +546,74 @@ def test_main_reuses_its_parser_without_carrying_state(tmp_path):
     assert fresh.returncode == first[0] == 0
     assert fresh.stdout == first[1]
     assert build_parser() is not build_parser()
+
+
+# ------------------------------------------------ vertex counts and SVG files
+
+
+@pytest.mark.parametrize("command", ["pair", "verify", "render"])
+def test_polygons_with_different_vertex_counts_exit_one(command, tmp_path):
+    p1 = RegularPolygonSpec(3, PlanePoint(0, 0), 2.0, 0.0)
+    p2 = RegularPolygonSpec(4, PlanePoint(2, 0), 1.0, 0.0)
+    path = write_polygon_pair(tmp_path / "mismatch.json", p1, p2)
+    svg_path = tmp_path / "x.svg"
+    svg = [] if command == "verify" else ["--svg", str(svg_path)]
+    code, out, err = run_cli(command, "--input", path, *svg)
+    assert (code, out) == (1, "")
+    assert err == "error: polygons have different vertex counts: 3 vs 4\n"
+    assert not svg_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconstruct", "--radii", "1,1,2"],
+        ["pair", "--input", "{pair}"],
+        ["render", "--input", "{pair}"],
+        ["render", "--input", "{circles}"],
+    ],
+    ids=["reconstruct", "pair", "render-pair", "render-circles"],
+)
+def test_unwritable_svg_path_is_a_usage_error(argv, tmp_path):
+    p1 = RegularPolygonSpec(3, PlanePoint(0, 0), 2.0, 0.0)
+    p2 = RegularPolygonSpec(3, PlanePoint(2, 0), 1.0, 0.5)
+    files = {
+        "{pair}": write_polygon_pair(tmp_path / "pair.json", p1, p2),
+        "{circles}": write_circles(tmp_path / "c.json", [1.0, 1.0, 2.0]),
+    }
+    target = str(tmp_path / "no_such_dir" / "x.svg")
+    argv = [files.get(arg, arg) for arg in argv]
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(*argv, *extra, "--svg", target)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_undrawable_reconstruction_prints_no_report(tmp_path):
+    # Feasible at any scale, but its drawing overflows near the largest double.
+    svg_path = tmp_path / "x.svg"
+    code, out, err = run_cli(
+        "reconstruct", "--radii", "1e308,1e308,1.5e308", "--svg", str(svg_path)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot draw non-finite coordinate")
+    assert not svg_path.exists()
+    assert run_cli("reconstruct", "--radii", "1e308,1e308,1.5e308")[0] == 0
+
+
+def test_verify_circles_sweeps_at_any_scale(tmp_path):
+    # The sweep runs on the radii divided by 2^exponent: a power-of-two
+    # copy sweeps the same values, and a tiny family is swept, not waved
+    # through.
+    radii = sorted((math.sqrt(5 - 2 * SQRT3), math.sqrt(5), math.sqrt(5 + 2 * SQRT3)))
+    path = write_circles(tmp_path / "a.json", radii)
+    base = json.loads(run_cli("verify", "--input", path, "--json")[1])["result"]["angle_sweeps"]
+    tiny = [math.ldexp(r, -530) for r in radii]
+    code, out, _ = run_cli("verify", "--input", write_circles(tmp_path / "b.json", tiny), "--json")
+    assert code == 0
+    sweeps = json.loads(out)["result"]["angle_sweeps"]
+    assert len(sweeps) == len(base) == 2
+    for small, unit in zip(sweeps, base):
+        assert small["best_phase"] == unit["best_phase"]
+        for key in ("vertex_arm", "center_arm", "best_residual"):
+            assert small[key] == math.ldexp(unit[key], -530)

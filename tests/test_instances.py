@@ -48,7 +48,14 @@ def test_string_circumradius_is_rejected():
 
 
 def test_integer_json_numbers_still_parse():
-    doc = parse_instance(polygon_pair({"n": 4, "center": [0, 1], "circumradius": 2}))
+    second = {"n": 4, "center": [1.0, 0.0], "circumradius": 1.0}
+    doc = parse_instance(polygon_pair({"n": 4, "center": [0, 1], "circumradius": 2}, second))
     first = doc.polygons[0]
     assert (first.n, first.center.x, first.center.y, first.circumradius) == (4, 0.0, 1.0, 2.0)
     assert parse_instance(circles([1, 1, 2], center=(0, 0))).circles.radii == (1.0, 1.0, 2.0)
+
+
+def test_polygons_with_different_vertex_counts_are_rejected():
+    first = {"n": 4, "center": [0.0, 0.0], "circumradius": 1.0}
+    with pytest.raises(InstanceFormatError, match="different vertex counts: 4 vs 3"):
+        parse_instance(polygon_pair(first))

@@ -18,11 +18,14 @@ from concentric_gons import (
     distance_multiset,
     intersection_feasible,
     multiset_close,
+    normalize_angle,
     pair_polygons,
+    phase_candidates,
     random_instance,
     recover_circumradii,
     vertices,
 )
+from concentric_gons import pairing
 
 SQRT3 = math.sqrt(3.0)
 
@@ -334,3 +337,31 @@ def test_shared_vertex_always_pairs(n, r1, r2, phase1, direction):
     p2 = RegularPolygonSpec(n, center2, r2, phase2)
     results = pair_polygons(p1, p2)
     assert len(results) >= 1
+
+
+def test_alignment_builds_only_the_reference_vertex(monkeypatch):
+    # The reference distance uses the expressions of geom.vertices and
+    # PlanePoint.distance_to, so the rotations are bit-identical to those
+    # from the built vertex.
+    inst = random_instance(8, 7)
+    p1, p2, point = inst.polygon1, inst.polygon2, inst.point
+    toward = math.atan2(point.y - p2.center.y, point.x - p2.center.x)
+    expected = [
+        tuple(
+            normalize_angle(toward + t)
+            for t in phase_candidates(
+                p1.circumradius, p2.circumradius, point.distance_to(vertices(p1)[k])
+            )
+        )
+        for k in range(p1.n)
+    ]
+
+    def no_vertices(poly):
+        raise AssertionError("all vertices built")
+
+    monkeypatch.setattr(pairing, "vertices", no_vertices)
+    phases = [
+        tuple(poly.phase for poly in align_second_polygon(p1, p2, point, k))
+        for k in range(p1.n)
+    ]
+    assert phases == expected

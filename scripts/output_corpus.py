@@ -11,7 +11,9 @@ The corpus covers every subcommand with and without ``--json``: the worked
 families, also scaled by 2^600 and 2^-600; ``random_instance`` circles files
 (feasible, perturbed to infeasible, point polygon) and polygon-pair files
 (meeting, far apart, point polygon) for each size, and one 256-radius
-circles file; identical, mismatched-order and shared-vertex pairs; radii
+circles file and pair file; families whose phase sits on the mirror
+boundary (t = 0 or pi/n, equal and unequal arms) and one with 1e-8
+relative noise; identical, mismatched-order and shared-vertex pairs; radii
 whose powers overflow or underflow a double; and usage and file-format
 errors.
 
@@ -27,7 +29,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
-from concentric_gons import random_instance
+from concentric_gons import SplitMix64, random_instance
 from concentric_gons.cli import main as cli_main
 
 SIZES = (3, 4, 5, 8, 12, 32, 64)
@@ -36,6 +38,9 @@ SQRT3 = math.sqrt(3.0)
 TRIANGLE_FAMILY = (math.sqrt(5 - 2 * SQRT3), math.sqrt(5), math.sqrt(5 + 2 * SQRT3))
 SQUARE_FAMILY = (math.sqrt(5 - 2 * SQRT3), SQRT3, math.sqrt(7), math.sqrt(5 + 2 * SQRT3))
 LARGEST_SIZE = 256
+MIRROR_SIZES = (3, 8)
+MIRROR_ARMS = {"equal": (1.0, 1.0), "unequal": (2.0, 0.7)}
+NOISE = 1e-8
 RADII_LISTS = (
     "1,1,2",
     "1,2,3,4",
@@ -74,6 +79,15 @@ def _polygon_pair(*polygons) -> dict:
             for n, center, radius, phase in polygons
         ],
     }
+
+
+def _generated(r: float, l: float, n: int, t: float) -> list[float]:
+    """The distances sqrt(r^2 + l^2 - 2 r l cos(t + 2 pi k / n)), sorted."""
+    period = 2.0 * math.pi / n
+    return sorted(
+        math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + period * k), 0.0))
+        for k in range(n)
+    )
 
 
 def _spec(poly, dx: float = 0.0) -> tuple:
@@ -121,6 +135,20 @@ def instance_files(sizes) -> dict[str, object]:
     largest = random_instance(LARGEST_SIZE, 1)
     files[f"circles_n{LARGEST_SIZE}.json"] = _circles(
         (largest.point.x, largest.point.y), largest.family.radii
+    )
+    files[f"pair_n{LARGEST_SIZE}.json"] = _polygon_pair(
+        _spec(largest.polygon1), _spec(largest.polygon2)
+    )
+    for n in MIRROR_SIZES:
+        for arms, (r, l) in MIRROR_ARMS.items():
+            for edge, t in (("zero", 0.0), ("half", math.pi / n)):
+                radii = _generated(r, l, n, t)
+                files[f"mirror_{edge}_{arms}_n{n}.json"] = _circles((0.0, 0.0), radii)
+    noisy = random_instance(8, 1)
+    rng = SplitMix64(8)
+    files["noisy_n8.json"] = _circles(
+        (noisy.point.x, noisy.point.y),
+        sorted(d * (1.0 + NOISE * rng.uniform(-1.0, 1.0)) for d in noisy.family.radii),
     )
     return files
 

@@ -9,6 +9,7 @@ summary is printed. JSON and SVG output are byte-deterministic.
 import argparse
 import functools
 import math
+import re
 import sys
 
 from .errors import (
@@ -50,6 +51,11 @@ CERTIFICATION_ORDERS = range(3, 13)
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; remap to the usage code 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-1,1,2" is a value, not an option (argparse agrees from 3.13 on).
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -273,7 +279,7 @@ def cmd_pair(args) -> int:
     return EXIT_OK if results else EXIT_INFEASIBLE
 
 
-def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> tuple[dict, bool]:
+def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
     family = doc.circles
     averages = cyclic_averages(family)
     report = assess_feasibility(averages, tol)
@@ -296,16 +302,15 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> tuple[dict, bool]:
                 for r, l in ((pair.larger, pair.smaller), (pair.smaller, pair.larger))
             ]
             ok = sweep.best_residual <= SWEEP_TOLERANCE
-    section = {
+    return {
         "kind": "circles",
         "report": _report_record(report),
         "angle_sweeps": sweeps,
         "pass": ok,
     }
-    return section, ok
 
 
-def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> tuple[dict, bool]:
+def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
     p1, p2 = doc.polygons
     try:
         candidates = candidate_centers(p1, p2, tol)
@@ -343,19 +348,17 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> tuple[dict, b
                      "best_residual": sweep.best_residual}
                 )
         sweep_ok = all(s["best_residual"] <= SWEEP_TOLERANCE for s in sweeps)
-    ok = identity_ok and sweep_ok
-    section = {
+    return {
         "kind": "polygon_pair",
         "probe_point": [probe.x, probe.y],
         "power_identity_residuals": identity,
         "pairing_count": len(results),
         "angle_sweeps": sweeps,
-        "pass": ok,
+        "pass": identity_ok and sweep_ok,
     }
-    return section, ok
 
 
-def _verify_certification(seed: int) -> tuple[dict, bool]:
+def _verify_certification(seed: int) -> dict:
     rows = []
     ok = True
     for n in CERTIFICATION_ORDERS:
@@ -370,8 +373,7 @@ def _verify_certification(seed: int) -> tuple[dict, bool]:
             )
         rows.append({"n": n, "samples": CERTIFICATION_SAMPLES, "worst_residual": worst})
         ok = ok and worst <= IDENTITY_TOLERANCE
-    section = {"kind": "certification", "seed": seed, "per_n": rows, "pass": ok}
-    return section, ok
+    return {"kind": "certification", "seed": seed, "per_n": rows, "pass": ok}
 
 
 def cmd_verify(args) -> int:
@@ -379,11 +381,12 @@ def cmd_verify(args) -> int:
     if args.input is not None:
         doc = _load(args.input)
         if doc.kind == "circles":
-            section, ok = _verify_circles(doc, tol)
+            section = _verify_circles(doc, tol)
         else:
-            section, ok = _verify_polygon_pair(doc, tol)
+            section = _verify_polygon_pair(doc, tol)
     else:
-        section, ok = _verify_certification(args.seed)
+        section = _verify_certification(args.seed)
+    ok = section["pass"]
     payload = {"result": section}
     lines = [f"verify kind: {section['kind']}", f"pass: {'yes' if ok else 'no'}"]
     _emit(args, payload, lines)

@@ -243,23 +243,25 @@ def recover_circumradii(
     family's units.
 
     ``larger^2, smaller^2 = (S(2) +/- sqrt(3 S(2)^2 - 2 S(4))) / 2``. A
-    discriminant within tolerance of zero is clamped and flagged degenerate
-    (exactly one polygon exists); below that it raises InfeasibleMoments,
-    as does a squared radius below ``-relative_eps * S(2)``.
+    discriminant within tolerance of zero is flagged degenerate (one polygon)
+    but still split: forcing the radii equal would drop up to
+    sqrt(relative_eps) of their difference. Only a discriminant within
+    rounding of zero (``2^-50`` of its scale) gives equal radii, since its
+    root would be noise of about sqrt(u). Below ``-gate`` it raises
+    InfeasibleMoments, as does a squared radius below ``-relative_eps * S(2)``.
     """
-    s2 = av.values[0]
+    s2, s4 = av.values[:2]
     disc, g = _discriminant(av, tol)
     if disc < -g:
         raise InfeasibleMoments(f"discriminant {disc} is negative beyond tolerance")
-    degenerate = disc <= g
-    root = math.sqrt(max(disc, 0.0))
+    root = math.sqrt(disc) if disc > 2.0 ** -50 * max(s2 * s2, s4) else 0.0
     larger_sq = (s2 + root) / 2.0
     smaller_sq = (s2 - root) / 2.0
     if smaller_sq < -tol.relative_eps * s2:
         raise InfeasibleMoments(f"squared radius {smaller_sq} is negative beyond tolerance")
     larger = math.sqrt(max(larger_sq, 0.0))
-    smaller = larger if degenerate else min(math.sqrt(max(smaller_sq, 0.0)), larger)
-    return RadiiPair(math.ldexp(larger, av.exponent), math.ldexp(smaller, av.exponent), degenerate)
+    smaller = min(math.sqrt(max(smaller_sq, 0.0)), larger)
+    return RadiiPair(math.ldexp(larger, av.exponent), math.ldexp(smaller, av.exponent), disc <= g)
 
 
 def assess_feasibility(

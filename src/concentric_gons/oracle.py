@@ -1,5 +1,6 @@
-"""Independent brute-force checks: direct power-sum evaluation against the
-library's closed form, dense angle sweeps, and reproducible random instances.
+"""Independent checks: direct power-sum evaluation against the library's
+closed form, a phase search over the law-of-cosines distances, and
+reproducible random instances.
 
 Nothing here reuses the library's recovery or phase-search paths, so these
 routines can certify them. Randomness comes from splitmix64, a fixed,
@@ -8,21 +9,18 @@ documented recurrence, so instances reproduce bit-for-bit anywhere.
 
 import math
 from itertools import repeat
-from math import cos, sqrt
+from math import cos, ldexp, sqrt
 from operator import add, mul, sub
 from typing import NamedTuple
 
 from .geom import (
-    TWO_PI,
-    PlanePoint,
-    RegularPolygonSpec,
-    normalize_angle,
-    vertices,
+    TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle, vertices
 )
 from .moments import CircleFamily, two_radius_power_sum
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_POLISH_STEPS = 60
 
 
 class SplitMix64:
@@ -59,15 +57,19 @@ def power_identity_residual(
 
     The closed form is the library's own :func:`two_radius_power_sum`, the
     recurrence condition II runs on; the direct side sums Cartesian vertex
-    coordinates. This is an identity for every regular polygon, point, and
-    m in 1..n-1 (other orders raise InvalidMomentOrder); the residual
-    certifies the arithmetic, not the input.
+    coordinates. Both run on lengths divided by 2^e (e from the larger arm,
+    exactly), so no power overflows and the residual is unit-free. This is
+    an identity for every regular polygon, point, and m in 1..n-1 (other
+    orders raise InvalidMomentOrder); the residual certifies the
+    arithmetic, not the input.
     """
-    closed = two_radius_power_sum(poly.circumradius, point.distance_to(poly.center), poly.n, m)
+    arm = point.distance_to(poly.center)
+    e = -math.frexp(max(poly.circumradius, arm))[1]
+    closed = two_radius_power_sum(ldexp(poly.circumradius, e), ldexp(arm, e), poly.n, m)
     direct = math.fsum(
-        ((v.x - point.x) ** 2 + (v.y - point.y) ** 2) ** m for v in vertices(poly)
+        (ldexp(v.x - point.x, e) ** 2 + ldexp(v.y - point.y, e) ** 2) ** m for v in vertices(poly)
     )
-    return abs(direct - closed) / max(1.0, abs(closed))
+    return abs(direct - closed) / (closed or 1.0)
 
 
 def _sweep_residual(
@@ -88,51 +90,44 @@ class SweepResult(NamedTuple):
     best_residual: float
 
 
-def angle_sweep(
-    r: float,
-    l: float,
-    n: int,
-    target: tuple[float, ...],
-    grid_size: int = 3600,
-    refine_iters: int = 40,
-) -> SweepResult:
-    """Minimize the multiset gap between generated vertex distances and a
-    target over one period of the phase.
+def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepResult:
+    """The phase in [0, pi/n] whose law-of-cosines distances best match a
+    target, and their largest gap from it.
 
-    A uniform grid over [0, 2*pi/n) locates the best cell, then golden
-    section refinement narrows it; 3600 cells with 40 iterations pin the
-    phase to roughly 1e-9 rad. Deterministic for fixed inputs.
-
-    Phases t and -t generate the same multiset, since
-    cos(-t + 2*pi*k/n) = cos(t + 2*pi*(n-k)/n), so cells i and
-    ``grid_size - i`` tie and only cells 0..grid_size // 2 are scanned. The
-    reported phase is therefore the first-half representative, within one
-    grid step of [0, pi/n]; its mirror ``2*pi/n - best_phase`` fits equally
-    well. ``target`` must hold exactly n distances.
+    With a = r^2 + l^2 and b = 2rl, x_k = (a - d_k^2) / b are the cosines
+    cos(t + 2*pi*k/n) in some order, so the Chebyshev product identity
+    prod_k (y - cos(t + 2*pi*k/n)) = 2^(1-n) (T_n(y) - cos(nt)) gives cos(nt)
+    at any y0; the midpoint of the widest gap among the x_k keeps every
+    factor away from 0. ``acos`` loses half the digits where cos(nt) is near
+    +/-1, so golden-section steps polish t within period/360, and the best
+    phase probed is reported: on a target no phase reaches, an upper bound
+    on the smallest residual. Phases t and -t tie, so the mirror 2*pi/n - t
+    fits equally well; the arms enter only through a and b, and b = 0 gives
+    phase 0. ``target`` must hold exactly n distances.
     """
-    if grid_size < 360:
-        raise ValueError(f"grid_size must be >= 360, got {grid_size}")
     if len(target) != n:
         raise ValueError(f"target must hold n = {n} distances, got {len(target)}")
     period = TWO_PI / n
-    step = period / grid_size
     a = r * r + l * l
     b = 2.0 * r * l
     offsets = [period * k for k in range(n)]
-    best_i = 0
-    best = math.inf
-    for i in range(grid_size // 2 + 1):
-        res = _sweep_residual(a, b, offsets, i * step, target)
-        if res < best:
-            best = res
-            best_i = i
-    lo = (best_i - 1) * step
-    hi = (best_i + 1) * step
+    if b == 0.0:
+        return SweepResult(0.0, _sweep_residual(a, b, offsets, 0.0, target))
+    cosines = sorted(max(-1.0, min(1.0, (a - d * d) / b)) for d in target)
+    edges = [-1.0, *cosines, 1.0]
+    _, left, right = max((right - left, left, right) for left, right in zip(edges, edges[1:]))
+    y0 = (left + right) / 2.0
+    cos_nt = cos(n * math.acos(y0)) - ldexp(math.prod(y0 - x for x in cosines), n - 1)
+    t0 = math.acos(max(-1.0, min(1.0, cos_nt))) / n
+    # The residual is symmetric about 0 and pi/n, so the bracket stays
+    # inside; golden section never probes its ends, which are candidates too.
+    bracket = (max(0.0, t0 - period / 360.0), min(period / 2.0, t0 + period / 360.0))
+    lo, hi = bracket
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1 = _sweep_residual(a, b, offsets, x1, target)
     f2 = _sweep_residual(a, b, offsets, x2, target)
-    for _ in range(refine_iters):
+    for _ in range(_POLISH_STEPS):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -141,12 +136,11 @@ def angle_sweep(
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = _sweep_residual(a, b, offsets, x2, target)
-    mid = (lo + hi) / 2.0
-    res_mid = _sweep_residual(a, b, offsets, mid, target)
-    phase = math.fmod(mid, period)
-    if phase < 0.0:
-        phase += period
-    return SweepResult(best_phase=phase, best_residual=min(res_mid, best))
+    return min(
+        (SweepResult(t, _sweep_residual(a, b, offsets, t, target))
+         for t in (t0, (lo + hi) / 2.0, *bracket)),
+        key=lambda result: result.best_residual,
+    )
 
 
 class RandomInstance(NamedTuple):
@@ -184,10 +178,9 @@ def random_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> Ran
     phase2 = normalize_angle(dir2 + math.pi + mirror * relative + TWO_PI * shift / n)
     polygon1 = RegularPolygonSpec(n, center1, r1, phase1)
     polygon2 = RegularPolygonSpec(n, center2, r2, phase2)
-    radii = tuple(sorted(point.distance_to(v) for v in vertices(polygon1)))
     return RandomInstance(
         polygon1=polygon1,
         polygon2=polygon2,
         point=point,
-        family=CircleFamily(center=point, radii=radii),
+        family=CircleFamily(center=point, radii=distance_multiset(polygon1, point)),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -617,3 +618,44 @@ def test_verify_circles_sweeps_at_any_scale(tmp_path):
         assert small["best_phase"] == unit["best_phase"]
         for key in ("vertex_arm", "center_arm", "best_residual"):
             assert small[key] == math.ldexp(unit[key], -530)
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_negative_radius_as_a_separate_value_reaches_the_library_message(command):
+    # argparse once read "-1,1,2" as an option and ended with "expected one
+    # argument"; both spellings now reach the same message.
+    joined = run_cli(command, "--radii=-1,1,2")
+    separate = run_cli(command, "--radii", "-1,1,2")
+    assert joined == (1, "", "error: radii must be finite and >= 0, got -1.0\n")
+    assert separate == joined
+
+
+def test_certification_bytes_are_pinned():
+    # The certification document of seed 7, byte for byte: 2,000 random
+    # instances and their relative power-identity residuals.
+    out = run_cli("verify", "--seed", "7", "--json")[1]
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "a1425d8b032299fba18555719d9ffc8ececd6a683b14747315bbbd7ebd2c83c6"
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_verify_large_instances(n, tmp_path):
+    inst = random_instance(n, 1)
+    circles = write_circles(tmp_path / "circles.json", inst.family.radii)
+    pair = write_polygon_pair(tmp_path / "pair.json", inst.polygon1, inst.polygon2)
+    for path in (circles, pair):
+        code, out, _ = run_cli("verify", "--input", path, "--json")
+        assert code == 0, path
+        sweeps = json.loads(out)["result"]["angle_sweeps"]
+        assert len(sweeps) == 2
+        assert all(s["best_residual"] <= 1e-13 * inst.family.radii[-1] for s in sweeps)
+    # One radius off by 1e-5 relative passes the moment tests at a loose
+    # tolerance but no phase reproduces it.
+    radii = list(inst.family.radii)
+    radii[n // 2] *= 1.0 + 1e-5
+    perturbed = write_circles(tmp_path / "perturbed.json", sorted(radii))
+    code, out, _ = run_cli("verify", "--input", perturbed, "--tol", "9e-4", "--json")
+    assert code == 2
+    section = json.loads(out)["result"]
+    assert section["report"]["condition1_ok"] and section["report"]["condition2_ok"]
+    assert all(s["best_residual"] > 1e-6 for s in section["angle_sweeps"])

@@ -17,6 +17,7 @@ from concentric_gons import (
     random_instance,
     recover_circumradii,
     reconstruct_polygons,
+    vertices,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -71,6 +72,24 @@ def test_identity_order_validation():
     tri = RegularPolygonSpec(3, PlanePoint(0, 0), 1.0, 0.0)
     with pytest.raises(InvalidMomentOrder):
         power_identity_residual(tri, PlanePoint(1, 1), 3)
+
+
+@pytest.mark.parametrize("k", [-900, -40, 40, 900])
+def test_identity_residual_is_the_same_in_every_unit(k):
+    for n in (3, 8, 64, 256):
+        inst = random_instance(n, 2)
+        poly = inst.polygon1
+        scaled = RegularPolygonSpec(
+            n,
+            PlanePoint(math.ldexp(poly.center.x, k), math.ldexp(poly.center.y, k)),
+            math.ldexp(poly.circumradius, k),
+            poly.phase,
+        )
+        point = PlanePoint(math.ldexp(inst.point.x, k), math.ldexp(inst.point.y, k))
+        for m in (1, n // 2, n - 1):
+            residual = power_identity_residual(poly, inst.point, m)
+            assert residual <= 1e-12
+            assert power_identity_residual(scaled, point, m) == residual
 
 
 @settings(max_examples=150, deadline=None)
@@ -130,8 +149,11 @@ def test_sweep_unreachable_target_stays_bounded_away():
 
 
 def test_sweep_validates_grid():
-    with pytest.raises(ValueError):
-        angle_sweep(1.0, 0.5, 3, TRIANGLE_FAMILY, grid_size=100)
+    # The phase comes in closed form: there is no grid to size or refine.
+    with pytest.raises(TypeError):
+        angle_sweep(1.0, 0.5, 3, TRIANGLE_FAMILY, grid_size=3600)
+    with pytest.raises(TypeError):
+        angle_sweep(1.0, 0.5, 3, TRIANGLE_FAMILY, refine_iters=40)
 
 
 def test_sweep_rejects_target_of_wrong_length():
@@ -195,6 +217,11 @@ def test_half_grid_sweep_matches_full_grid_reference(n, r, l, target):
     step = period / 3600
     ref_phase, ref_residual = _full_grid_sweep(r, l, n, target)
     result = angle_sweep(r, l, n, target)
+    if ref_residual > 0.01:
+        # No phase reaches the target. The grid found the smallest residual;
+        # the closed-form phase only bounds it from above.
+        assert ref_residual <= result.best_residual
+        return
     assert abs(result.best_residual - ref_residual) <= 1e-12 * max(1.0, max(target))
     # The reported phase is the reference or its mirror, modulo the period.
     gaps = (
@@ -207,6 +234,93 @@ def test_half_grid_sweep_matches_full_grid_reference(n, r, l, target):
     phase = result.best_phase
     assert 0.0 <= phase < period
     assert phase <= period / 2.0 + step or phase >= period - step
+
+
+def _generated(r, l, n, t):
+    period = 2.0 * math.pi / n
+    return tuple(
+        sorted(
+            math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + period * k), 0.0))
+            for k in range(n)
+        )
+    )
+
+
+def _assert_no_worse_than_grid(r, l, n, target):
+    """The closed-form sweep's residual is at most the full grid's, up to
+    1e-13 relative, and its phase is the representative in [0, pi/n]."""
+    result = angle_sweep(r, l, n, target)
+    _, ref_residual = _full_grid_sweep(r, l, n, target)
+    assert result.best_residual <= ref_residual + 1e-13 * max(1.0, max(target))
+    assert 0.0 <= result.best_phase <= math.pi / n
+    return result
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["larger-first", "smaller-first"])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12, 32, 64, 256])
+def test_closed_form_phase_is_no_worse_than_the_grid(n, swap):
+    inst = random_instance(n, 3)
+    arms = (inst.polygon1.circumradius, inst.polygon2.circumradius)
+    r, l = reversed(arms) if swap else arms
+    _assert_no_worse_than_grid(r, l, n, inst.family.radii)
+
+
+MIRROR_ARMS = {"equal": (1.0, 1.0), "unequal": (2.0, 0.7), "micro-apart": (1.0, 1.0 - 1e-6)}
+
+
+@pytest.mark.parametrize("arms", MIRROR_ARMS.values(), ids=MIRROR_ARMS.keys())
+@pytest.mark.parametrize("n", [3, 4, 12, 64])
+def test_closed_form_phase_at_the_mirror_boundary(n, arms):
+    # cos(nt) = +/-1 at t = 0 and t = pi/n, where acos loses half the digits.
+    r, l = arms
+    for t in (0.0, 1e-9, -1e-9, math.pi / n, math.pi / n - 1e-9, math.pi / n + 1e-9):
+        result = _assert_no_worse_than_grid(r, l, n, _generated(r, l, n, t))
+        assert result.best_residual <= 1e-14 * (r + l), t
+    # Golden section never probes its bracket's ends; on the mirror boundary
+    # they are the generating phase, computed here with the same arithmetic.
+    for t in (0.0, math.pi / n):
+        assert angle_sweep(r, l, n, _generated(r, l, n, t)).best_residual == 0.0
+
+
+@pytest.mark.parametrize("relative", [1e-9, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("n", [3, 4, 8, 32])
+def test_closed_form_phase_on_noisy_targets(n, relative):
+    inst = random_instance(n, 11)
+    rng = SplitMix64(n)
+    target = tuple(
+        sorted(d * (1.0 + relative * rng.uniform(-1.0, 1.0)) for d in inst.family.radii)
+    )
+    r, l = inst.polygon1.circumradius, inst.polygon2.circumradius
+    _assert_no_worse_than_grid(r, l, n, target)
+
+
+def test_zero_arm_returns_phase_zero():
+    # b = 2rl = 0: every phase generates the same distances.
+    target = (1.0, 1.5, 2.0, 2.5, 3.0)
+    for r, l in ((1.5, 0.0), (0.0, 1.5)):
+        result = angle_sweep(r, l, 5, target)
+        assert result.best_phase == 0.0
+        assert result.best_residual == 1.5
+    assert angle_sweep(0.0, 0.0, 3, (0.0, 0.0, 0.0)) == (0.0, 0.0)
+
+
+def _unreachable_cases():
+    yield 4, 2.0, 0.8, (1.0, 2.0, 3.0, 4.0)
+    arm = math.sqrt(sum(r * r for r in (1.0, 2.0, 3.0, 4.0)) / 8.0)
+    yield 4, arm, arm, (1.0, 2.0, 3.0, 4.0)
+    for n in (3, 8, 32):
+        inst = random_instance(n, 4)
+        radii = list(inst.family.radii)
+        radii[n // 2] *= 1.2
+        yield n, inst.polygon1.circumradius, inst.polygon2.circumradius, tuple(sorted(radii))
+
+
+@pytest.mark.parametrize("n, r, l, target", list(_unreachable_cases()))
+def test_unreachable_target_stays_above_the_grid(n, r, l, target):
+    result = angle_sweep(r, l, n, target)
+    _, ref_residual = _full_grid_sweep(r, l, n, target)
+    assert result.best_residual > 0.01
+    assert result.best_residual >= ref_residual
 
 
 def test_sweep_is_symmetric_in_the_arms():
@@ -299,3 +413,11 @@ def test_random_instance_zero_smaller_radius():
 def test_random_instance_rejects_tiny_order():
     with pytest.raises(ValueError):
         random_instance(2, 1)
+
+
+def test_random_instance_radii_match_the_vertex_construction_bit_for_bit():
+    for n in range(3, 13):
+        for seed in range(50):
+            inst = random_instance(n, seed)
+            built = tuple(sorted(inst.point.distance_to(v) for v in vertices(inst.polygon1)))
+            assert inst.family.radii == built

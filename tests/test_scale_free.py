@@ -149,3 +149,43 @@ def test_worked_families_are_decided_by_shape(base, scale):
     scaled = ",".join(repr(r * scale) for r in base)
     assert run_cli("check", "--radii", scaled)[0] == expected
     assert run_cli("reconstruct", "--radii", scaled)[0] == expected
+
+
+NEAR_EQUAL_GAPS = (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12, 0.0)
+
+
+def near_equal_radii(n: int, gap: float, k: int) -> tuple[float, ...]:
+    """A regular n-gon of circumradius 2^k seen from (1 - gap) 2^k off its
+    center: the two circumradii of the family differ by ``gap`` relative."""
+    arm = 1.0 - gap
+    period = 2.0 * math.pi / n
+    radii = sorted(
+        math.sqrt(1.0 + arm * arm - 2.0 * arm * math.cos(0.3 + period * j)) for j in range(n)
+    )
+    return tuple(math.ldexp(r, k) for r in radii)
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+@pytest.mark.parametrize("n", [3, 4, 16, 64, 256])
+def test_near_equal_circumradii_check_iff_reconstruct(n, k):
+    for gap in NEAR_EQUAL_GAPS:
+        text = ",".join(map(repr, near_equal_radii(n, gap, k)))
+        check = run_cli("check", "--radii", text)[0]
+        assert check == 0, gap
+        assert run_cli("reconstruct", "--radii", text)[0] == check, gap
+
+
+def test_circumradii_eight_ppm_apart_reconstruct():
+    # Circumradii 0.3356639 and 0.3356612: the n = 16 family of the circles
+    # benchmark at seed 202, operation 345.
+    radii = (
+        0.00031828091826347946, 0.06517232831881586, 0.06579665299832516,
+        0.1281583985500307, 0.12874649953875766, 0.18621941340211506,
+        0.18674869030878818, 0.2371241206316053, 0.23757423364151,
+        0.27891628088660436, 0.2792699324091927, 0.30998984488556963,
+        0.3102334442911569, 0.3291506729901685, 0.3292748588902094,
+        0.3356624253218104,
+    )
+    rec = reconstruct_polygons(CircleFamily(PlanePoint(0.0, 0.0), radii))
+    assert max(rec.residuals) <= 1e-12
+    assert rec.circumradii.larger > rec.circumradii.smaller

@@ -13,9 +13,10 @@ families, also scaled by 2^600 and 2^-600; ``random_instance`` circles files
 (meeting, far apart, point polygon) for each size, and one 256-radius
 circles file and pair file; families whose phase sits on the mirror
 boundary (t = 0 or pi/n, equal and unequal arms) and one with 1e-8
-relative noise; identical, mismatched-order and shared-vertex pairs; radii
-whose powers overflow or underflow a double; and usage and file-format
-errors.
+relative noise; identical, mismatched-order and shared-vertex pairs; one
+``random_instance`` pair file scaled by 1e-12, 2^500, 2^-500, 2^900 and
+2^-900, the last two outside the range pairing accepts; radii whose powers
+overflow or underflow a double; and usage and file-format errors.
 
   PYTHONPATH=src python3 scripts/output_corpus.py --out corpus.json
 """
@@ -41,6 +42,14 @@ LARGEST_SIZE = 256
 MIRROR_SIZES = (3, 8)
 MIRROR_ARMS = {"equal": (1.0, 1.0), "unequal": (2.0, 0.7)}
 NOISE = 1e-8
+SCALED_PAIR = (5, 2)  # random_instance(n, seed) of the scaled pair files
+PAIR_SCALES = {
+    "1e-12": 1e-12,
+    "2p500": 2.0 ** 500,
+    "2m500": 2.0 ** -500,
+    "2p900": 2.0 ** 900,
+    "2m900": 2.0 ** -900,
+}
 RADII_LISTS = (
     "1,1,2",
     "1,2,3,4",
@@ -90,8 +99,9 @@ def _generated(r: float, l: float, n: int, t: float) -> list[float]:
     )
 
 
-def _spec(poly, dx: float = 0.0) -> tuple:
-    return poly.n, (poly.center.x + dx, poly.center.y), poly.circumradius, poly.phase
+def _spec(poly, dx: float = 0.0, scale: float = 1.0) -> tuple:
+    center = (poly.center.x * scale + dx, poly.center.y * scale)
+    return poly.n, center, poly.circumradius * scale, poly.phase
 
 
 def instance_files(sizes) -> dict[str, object]:
@@ -150,6 +160,11 @@ def instance_files(sizes) -> dict[str, object]:
         (noisy.point.x, noisy.point.y),
         sorted(d * (1.0 + NOISE * rng.uniform(-1.0, 1.0)) for d in noisy.family.radii),
     )
+    scaled = random_instance(*SCALED_PAIR)
+    for label, scale in PAIR_SCALES.items():
+        files[f"pair_scaled_{label}.json"] = _polygon_pair(
+            _spec(scaled.polygon1, scale=scale), _spec(scaled.polygon2, scale=scale)
+        )
     return files
 
 

@@ -62,7 +62,6 @@ from .pairing import (
     align_second_polygon,
     auxiliary_circles,
     candidate_centers,
-    intersection_feasible,
     pair_polygons,
 )
 from .reconstruct import (
@@ -127,7 +126,6 @@ __all__ = [
     "distance_multiset",
     "heron_area",
     "higher_average_prediction",
-    "intersection_feasible",
     "multiset_close",
     "normalize_angle",
     "pair_polygons",

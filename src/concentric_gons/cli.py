@@ -313,6 +313,10 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
 def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
     p1, p2 = doc.polygons
     try:
+        results = pair_polygons(p1, p2, tol)
+    except CoincidentAuxiliaryCircles:
+        results = []
+    try:
         candidates = candidate_centers(p1, p2, tol)
     except CoincidentAuxiliaryCircles:
         candidates = ()
@@ -331,23 +335,21 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
     identity_ok = all(item["residual"] <= IDENTITY_TOLERANCE for item in identity)
     sweeps = []
     sweep_ok = True
-    try:
-        results = pair_polygons(p1, p2, tol)
-    except CoincidentAuxiliaryCircles:
-        results = []
     if results:
         target = results[0].circles.radii
         point = results[0].center
+        # Gates relative to the largest distance, as the circles sweep is.
+        scale = target[-1]
         for poly in (p1, p2):
             arm = point.distance_to(poly.center)
-            if poly.circumradius > tol.gap(1.0) and arm > tol.gap(1.0):
+            if min(poly.circumradius, arm) > tol.relative_eps * scale:
                 sweep = angle_sweep(poly.circumradius, arm, poly.n, target)
                 sweeps.append(
                     {"vertex_arm": poly.circumradius, "center_arm": arm,
                      "best_phase": sweep.best_phase,
                      "best_residual": sweep.best_residual}
                 )
-        sweep_ok = all(s["best_residual"] <= SWEEP_TOLERANCE for s in sweeps)
+        sweep_ok = all(s["best_residual"] <= SWEEP_TOLERANCE * scale for s in sweeps)
     return {
         "kind": "polygon_pair",
         "probe_point": [probe.x, probe.y],

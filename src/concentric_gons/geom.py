@@ -3,8 +3,8 @@ circle intersection, the law-of-cosines opening angle, and tolerance-aware
 multiset comparison.
 
 Everything here is a pure function over immutable values. Tolerances are
-explicit: comparisons accept a :class:`Tolerance` and default to
-:data:`DEFAULT_TOLERANCE`.
+explicit and relative: comparisons accept a :class:`Tolerance` and default
+to :data:`DEFAULT_TOLERANCE`.
 """
 
 import math
@@ -17,38 +17,29 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Mixed absolute/relative comparison slack.
+    """Relative comparison slack.
 
-    Two quantities a, b compare equal when
-    ``|a - b| <= absolute_floor + relative_eps * max(1, scale)``
-    where ``scale`` defaults to the first quantity.
+    A gate on lengths is ``relative_eps`` times a length of the same
+    configuration; a gate on a cosine, ratio or angle is ``relative_eps``
+    itself. No gate has an absolute part, so decisions depend on shape,
+    not units.
     """
 
     relative_eps: float = 1e-9
-    absolute_floor: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.relative_eps < 1e-3:
             raise ValueError(f"relative_eps must lie in (0, 1e-3), got {self.relative_eps}")
-        if self.absolute_floor < 0.0:
-            raise ValueError(f"absolute_floor must be >= 0, got {self.absolute_floor}")
-
-    def gap(self, scale: float = 1.0) -> float:
-        """Largest difference still considered zero at the given magnitude."""
-        return self.absolute_floor + self.relative_eps * max(1.0, abs(scale))
 
     def multiset_gate(self) -> "Tolerance":
         """The 10x looser gate for comparing whole distance multisets.
 
         Distances generated from a recovered angle carry trig rounding from
         each of the n vertices, and a tangency point is rounded by up to one
-        gap; a single-gap gate would read either as misalignment.
+        gate; a single gate would read either as misalignment.
         ``relative_eps`` stays below its validity ceiling.
         """
-        return Tolerance(
-            relative_eps=min(self.relative_eps * 10.0, 9.9e-4),
-            absolute_floor=self.absolute_floor * 10.0,
-        )
+        return Tolerance(min(self.relative_eps * 10.0, 9.9e-4))
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -131,7 +122,7 @@ def heron_area(a: float, b: float, c: float, tol: Tolerance = DEFAULT_TOLERANCE)
     a, b, c = sorted((a, b, c), reverse=True)
     slack = b + c - a  # the only factor that can go negative
     if slack < 0.0:
-        if -slack <= tol.gap(a):
+        if -slack <= tol.relative_eps * a:
             return 0.0
         raise TriangleInequalityViolated(
             f"side {a} exceeds the sum of the other two ({b} + {c}) by {-slack}"
@@ -160,7 +151,7 @@ def circle_circle_intersection(
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError(f"radii must be >= 0, got ({r1}, {r2})")
     dist = c1.distance_to(c2)
-    g = tol.gap(max(r1 + r2, dist))
+    g = tol.relative_eps * max(r1 + r2, dist)
     if dist <= g:
         if abs(r1 - r2) <= g:
             if r1 <= g and r2 <= g:
@@ -222,11 +213,11 @@ def phase_candidates(
             "when d equals |r - l|, none otherwise"
         )
     cos_t = (r * r + l * l - d * d) / (2.0 * r * l)
-    if abs(cos_t) > 1.0 + tol.gap(1.0):
+    if abs(cos_t) > 1.0 + tol.relative_eps:
         return ()
     cos_t = max(-1.0, min(1.0, cos_t))
     t = math.acos(cos_t)
-    if abs(cos_t) >= 1.0 - tol.gap(1.0):  # the mirror coincides at 0 and pi
+    if abs(cos_t) >= 1.0 - tol.relative_eps:  # the mirror coincides at 0 and pi
         return (t,)
     return (t, -t)
 
@@ -236,7 +227,9 @@ def multiset_close(
     b: tuple[float, ...] | list[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> bool:
-    """Elementwise comparison of two ascending sequences of lengths."""
+    """Elementwise comparison of two ascending sequences of lengths, each
+    pair within ``relative_eps`` times the largest length of either."""
     if len(a) != len(b):
         return False
-    return all(abs(x - y) <= tol.gap(x) for x, y in zip(a, b))
+    g = tol.relative_eps * max(a[-1], b[-1]) if a else 0.0
+    return all(abs(x - y) <= g for x, y in zip(a, b))

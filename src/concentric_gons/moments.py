@@ -185,7 +185,7 @@ def condition_one(
         ratio = 1.0 if s2 <= 0.0 else math.inf  # all-zero radii are feasible
     else:
         ratio = (s2 * s2) / s4
-    g = tol.gap(1.0)
+    g = tol.relative_eps
     return (2.0 / 3.0 - g <= ratio <= 1.0 + g), ratio
 
 
@@ -224,8 +224,7 @@ def condition_two(
         abs(actual - predicted) / (actual or 1.0)
         for actual, predicted in zip(av.values[2:], predictions[2:])
     )
-    g = tol.gap(1.0)
-    return all(r <= g for r in residuals), residuals
+    return all(r <= tol.relative_eps for r in residuals), residuals
 
 
 def _discriminant(av: CyclicAverages, tol: Tolerance) -> tuple[float, float]:

@@ -58,24 +58,20 @@ def _require_same_order(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> None:
         raise MismatchedOrder(f"vertex counts differ: {p1.n} vs {p2.n}")
 
 
+# Pairing squares lengths up to twice the largest length L (the working
+# point is within R1 + R2 of every vertex) and adds three such squares. With
+# L in [2^(e-1), 2^e), |e| <= 510 keeps each such sum below 2^(2e+4) <= 2^1024
+# and L^2 >= 2^(2e-2) >= 2^-1022 normal, so the relative gates decide as at
+# unit scale, except on a length so far below L that its square is subnormal.
+MAX_LENGTH_EXPONENT = 510
+
+
 def auxiliary_circles(
     p1: RegularPolygonSpec, p2: RegularPolygonSpec
 ) -> tuple[tuple[PlanePoint, float], tuple[PlanePoint, float]]:
     """Each polygon's center paired with the other polygon's circumradius."""
     _require_same_order(p1, p2)
     return (p1.center, p2.circumradius), (p2.center, p1.circumradius)
-
-
-def intersection_feasible(
-    p1: RegularPolygonSpec, p2: RegularPolygonSpec, tol: Tolerance = DEFAULT_TOLERANCE
-) -> bool:
-    """Whether the auxiliary circles can meet:
-    |R1 - R2| <= center distance <= R1 + R2, within tolerance."""
-    _require_same_order(p1, p2)
-    r1, r2 = p1.circumradius, p2.circumradius
-    dist = p1.center.distance_to(p2.center)
-    g = tol.gap(max(r1 + r2, dist))
-    return abs(r1 - r2) - g <= dist <= r1 + r2 + g
 
 
 def candidate_centers(
@@ -109,7 +105,8 @@ def align_second_polygon(
     _require_same_order(p1, p2)
     r1, r2 = p1.circumradius, p2.circumradius
     arm = point.distance_to(p2.center)
-    if abs(arm - r1) > tol.gap(max(r1, 1.0)):
+    scale = max(r1, r2)
+    if abs(arm - r1) > tol.relative_eps * scale:
         raise NotACandidateCenter(
             f"point sits {arm} from the second center, expected {r1}"
         )
@@ -118,7 +115,7 @@ def align_second_polygon(
     angle = p1.phase + TWO_PI / p1.n * ref_vertex
     vx, vy = p1.center.x + r1 * math.cos(angle), p1.center.y + r1 * math.sin(angle)
     d_star = math.hypot(point.x - vx, point.y - vy)
-    if r1 * r2 <= tol.gap(0.0) ** 2:
+    if min(r1, r2) <= tol.relative_eps * scale:
         # One polygon is a point: every vertex of the second already sits at
         # the only achievable distance, so no rotation is needed.
         return (p2,)
@@ -160,14 +157,15 @@ def _best_conditioned_vertex(
 
 def _phases_coincide(a: float, b: float, period: float, tol: Tolerance) -> bool:
     diff = math.fmod(abs(a - b), period)
-    return min(diff, period - diff) <= tol.gap(1.0)
+    return min(diff, period - diff) <= tol.relative_eps
 
 
 def _is_duplicate(result: PairingResult, seen: list[PairingResult], tol: Tolerance) -> bool:
     period = TWO_PI / result.aligned_second.n
+    center_gap = tol.relative_eps * result.circles.radii[-1]
     for other in seen:
         if (
-            result.center.distance_to(other.center) <= tol.gap(1.0)
+            result.center.distance_to(other.center) <= center_gap
             and multiset_close(result.circles.radii, other.circles.radii, tol)
             and _phases_coincide(
                 result.aligned_second.phase, other.aligned_second.phase, period, tol
@@ -187,14 +185,21 @@ def pair_polygons(
     force full agreement, so a verification failure is reported as a
     numerical diagnostic rather than silently dropped. Identical concentric
     polygons admit a continuum of valid points and raise
-    CoincidentAuxiliaryCircles instead of picking one arbitrarily.
+    CoincidentAuxiliaryCircles instead of picking one arbitrarily. A largest
+    length outside ``[2^-511, 2^510)`` raises ValueError.
     """
     _require_same_order(p1, p2)
-    center_gap = tol.gap(max(p1.circumradius, p2.circumradius, 1.0))
-    if (
-        p1.center.distance_to(p2.center) <= center_gap
-        and abs(p1.circumradius - p2.circumradius) <= center_gap
-    ):
+    larger = max(p1.circumradius, p2.circumradius)
+    center_distance = p1.center.distance_to(p2.center)
+    largest = max(larger, center_distance)
+    if not (math.isfinite(largest) and abs(math.frexp(largest)[1]) <= MAX_LENGTH_EXPONENT):
+        raise ValueError(
+            f"largest length {largest} of the polygon pair lies outside "
+            f"[2^{-MAX_LENGTH_EXPONENT - 1}, 2^{MAX_LENGTH_EXPONENT}), where its squares "
+            "stay finite normal doubles"
+        )
+    center_gap = tol.relative_eps * larger
+    if center_distance <= center_gap and abs(p1.circumradius - p2.circumradius) <= center_gap:
         raise CoincidentAuxiliaryCircles(
             "concentric polygons with equal circumradius: every point at that "
             "distance from the shared center works"

@@ -51,7 +51,7 @@ def triangle_feasibility(
     """
     _require_ascending((d1, d2, d3))
     slack = d1 + d2 - d3
-    g = tol.gap(d3)
+    g = tol.relative_eps * d3
     if slack < -g:
         return TriangleFit(exists=False, degenerate=False, larger=0.0, smaller=0.0)
     degenerate = abs(slack) <= g
@@ -94,14 +94,14 @@ def square_feasibility(
     _require_ascending((d1, d2, d3, d4))
     outer = d1 * d1 + d4 * d4
     inner = d2 * d2 + d3 * d3
-    if abs(outer - inner) > tol.gap(d4 * d4):
+    if abs(outer - inner) > tol.relative_eps * (d4 * d4):
         return SquareFit(False, False, 0.0, 0.0, reason="sum_condition")
     try:
         area = heron_area(d1, d4, SQRT2 * d2, tol)
     except TriangleInequalityViolated:
         return SquareFit(False, False, 0.0, 0.0, reason="associated_triangle")
     sides = sorted((d1, d4, SQRT2 * d2), reverse=True)
-    degenerate = abs(sides[1] + sides[2] - sides[0]) <= tol.gap(sides[0])
+    degenerate = abs(sides[1] + sides[2] - sides[0]) <= tol.relative_eps * sides[0]
     larger = math.sqrt(outer / 4.0 + area)
     smaller_sq = outer / 4.0 - area
     smaller = math.sqrt(max(smaller_sq, 0.0))
@@ -161,7 +161,7 @@ def associated_triangles(
     _require_ascending((d1, d2, d3, d4))
     outer = d1 * d1 + d4 * d4
     inner = d2 * d2 + d3 * d3
-    if abs(outer - inner) > tol.gap(d4 * d4):
+    if abs(outer - inner) > tol.relative_eps * (d4 * d4):
         raise SumConditionViolated(
             f"outer sum {outer} and inner sum {inner} differ beyond tolerance"
         )

@@ -74,20 +74,18 @@ def test_tolerance_validation():
         Tolerance(relative_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(relative_eps=1e-2)
-    with pytest.raises(ValueError):
-        Tolerance(absolute_floor=-1.0)
+    # One relative field: there is no absolute floor to set.
+    with pytest.raises(TypeError):
+        Tolerance(absolute_floor=1e-12)
 
 
 def test_multiset_gate_is_ten_times_looser():
-    assert Tolerance().multiset_gate() == Tolerance(1e-9 * 10.0, 1e-12 * 10.0)
-    custom = Tolerance(relative_eps=2e-6, absolute_floor=3e-10)
-    assert custom.multiset_gate() == Tolerance(2e-6 * 10.0, 3e-10 * 10.0)
+    assert Tolerance().multiset_gate() == Tolerance(1e-9 * 10.0)
+    assert Tolerance(relative_eps=2e-6).multiset_gate() == Tolerance(2e-6 * 10.0)
 
 
 def test_multiset_gate_clamps_below_the_validity_ceiling():
-    gate = Tolerance(relative_eps=5e-4).multiset_gate()
-    assert gate.relative_eps == 9.9e-4
-    assert gate.absolute_floor == 1e-12 * 10.0
+    assert Tolerance(relative_eps=5e-4).multiset_gate() == Tolerance(9.9e-4)
 
 
 # ---------------------------------------------------------------- heron
@@ -182,9 +180,11 @@ def test_intersection_points_lie_on_both_circles(x1, y1, r1, x2, y2, r2):
         assert c1.distance_to(p) == pytest.approx(r1, rel=1e-9, abs=1e-9)
         assert c2.distance_to(p) == pytest.approx(r2, rel=1e-9, abs=1e-9)
     assert len(points) == len(swapped)
-    assert {
-        (round(p.x, 9), round(p.y, 9)) for p in points
-    } == {(round(p.x, 9), round(p.y, 9)) for p in swapped}
+    # Match within 1e-9 rather than after rounding to 9 decimals: a
+    # coordinate near a rounding boundary would split otherwise equal points.
+    for ours, theirs in ((points, swapped), (swapped, points)):
+        for p in ours:
+            assert min(p.distance_to(q) for q in theirs) <= 1e-9
 
 
 # ------------------------------------------------- distance multiset
@@ -266,6 +266,11 @@ def test_multiset_close_basic():
 
 
 def test_multiset_close_respects_tolerance_scale():
-    tol = Tolerance(relative_eps=1e-9, absolute_floor=1e-12)
-    assert multiset_close((100.0,), (100.0 + 5e-8,), tol)
-    assert not multiset_close((100.0,), (100.0 + 5e-6,), tol)
+    tol = Tolerance(relative_eps=1e-9)
+    for largest in (1e-12, 1.0, 100.0, 1e12):
+        assert multiset_close((largest,), (largest * (1.0 + 5e-10),), tol)
+        assert not multiset_close((largest,), (largest * (1.0 + 5e-8),), tol)
+        # Every pair is gated by the largest element, so a zero distance
+        # still compares within the gate.
+        assert multiset_close((0.0, largest), (5e-10 * largest, largest), tol)
+        assert not multiset_close((0.0, largest), (5e-8 * largest, largest), tol)

@@ -16,7 +16,6 @@ from concentric_gons import (
     condition_two,
     cyclic_averages,
     distance_multiset,
-    intersection_feasible,
     multiset_close,
     normalize_angle,
     pair_polygons,
@@ -55,16 +54,9 @@ def test_auxiliary_circles_identical_polygons_coincide():
 def test_mismatched_order_rejected_everywhere():
     p1 = triangle(0, 0, 1)
     p2 = RegularPolygonSpec(4, PlanePoint(2, 0), 1, 0.0)
-    for op in (auxiliary_circles, intersection_feasible, candidate_centers, pair_polygons):
+    for op in (auxiliary_circles, candidate_centers, pair_polygons):
         with pytest.raises(MismatchedOrder):
             op(p1, p2)
-
-
-def test_intersection_feasible_cases():
-    assert intersection_feasible(triangle(0, 0, 2), triangle(2, 0, 1))
-    assert not intersection_feasible(triangle(0, 0, 2), triangle(4, 0, 1))
-    # shared-vertex tangent pair: center gap equals the radius sum
-    assert intersection_feasible(triangle(0, 0, 1), triangle(2, 0, 1, math.pi))
 
 
 # ------------------------------------------------------ candidate centers

@@ -1,12 +1,14 @@
-"""The decision depends only on the shape of the circle family.
+"""The decision depends only on the shape of the configuration.
 
 Scaling by a power of two is exact in binary floating point, so the whole
-circles-to-polygons result must scale with it bit for bit. Any other scale,
-a translation or a reordering of the input must leave the verdict alone,
-and ``check`` must say feasible exactly when ``reconstruct`` succeeds.
+circles-to-polygons and polygons-to-circles results must scale with it bit
+for bit. Any other scale, a translation or a reordering of the input must
+leave the verdict alone, and ``check`` must say feasible exactly when
+``reconstruct`` succeeds.
 """
 
 import io
+import json
 import math
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,12 +16,16 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from concentric_gons import (
+    DEFAULT_TOLERANCE,
     CircleFamily,
     InfeasibleFamily,
+    PairingResult,
     PlanePoint,
     RadiiPair,
     RegularPolygonSpec,
     Reconstruction,
+    multiset_close,
+    pair_polygons,
     random_instance,
     reconstruct_polygons,
 )
@@ -189,3 +195,123 @@ def test_circumradii_eight_ppm_apart_reconstruct():
     rec = reconstruct_polygons(CircleFamily(PlanePoint(0.0, 0.0), radii))
     assert max(rec.residuals) <= 1e-12
     assert rec.circumradii.larger > rec.circumradii.smaller
+
+
+# ------------------------------------------------------------------ pairing
+
+PAIR_SIZES = (3, 4, 5, 8, 12)
+PAIR_SEEDS = (1, 2, 3)
+
+
+def ldexp_result(result: PairingResult, k: int) -> PairingResult:
+    return PairingResult(
+        center=ldexp_point(result.center, k),
+        aligned_second=ldexp_polygon(result.aligned_second, k),
+        circles=ldexp_family(result.circles, k),
+        matched_vertex_pair=result.matched_vertex_pair,
+    )
+
+
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+@pytest.mark.parametrize("k", [-500, -40, -3, 3, 40, 500])
+def test_pairing_scales_every_length_bit_for_bit(k, n, point):
+    for seed in PAIR_SEEDS:
+        inst = random_instance(n, seed, zero_smaller_radius=point)
+        base = pair_polygons(inst.polygon1, inst.polygon2)
+        assert base, seed
+        scaled = pair_polygons(ldexp_polygon(inst.polygon1, k), ldexp_polygon(inst.polygon2, k))
+        assert scaled == [ldexp_result(result, k) for result in base], seed
+
+
+def moved_polygon(
+    poly: RegularPolygonSpec, scale: float, shift=(0.0, 0.0)
+) -> RegularPolygonSpec:
+    center = PlanePoint(poly.center.x * scale + shift[0], poly.center.y * scale + shift[1])
+    return RegularPolygonSpec(poly.n, center, poly.circumradius * scale, poly.phase)
+
+
+PAIR_SCALES = (1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12)
+
+
+@pytest.mark.parametrize("scale", PAIR_SCALES)
+def test_pairing_count_is_the_same_at_every_scale(scale):
+    inst = random_instance(5, 2)
+    p1, p2 = (moved_polygon(p, scale) for p in (inst.polygon1, inst.polygon2))
+    assert len(pair_polygons(p1, p2)) == 4
+
+
+@pytest.mark.parametrize("scale", PAIR_SCALES)
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_pairing_survives_translation(n, scale):
+    inst = random_instance(n, 2)
+    base = pair_polygons(*(moved_polygon(p, scale) for p in (inst.polygon1, inst.polygon2)))
+    gate = DEFAULT_TOLERANCE.multiset_gate()
+    for shift in ((3.5, -1e3), (-0.25, 0.5)):
+        shift = (shift[0] * scale, shift[1] * scale)
+        moved = pair_polygons(
+            *(moved_polygon(p, scale, shift) for p in (inst.polygon1, inst.polygon2))
+        )
+        assert len(moved) == len(base), shift
+        for a, b in zip(base, moved):
+            assert multiset_close(a.circles.radii, b.circles.radii, gate), shift
+
+
+def write_pair_file(path, p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> str:
+    payload = {
+        "format": "concentric-gons/1",
+        "kind": "polygon_pair",
+        "polygons": [
+            {"n": p.n, "center": [p.center.x, p.center.y],
+             "circumradius": p.circumradius, "phase": p.phase}
+            for p in (p1, p2)
+        ],
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_pairs_and_verifies_a_tiny_pair_file(tmp_path):
+    inst = random_instance(5, 2)
+    path = write_pair_file(
+        tmp_path / "tiny.json", *(moved_polygon(p, 1e-12) for p in (inst.polygon1, inst.polygon2))
+    )
+    code, out, _ = run_cli("pair", "--input", path, "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == 4
+    code, out, _ = run_cli("verify", "--input", path, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["pairing_count"] == 4
+    assert len(result["angle_sweeps"]) == 2
+    assert result["pass"] is True
+
+
+@pytest.mark.parametrize("k", [-900, -600, 600, 900])
+def test_lengths_out_of_range_are_usage_errors(tmp_path, k):
+    inst = random_instance(5, 2)
+    p1, p2 = (ldexp_polygon(p, k) for p in (inst.polygon1, inst.polygon2))
+    with pytest.raises(ValueError, match=r"2\^"):
+        pair_polygons(p1, p2)
+    path = write_pair_file(tmp_path / "scaled.json", p1, p2)
+    for argv in (
+        ("pair", "--input", path),
+        ("verify", "--input", path, "--json"),
+        ("render", "--input", path, "--svg", str(tmp_path / "out.svg")),
+    ):
+        code, _, err = run_cli(*argv)
+        assert code == 1, argv
+        assert "largest length" in err and "2^" in err, argv
+
+
+@pytest.mark.parametrize("k, accepted", [(-513, False), (-512, True), (508, True), (509, False)])
+def test_length_range_edges(k, accepted):
+    # The largest length is 2 (exponent 2): 2^(k+1) must have an exponent
+    # k + 2 in [-510, 510].
+    p1 = RegularPolygonSpec(3, PlanePoint(0.0, 0.0), math.ldexp(2.0, k), 0.0)
+    p2 = RegularPolygonSpec(3, PlanePoint(math.ldexp(2.0, k), 0.0), math.ldexp(1.0, k), 0.5)
+    if accepted:
+        assert len(pair_polygons(p1, p2)) == 4
+    else:
+        with pytest.raises(ValueError, match="largest length"):
+            pair_polygons(p1, p2)

@@ -1,5 +1,8 @@
-"""Smoke tests: each script under scripts/ runs to completion on tiny inputs."""
+"""Smoke tests: each script under scripts/ runs to completion on tiny inputs,
+and the benchmark's tracer still finds every function it wraps."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -52,3 +55,18 @@ def test_output_corpus_is_reproducible(tmp_path):
     records = json.loads(first)
     assert {record["exit"] for record in records} == {0, 1, 2}
     assert any(record["svg"] for record in records)
+
+
+def test_tracer_wraps_only_names_the_library_still_has():
+    # perfbench/tracing.py replaces module attributes by name; a name the
+    # library dropped would break ``--trace 1`` without failing any test.
+    source = (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "WRAPPED" for target in node.targets)
+    )
+    assert wrapped
+    for module, attr, _span in wrapped:
+        assert hasattr(importlib.import_module(f"concentric_gons.{module}"), attr), (module, attr)

@@ -5,9 +5,8 @@ Polygons to circles: every pair of regular n-gons whose auxiliary circles
 meet admits concentric circles through one vertex of each (``pairing``).
 Circles to polygons: a radii family passing two algebraic conditions on its
 power averages is realized by exactly two polygons, recovered in closed
-form (``moments``, ``reconstruct``), with dedicated closed forms for
-triangles and squares (``special``) and brute-force cross-checks
-(``oracle``).
+form (``moments``, ``reconstruct``), triangles and squares included, with
+brute-force cross-checks (``oracle``).
 """
 
 from .errors import (
@@ -21,8 +20,6 @@ from .errors import (
     MismatchedOrder,
     NotACandidateCenter,
     PhaseSearchFailed,
-    SumConditionViolated,
-    TriangleInequalityViolated,
 )
 from .geom import (
     DEFAULT_TOLERANCE,
@@ -31,7 +28,6 @@ from .geom import (
     Tolerance,
     circle_circle_intersection,
     distance_multiset,
-    heron_area,
     multiset_close,
     normalize_angle,
     phase_candidates,
@@ -69,27 +65,13 @@ from .reconstruct import (
     reconstruct_polygons,
     verify_reconstruction,
 )
-from .special import (
-    AssociatedTriangleSet,
-    CubicResidual,
-    SquareFit,
-    TriangleFit,
-    associated_triangles,
-    square_circle_radii,
-    square_cubic_residual,
-    square_feasibility,
-    triangle_circle_radii,
-    triangle_feasibility,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociatedTriangleSet",
     "CircleFamily",
     "CoincidentAuxiliaryCircles",
     "CoincidentCircles",
-    "CubicResidual",
     "CyclicAverages",
     "DEFAULT_TOLERANCE",
     "DegenerateGeometry",
@@ -108,15 +90,10 @@ __all__ = [
     "Reconstruction",
     "RegularPolygonSpec",
     "SplitMix64",
-    "SquareFit",
-    "SumConditionViolated",
     "Tolerance",
-    "TriangleFit",
-    "TriangleInequalityViolated",
     "align_second_polygon",
     "angle_sweep",
     "assess_feasibility",
-    "associated_triangles",
     "auxiliary_circles",
     "candidate_centers",
     "circle_circle_intersection",
@@ -124,7 +101,6 @@ __all__ = [
     "condition_two",
     "cyclic_averages",
     "distance_multiset",
-    "heron_area",
     "higher_average_prediction",
     "multiset_close",
     "normalize_angle",
@@ -134,11 +110,6 @@ __all__ = [
     "random_instance",
     "reconstruct_polygons",
     "recover_circumradii",
-    "square_circle_radii",
-    "square_cubic_residual",
-    "square_feasibility",
-    "triangle_circle_radii",
-    "triangle_feasibility",
     "two_radius_power_sum",
     "verify_reconstruction",
     "vertices",

@@ -64,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_radii(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip() != "")
+        values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise InstanceFormatError(f"cannot parse radii list {text!r}") from None
     if len(values) < 3:

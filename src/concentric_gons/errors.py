@@ -5,10 +5,6 @@ class GeometryError(Exception):
     """Base class for every error this library raises deliberately."""
 
 
-class TriangleInequalityViolated(GeometryError):
-    """The longest side exceeds the sum of the other two beyond tolerance."""
-
-
 class CoincidentCircles(GeometryError):
     """Two circles coincide, so their intersection is a whole circle."""
 
@@ -31,10 +27,6 @@ class InfeasibleMoments(GeometryError):
 
 class NotACandidateCenter(GeometryError):
     """The point does not satisfy the required center distances."""
-
-
-class SumConditionViolated(GeometryError):
-    """Outer and inner squared-radius sums differ beyond tolerance."""
 
 
 class DegenerateGeometry(GeometryError):

@@ -1,5 +1,5 @@
-"""Plane primitives: points, regular polygons, distances, stable triangle area,
-circle intersection, the law-of-cosines opening angle, and tolerance-aware
+"""Plane primitives: points, regular polygons, distances, circle
+intersection, the law-of-cosines opening angle, and tolerance-aware
 multiset comparison.
 
 Everything here is a pure function over immutable values. Tolerances are
@@ -10,7 +10,7 @@ to :data:`DEFAULT_TOLERANCE`.
 import math
 from dataclasses import dataclass
 
-from .errors import CoincidentCircles, DegenerateGeometry, TriangleInequalityViolated
+from .errors import CoincidentCircles, DegenerateGeometry
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,31 +107,6 @@ def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:
         )
         for k in range(poly.n)
     )
-
-
-def heron_area(a: float, b: float, c: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Triangle area from side lengths, using the cancellation-resistant
-    sorted product form.
-
-    Returns exactly 0.0 when the sides are collinear within tolerance.
-    Raises TriangleInequalityViolated when the longest side exceeds the sum
-    of the other two beyond tolerance.
-    """
-    if a < 0.0 or b < 0.0 or c < 0.0:
-        raise ValueError(f"side lengths must be >= 0, got ({a}, {b}, {c})")
-    a, b, c = sorted((a, b, c), reverse=True)
-    slack = b + c - a  # the only factor that can go negative
-    if slack < 0.0:
-        if -slack <= tol.relative_eps * a:
-            return 0.0
-        raise TriangleInequalityViolated(
-            f"side {a} exceeds the sum of the other two ({b} + {c}) by {-slack}"
-        )
-    # Parenthesization matters: keep the exact grouping of the stable form.
-    product = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    if product <= 0.0:
-        return 0.0
-    return math.sqrt(product) / 4.0
 
 
 def circle_circle_intersection(

@@ -177,16 +177,19 @@ def condition_one(
 ) -> tuple[bool, float]:
     """First feasibility test: S(2)^2 / S(4) must lie in [2/3, 1].
 
-    The upper bound holds automatically for real radii; checking it anyway
-    guards against corrupted inputs.
+    The lower bound is the sign of the discriminant ``3 S(2)^2 - 2 S(4)``,
+    read through the gate :func:`recover_circumradii` uses, so a family
+    that passes always yields circumradii. The upper bound holds
+    automatically for real radii; checking it anyway guards against
+    corrupted inputs.
     """
     s2, s4 = av.values[:2]
     if s4 <= 0.0:
         ratio = 1.0 if s2 <= 0.0 else math.inf  # all-zero radii are feasible
     else:
         ratio = (s2 * s2) / s4
-    g = tol.relative_eps
-    return (2.0 / 3.0 - g <= ratio <= 1.0 + g), ratio
+    disc, g = _discriminant(av, tol)
+    return (disc >= -g and ratio <= 1.0 + tol.relative_eps), ratio
 
 
 def _predicted_averages(s2: float, s4: float, top: int) -> list[float]:

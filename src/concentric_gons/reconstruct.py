@@ -19,7 +19,7 @@ bit. The search therefore runs once. Solving that law for the angle is
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleFamily, InfeasibleMoments, PhaseSearchFailed
+from .errors import InfeasibleFamily, PhaseSearchFailed
 from .geom import (
     DEFAULT_TOLERANCE,
     TWO_PI,
@@ -114,13 +114,7 @@ def reconstruct_polygons(
     report = assess_feasibility(averages, tol)
     if not report.feasible:
         raise InfeasibleFamily("radii family fails the feasibility conditions", report)
-    try:
-        pair = recover_circumradii(averages, tol)
-    except InfeasibleMoments as exc:
-        # Possible only when the first condition sits exactly on its lower
-        # boundary: its ratio tolerance and the discriminant tolerance scale
-        # differently.
-        raise InfeasibleFamily(str(exc), report) from exc
+    pair = recover_circumradii(averages, tol)
     center = family.center
     n = family.n
     # Decisions and the phase search run in the units of the averages,

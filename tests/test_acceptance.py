@@ -25,15 +25,18 @@ from concentric_gons import (
     random_instance,
     reconstruct_polygons,
     recover_circumradii,
-    square_circle_radii,
-    square_feasibility,
-    triangle_circle_radii,
-    triangle_feasibility,
     vertices,
 )
 from concentric_gons import CircleFamily
 from concentric_gons.cli import main
-from concentric_gons.special import associated_triangles
+
+from closed_forms import (
+    associated_triangles,
+    square_circle_radii,
+    square_feasibility,
+    triangle_circle_radii,
+    triangle_feasibility,
+)
 
 SQRT3 = math.sqrt(3.0)
 TRIANGLE_FAMILY = (math.sqrt(5 - 2 * SQRT3), math.sqrt(5), math.sqrt(5 + 2 * SQRT3))

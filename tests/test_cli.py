@@ -630,6 +630,14 @@ def test_negative_radius_as_a_separate_value_reaches_the_library_message(command
     assert separate == joined
 
 
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+@pytest.mark.parametrize("radii", ["1,,1,2", "1,1,2,", ",1,1,2"])
+def test_empty_radii_entries_are_usage_errors(command, radii):
+    assert run_cli(command, f"--radii={radii}") == (
+        1, "", f"error: cannot parse radii list {radii!r}\n"
+    )
+
+
 def test_certification_bytes_are_pinned():
     # The certification document of seed 7, byte for byte: 2,000 random
     # instances and their relative power-identity residuals.

@@ -134,6 +134,12 @@ CLI_FAMILIES = {
         for n in (4, 8, 32)
         for kind in KINDS
     },
+    # Just past a vanishing discriminant: condition I's lower edge.
+    **{
+        f"edge{delta:g}{tag}": tuple(math.ldexp(r, k) for r in (1.0, 1.0, 2.0 + delta))
+        for delta in (1e-9, 1.5e-9, 2e-9, 3e-9)
+        for tag, k in (("", 0), ("x2^600", 600), ("x2^-600", -600))
+    },
 }
 
 

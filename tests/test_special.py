@@ -1,23 +1,33 @@
+"""The paper's identities for triangles and squares in ``closed_forms``,
+and their agreement with the moment path."""
+
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from concentric_gons import (
+from closed_forms import (
     SumConditionViolated,
     TriangleInequalityViolated,
     associated_triangles,
-    condition_two,
-    cyclic_averages,
     heron_area,
-    recover_circumradii,
     square_circle_radii,
     square_cubic_residual,
     square_feasibility,
     triangle_circle_radii,
     triangle_feasibility,
 )
-from concentric_gons import CircleFamily, PlanePoint
+from concentric_gons import (
+    CircleFamily,
+    PlanePoint,
+    condition_two,
+    cyclic_averages,
+    recover_circumradii,
+)
+from concentric_gons.cli import main
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -26,11 +36,6 @@ TRIANGLE_FAMILY = (math.sqrt(5 - 2 * SQRT3), math.sqrt(5), math.sqrt(5 + 2 * SQR
 SQUARE_FAMILY = (math.sqrt(5 - 2 * SQRT3), SQRT3, math.sqrt(7), math.sqrt(5 + 2 * SQRT3))
 
 circum = st.floats(min_value=0.1, max_value=10.0)
-
-
-def chord_fractions(draw_fraction):
-    """First radius as a fraction of the reachable band [|r1-r2|, r1+r2]."""
-    return st.floats(min_value=0.001, max_value=0.999)
 
 
 # ------------------------------------------------------- triangles
@@ -53,11 +58,6 @@ def test_triangle_collinear_family_is_degenerate():
 def test_triangle_infeasible_family():
     fit = triangle_feasibility(1, 1, 3)
     assert not fit.exists
-
-
-def test_triangle_rejects_unsorted_input():
-    with pytest.raises(ValueError):
-        triangle_feasibility(2, 1, 1)
 
 
 def test_triangle_circle_radii_worked():
@@ -163,11 +163,6 @@ def test_square_associated_triangle_failure():
     fit = square_feasibility(d1, d2, d3, d4)
     assert not fit.exists
     assert fit.reason == "associated_triangle"
-
-
-def test_square_rejects_unsorted_input():
-    with pytest.raises(ValueError):
-        square_feasibility(2, 1, 3, 4)
 
 
 def test_cubic_residual_worked_family_vanishes():
@@ -305,3 +300,56 @@ def test_mismatched_area_route_agrees_with_heron():
     # The closed forms lean on heron_area; spot-check one associated triple.
     sides = (SQUARE_FAMILY[0], SQUARE_FAMILY[3], SQRT2 * SQUARE_FAMILY[1])
     assert heron_area(*sides) == pytest.approx(1.5, abs=1e-12)
+
+
+# ------------------------------------------------------- three routes
+
+
+def run_cli(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        return main(list(argv)), out.getvalue()
+
+
+# Circumradii 1 and 1: a balanced family on the edge of its associated triangle.
+EQUAL_SQUARES = tuple(sorted((0.3, *square_circle_radii(1.0, 1.0, 0.3))))
+
+
+def spread_inner(rel):
+    """EQUAL_SQUARES, inner squares moved ``rel * d4^2`` together; sums stay balanced."""
+    d1, d2, d3, d4 = EQUAL_SQUARES
+    return (d1, math.sqrt(d2 * d2 + rel * d4 * d4), math.sqrt(d3 * d3 - rel * d4 * d4), d4)
+
+
+# A zero discriminant is a ratio S(2)^2 / S(4) of exactly 2/3. Each route gates
+# a boundary miss in its own quantity: the closed forms accept a triangle-
+# inequality miss up to 1e-9 of the longest side and a sum miss up to 1e-9 of
+# d4^2, the moment path up to 0.56e-9 of the longest side for (1, 1, 2) and
+# 9.6e-9 of d4^2 for SQUARE_FAMILY. The verdicts differ between those gates,
+# so a miss sits 1e-9 inside a boundary or 1e-7 outside it, past every gate.
+BOUNDARY_CASES = {
+    "n3-zero-discriminant": (1.0, 1.0, 2.0),
+    "n3-ratio-two-thirds": (1.0, 2.0, 3.0),
+    "n3-point-polygon": (1.0, 1.0, 1.0),
+    "n3-triangle-inequality-inside": (1.0, 1.0, 2.0 * (1.0 - 1e-9)),
+    "n3-triangle-inequality-outside": (1.0, 1.0, 2.0 * (1.0 + 1e-7)),
+    "n4-zero-discriminant": (0.0, SQRT2, SQRT2, 2.0),
+    "n4-ratio-two-thirds": EQUAL_SQUARES,
+    "n4-point-polygon": (1.0, 1.0, 1.0, 1.0),
+    "n4-associated-triangle-inside": spread_inner(1e-9),
+    "n4-associated-triangle-outside": spread_inner(-1e-7),
+    "n4-sum-condition-above": SQUARE_FAMILY[:3] + (SQUARE_FAMILY[3] * math.sqrt(1.0 + 1e-7),),
+    "n4-sum-condition-below": SQUARE_FAMILY[:3] + (SQUARE_FAMILY[3] * math.sqrt(1.0 - 1e-7),),
+}
+
+
+@pytest.mark.parametrize("radii", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES.keys())
+def test_three_routes_one_verdict_on_the_boundary_cases(radii):
+    fit = (triangle_feasibility if len(radii) == 3 else square_feasibility)(*radii)
+    text = "--radii=" + ",".join(map(repr, radii))
+    code, out = run_cli("reconstruct", text, "--json")
+    assert run_cli("check", text)[0] == code == (0 if fit.exists else 2)
+    if fit.exists:
+        found = json.loads(out)["circumradii"]
+        assert abs(found["larger"] - fit.larger) <= 1e-9 * fit.larger
+        assert abs(found["smaller"] - fit.smaller) <= 1e-9 * fit.larger

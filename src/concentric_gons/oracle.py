@@ -7,16 +7,16 @@ routines can certify them. Randomness comes from splitmix64, a fixed,
 documented recurrence, so instances reproduce bit-for-bit anywhere.
 """
 
+import functools
 import math
 from itertools import repeat
-from math import cos, ldexp, sqrt
+from math import cos, ldexp, sin, sqrt
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .geom import (
-    TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle, vertices
-)
-from .moments import CircleFamily, two_radius_power_sum
+from .geom import TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle
+from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.vertices
+from .moments import MAX_VERTEX_COUNT, CircleFamily, two_radius_power_sum
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,15 +61,44 @@ def power_identity_residual(
     exactly), so no power overflows and the residual is unit-free. This is
     an identity for every regular polygon, point, and m in 1..n-1 (other
     orders raise InvalidMomentOrder); the residual certifies the
-    arithmetic, not the input.
+    arithmetic, not the input. More than ``MAX_VERTEX_COUNT`` vertices
+    raise ValueError. The squared vertex distances are kept for the last
+    (polygon, point), so the orders of one polygon share one pass of trig.
+    """
+    if poly.n > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {poly.n} exceeds {MAX_VERTEX_COUNT}")
+    e, arm, squares = _scaled_squares(poly, point)
+    closed = two_radius_power_sum(ldexp(poly.circumradius, e), ldexp(arm, e), poly.n, m)
+    direct = math.fsum(q ** m for q in squares)
+    return abs(direct - closed) / (closed or 1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _scaled_squares(
+    poly: RegularPolygonSpec, point: PlanePoint
+) -> tuple[int, float, tuple[float, ...]]:
+    """The exponent e = -frexp(larger arm), the distance from the point to
+    the polygon center, and the squared distances from the point to every
+    vertex, each coordinate difference divided by 2^e.
+
+    Vertices come from the expressions of :func:`vertices`, so the squares
+    are bit-identical to those of built points, but no point is built; a
+    non-finite vertex raises the ValueError that building it would. A key
+    equal up to the sign of a zero gives the same squares.
     """
     arm = point.distance_to(poly.center)
     e = -math.frexp(max(poly.circumradius, arm))[1]
-    closed = two_radius_power_sum(ldexp(poly.circumradius, e), ldexp(arm, e), poly.n, m)
-    direct = math.fsum(
-        (ldexp(v.x - point.x, e) ** 2 + ldexp(v.y - point.y, e) ** 2) ** m for v in vertices(poly)
-    )
-    return abs(direct - closed) / (closed or 1.0)
+    cx, cy, radius, phase = poly.center.x, poly.center.y, poly.circumradius, poly.phase
+    px, py = point.x, point.y
+    step = TWO_PI / poly.n
+    squares = []
+    for k in range(poly.n):
+        x = cx + radius * cos(phase + step * k)
+        y = cy + radius * sin(phase + step * k)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        squares.append(ldexp(x - px, e) ** 2 + ldexp(y - py, e) ** 2)
+    return e, arm, tuple(squares)
 
 
 def _sweep_residual(
@@ -144,10 +173,19 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
 
 
 class RandomInstance(NamedTuple):
+    """Two regular polygons and a point whose vertex distances coincide.
+
+    ``family``, the circles through the point's distances to the first
+    polygon's vertices, is computed when read.
+    """
+
     polygon1: RegularPolygonSpec
     polygon2: RegularPolygonSpec
     point: PlanePoint
-    family: CircleFamily
+
+    @property
+    def family(self) -> CircleFamily:
+        return CircleFamily(center=self.point, radii=distance_multiset(self.polygon1, self.point))
 
 
 def random_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> RandomInstance:
@@ -178,9 +216,4 @@ def random_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> Ran
     phase2 = normalize_angle(dir2 + math.pi + mirror * relative + TWO_PI * shift / n)
     polygon1 = RegularPolygonSpec(n, center1, r1, phase1)
     polygon2 = RegularPolygonSpec(n, center2, r2, phase2)
-    return RandomInstance(
-        polygon1=polygon1,
-        polygon2=polygon2,
-        point=point,
-        family=CircleFamily(center=point, radii=distance_multiset(polygon1, point)),
-    )
+    return RandomInstance(polygon1=polygon1, polygon2=polygon2, point=point)

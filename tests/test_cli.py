@@ -667,3 +667,25 @@ def test_verify_large_instances(n, tmp_path):
     section = json.loads(out)["result"]
     assert section["report"]["condition1_ok"] and section["report"]["condition2_ok"]
     assert all(s["best_residual"] > 1e-6 for s in section["angle_sweeps"])
+
+
+def _pairs_above_the_vertex_limit():
+    yield (
+        RegularPolygonSpec(3000, PlanePoint(0.0, 0.0), 1.0, 0.0),
+        RegularPolygonSpec(3000, PlanePoint(1.5, 0.0), 1.2, 0.1),
+    )
+    inst = random_instance(1000, 1)
+    yield inst.polygon1, inst.polygon2
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("p1, p2", list(_pairs_above_the_vertex_limit()), ids=["3000", "1000"])
+def test_verify_pair_above_the_vertex_limit_is_a_usage_error(p1, p2, flags, tmp_path):
+    # The power-sum identity runs only up to n = 256: beyond, the scaled
+    # squares' powers overflow or lose every digit. Both output modes end
+    # with the same message.
+    path = write_polygon_pair(tmp_path / "pair.json", p1, p2)
+    assert run_cli("pair", "--input", path)[0] == 0
+    assert run_cli("verify", "--input", path, *flags) == (
+        1, "", f"error: vertex count {p1.n} exceeds 256\n"
+    )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from concentric_gons import (
+    CircleFamily,
     InvalidMomentOrder,
     PlanePoint,
     RegularPolygonSpec,
@@ -17,6 +18,7 @@ from concentric_gons import (
     random_instance,
     recover_circumradii,
     reconstruct_polygons,
+    two_radius_power_sum,
     vertices,
 )
 
@@ -90,6 +92,87 @@ def test_identity_residual_is_the_same_in_every_unit(k):
             residual = power_identity_residual(poly, inst.point, m)
             assert residual <= 1e-12
             assert power_identity_residual(scaled, point, m) == residual
+
+
+def _vertex_power_identity_residual(poly, point, m):
+    """The identity residual summed over built vertices: the reference the
+    library's memoised squares must match bit for bit."""
+    arm = point.distance_to(poly.center)
+    e = -math.frexp(max(poly.circumradius, arm))[1]
+    closed = two_radius_power_sum(
+        math.ldexp(poly.circumradius, e), math.ldexp(arm, e), poly.n, m
+    )
+    direct = math.fsum(
+        (math.ldexp(v.x - point.x, e) ** 2 + math.ldexp(v.y - point.y, e) ** 2) ** m
+        for v in vertices(poly)
+    )
+    return abs(direct - closed) / (closed or 1.0)
+
+
+def _scaled(poly, point, k):
+    def move(p):
+        return PlanePoint(math.ldexp(p.x, k), math.ldexp(p.y, k))
+
+    return (
+        RegularPolygonSpec(poly.n, move(poly.center), math.ldexp(poly.circumradius, k), poly.phase),
+        move(point),
+    )
+
+
+def _identity_cases(n):
+    """(polygon, point) pairs of one size: both random polygons, scaled by
+    2^k, a point polygon, and the point at the polygon's center."""
+    inst = random_instance(n, 17)
+    for k in (0, 600, -600):
+        for poly in (inst.polygon1, inst.polygon2):
+            yield _scaled(poly, inst.point, k)
+    point_polygon = random_instance(n, 17, zero_smaller_radius=True).polygon2
+    yield point_polygon, inst.point
+    yield inst.polygon1, inst.polygon1.center
+
+
+@pytest.mark.parametrize("n", [3, 12, 64, 256])
+def test_identity_matches_the_vertex_reference_bit_for_bit(n):
+    cases = list(_identity_cases(n))
+    orders = sorted({1, 2, n // 2, n - 1})
+    # Repeating one (polygon, point) over every order reads the kept squares ...
+    for poly, point in cases:
+        for m in orders:
+            assert power_identity_residual(poly, point, m) == (
+                _vertex_power_identity_residual(poly, point, m)
+            ), (poly, point, m)
+    # ... and alternating polygons recomputes them on every call.
+    for m in orders:
+        for poly, point in cases:
+            assert power_identity_residual(poly, point, m) == (
+                _vertex_power_identity_residual(poly, point, m)
+            ), (poly, point, m)
+
+
+def test_identity_is_the_same_for_keys_equal_up_to_signed_zeros():
+    # -0.0 == 0.0, so these keys share one memo entry; every coordinate is
+    # squared, so the residual does not depend on which sign filled it.
+    signed = [
+        (RegularPolygonSpec(5, PlanePoint(zx, zy), 2.0, zp), PlanePoint(1.0, zy))
+        for zx in (0.0, -0.0)
+        for zy in (0.0, -0.0)
+        for zp in (0.0, -0.0)
+    ]
+    signed.append((RegularPolygonSpec(5, PlanePoint(1.0, 2.0), -0.0, 0.3), PlanePoint(0.0, -0.0)))
+    signed.append((RegularPolygonSpec(5, PlanePoint(1.0, 2.0), 0.0, 0.3), PlanePoint(-0.0, 0.0)))
+    for first, second in zip(signed, signed[1:]):
+        for m in (1, 4):
+            power_identity_residual(*first, m)
+            assert power_identity_residual(*second, m) == (
+                _vertex_power_identity_residual(*second, m)
+            )
+
+
+@pytest.mark.parametrize("n", [257, 1000])
+def test_identity_rejects_more_vertices_than_the_moment_core(n):
+    poly = RegularPolygonSpec(n, PlanePoint(0.0, 0.0), 1.0, 0.0)
+    with pytest.raises(ValueError, match=f"vertex count {n} exceeds 256"):
+        power_identity_residual(poly, PlanePoint(1.5, 0.0), 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -333,8 +416,6 @@ def test_sweep_is_symmetric_in_the_arms():
 
 
 def test_sweep_agrees_with_reconstruction_phase_search():
-    from concentric_gons import CircleFamily
-
     fam = CircleFamily(PlanePoint(0, 0), TRIANGLE_FAMILY)
     rec = reconstruct_polygons(fam)
     sweep = angle_sweep(
@@ -352,6 +433,17 @@ def test_random_instance_reproducible():
     assert a == b
     c = random_instance(5, 1235)
     assert c != a
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["two-polygons", "point-polygon"])
+@pytest.mark.parametrize("n", [3, 8, 64, 256])
+def test_random_instance_family_is_the_eager_construction(n, zero):
+    for seed in range(5):
+        inst = random_instance(n, seed, zero_smaller_radius=zero)
+        assert inst.family == CircleFamily(
+            center=inst.point, radii=distance_multiset(inst.polygon1, inst.point)
+        )
+        assert inst._fields == ("polygon1", "polygon2", "point")
 
 
 def test_random_instance_satisfies_center_distance_swap():

@@ -68,5 +68,11 @@ def test_tracer_wraps_only_names_the_library_still_has():
         and any(getattr(target, "id", None) == "WRAPPED" for target in node.targets)
     )
     assert wrapped
-    for module, attr, _span in wrapped:
-        assert hasattr(importlib.import_module(f"concentric_gons.{module}"), attr), (module, attr)
+    for module, attr, span in wrapped:
+        caller = importlib.import_module(f"concentric_gons.{module}")
+        assert hasattr(caller, attr), (module, attr)
+        # The span is named after the function the attribute holds, so a
+        # caller that stopped importing it would be timed under a wrong name.
+        layer, function = span.split(".")
+        defined = getattr(importlib.import_module(f"concentric_gons.{layer}"), function)
+        assert getattr(caller, attr) is defined, (module, attr, span)

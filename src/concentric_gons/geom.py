@@ -1,6 +1,8 @@
 """Plane primitives: points, regular polygons, distances, circle
-intersection, the law-of-cosines opening angle, and tolerance-aware
-multiset comparison.
+intersection, the law of cosines in both directions, and tolerance-aware
+multiset comparison. Vertex placement (:func:`vertex_offsets`) and the law
+of cosines (:func:`law_of_cosines_distances` forward,
+:func:`phase_candidates` inverse) are written out here and nowhere else.
 
 Everything here is a pure function over immutable values. Tolerances are
 explicit and relative: comparisons accept a :class:`Tolerance` and default
@@ -8,7 +10,9 @@ to :data:`DEFAULT_TOLERANCE`.
 """
 
 import math
+import sys
 from dataclasses import dataclass
+from math import cos, isfinite, sin, sqrt
 
 from .errors import CoincidentCircles, DegenerateGeometry
 
@@ -97,16 +101,31 @@ class RegularPolygonSpec:
         object.__setattr__(self, "phase", normalize_angle(self.phase))
 
 
+def vertex_offsets(
+    poly: RegularPolygonSpec, point: PlanePoint, ks: range | tuple[int, ...]
+) -> tuple[list[float], list[float]]:
+    """The x and y offsets from ``point`` of each vertex k in ``ks``, placed
+    as :class:`RegularPolygonSpec` says. Offsets from the origin are the
+    coordinates, signed zeros included; a non-finite vertex raises the
+    ValueError that building its :class:`PlanePoint` would."""
+    cx, cy, radius, phase = poly.center.x, poly.center.y, poly.circumradius, poly.phase
+    px, py = point.x, point.y
+    step = TWO_PI / poly.n
+    dxs, dys = [], []
+    for k in ks:
+        angle = phase + step * k
+        x = cx + radius * cos(angle)
+        y = cy + radius * sin(angle)
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        dxs.append(x - px)
+        dys.append(y - py)
+    return dxs, dys
+
+
 def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:
     """The n vertices, counterclockwise, starting at angle ``poly.phase``."""
-    step = TWO_PI / poly.n
-    return tuple(
-        PlanePoint(
-            poly.center.x + poly.circumradius * math.cos(poly.phase + step * k),
-            poly.center.y + poly.circumradius * math.sin(poly.phase + step * k),
-        )
-        for k in range(poly.n)
-    )
+    return tuple(map(PlanePoint, *vertex_offsets(poly, PlanePoint(0.0, 0.0), range(poly.n))))
 
 
 def circle_circle_intersection(
@@ -143,7 +162,13 @@ def circle_circle_intersection(
     if abs(dist - (r1 + r2)) <= g or abs(dist - abs(r1 - r2)) <= g:
         return (foot,)
     height_sq = r1 * r1 - along * along
-    height = math.sqrt(height_sq) if height_sq > 0.0 else 0.0
+    e = 0
+    if height_sq < sys.float_info.min:
+        # A subnormal square has lost its digits: square at r1's binary scale.
+        e = math.frexp(r1)[1]
+        r1_e, along_e = math.ldexp(r1, -e), math.ldexp(along, -e)
+        height_sq = r1_e * r1_e - along_e * along_e
+    height = math.ldexp(math.sqrt(height_sq), e) if height_sq > 0.0 else 0.0
     # (-uy, ux) is the counterclockwise normal: positive half-plane first.
     return (
         PlanePoint(foot.x - height * uy, foot.y + height * ux),
@@ -152,25 +177,25 @@ def circle_circle_intersection(
 
 
 def distance_multiset(poly: RegularPolygonSpec, point: PlanePoint) -> tuple[float, ...]:
-    """Distances from a point to every vertex, sorted ascending.
+    """Distances from a point to every vertex, sorted ascending; each is
+    :meth:`PlanePoint.distance_to` of the built vertex, bit for bit."""
+    return tuple(sorted(map(math.hypot, *vertex_offsets(poly, point, range(poly.n)))))
 
-    Each vertex and distance is computed with the expressions of
-    :func:`vertices` and :meth:`PlanePoint.distance_to`, so the values are
-    bit-identical, but no point is built; a non-finite vertex raises the
-    ValueError that building it would.
+
+def law_of_cosines_distances(a: float, b: float, n: int, t: float) -> list[float]:
+    """The sorted distances ``sqrt(max(a - b cos(t + 2*pi*k/n), 0))``, k < n.
+
+    With a = r^2 + l^2 and b = 2rl these are the vertex distances of a
+    regular n-gon of circumradius r seen from a point l from its center,
+    vertex 0 opening the angle t at the center; the clamp absorbs rounding
+    where a distance vanishes. The only place that evaluates this law
+    forward.
     """
-    cx, cy, radius, phase = poly.center.x, poly.center.y, poly.circumradius, poly.phase
-    px, py = point.x, point.y
-    step = TWO_PI / poly.n
-    distances = []
-    for k in range(poly.n):
-        x = cx + radius * math.cos(phase + step * k)
-        y = cy + radius * math.sin(phase + step * k)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
-        distances.append(math.hypot(px - x, py - y))
-    distances.sort()
-    return tuple(distances)
+    step = TWO_PI / n
+    squares = [a - b * cos(t + step * k) for k in range(n)]
+    if min(squares) < 0.0:
+        squares = [max(v, 0.0) for v in squares]
+    return sorted(map(sqrt, squares))
 
 
 def phase_candidates(

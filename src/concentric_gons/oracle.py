@@ -2,19 +2,23 @@
 closed form, a phase search over the law-of-cosines distances, and
 reproducible random instances.
 
-Nothing here reuses the library's recovery or phase-search paths, so these
-routines can certify them. Randomness comes from splitmix64, a fixed,
-documented recurrence, so instances reproduce bit-for-bit anywhere.
+Vertices and law-of-cosines distances come from ``geom``, so the library's
+own formulas are checked. What stays independent of the paths certified:
+the power sums add Cartesian squared distances where condition II uses the
+closed form, and the phase comes from the Chebyshev product identity over
+all n distances where reconstruction solves for one radius at a time.
+Randomness comes from splitmix64, a fixed, documented recurrence, so
+instances reproduce bit-for-bit anywhere.
 """
 
 import functools
 import math
-from itertools import repeat
-from math import cos, ldexp, sin, sqrt
-from operator import add, mul, sub
+from math import cos, ldexp
+from operator import sub
 from typing import NamedTuple
 
 from .geom import TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle
+from .geom import law_of_cosines_distances, vertex_offsets
 from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.vertices
 from .moments import MAX_VERTEX_COUNT, CircleFamily, two_radius_power_sum
 
@@ -81,37 +85,15 @@ def _scaled_squares(
     the polygon center, and the squared distances from the point to every
     vertex, each coordinate difference divided by 2^e.
 
-    Vertices come from the expressions of :func:`vertices`, so the squares
-    are bit-identical to those of built points, but no point is built; a
-    non-finite vertex raises the ValueError that building it would. A key
-    equal up to the sign of a zero gives the same squares.
+    A non-finite vertex raises the ValueError of
+    :func:`geom.vertex_offsets`. A key equal up to the sign of a zero gives
+    the same squares.
     """
     arm = point.distance_to(poly.center)
     e = -math.frexp(max(poly.circumradius, arm))[1]
-    cx, cy, radius, phase = poly.center.x, poly.center.y, poly.circumradius, poly.phase
-    px, py = point.x, point.y
-    step = TWO_PI / poly.n
-    squares = []
-    for k in range(poly.n):
-        x = cx + radius * cos(phase + step * k)
-        y = cy + radius * sin(phase + step * k)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
-        squares.append(ldexp(x - px, e) ** 2 + ldexp(y - py, e) ** 2)
+    dxs, dys = vertex_offsets(poly, point, range(poly.n))
+    squares = [ldexp(dx, e) ** 2 + ldexp(dy, e) ** 2 for dx, dy in zip(dxs, dys)]
     return e, arm, tuple(squares)
-
-
-def _sweep_residual(
-    a: float, b: float, offsets: list[float], t: float, target: tuple[float, ...]
-) -> float:
-    """Largest gap between the sorted distances sqrt(a - b cos(t + offset))
-    and the target; a = r^2 + l^2 and b = 2rl, as the law of cosines has them.
-    """
-    cosines = map(cos, map(add, repeat(t), offsets))
-    squares = list(map(sub, repeat(a), map(mul, repeat(b), cosines)))
-    if min(squares) < 0.0:
-        squares = [max(v, 0.0) for v in squares]
-    return max(map(abs, map(sub, sorted(map(sqrt, squares)), target)))
 
 
 class SweepResult(NamedTuple):
@@ -139,9 +121,12 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
     period = TWO_PI / n
     a = r * r + l * l
     b = 2.0 * r * l
-    offsets = [period * k for k in range(n)]
+
+    def residual(t: float) -> float:
+        return max(map(abs, map(sub, law_of_cosines_distances(a, b, n, t), target)))
+
     if b == 0.0:
-        return SweepResult(0.0, _sweep_residual(a, b, offsets, 0.0, target))
+        return SweepResult(0.0, residual(0.0))
     cosines = sorted(max(-1.0, min(1.0, (a - d * d) / b)) for d in target)
     edges = [-1.0, *cosines, 1.0]
     _, left, right = max((right - left, left, right) for left, right in zip(edges, edges[1:]))
@@ -154,20 +139,19 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
     lo, hi = bracket
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _sweep_residual(a, b, offsets, x1, target)
-    f2 = _sweep_residual(a, b, offsets, x2, target)
+    f1 = residual(x1)
+    f2 = residual(x2)
     for _ in range(_POLISH_STEPS):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _sweep_residual(a, b, offsets, x1, target)
+            f1 = residual(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _sweep_residual(a, b, offsets, x2, target)
+            f2 = residual(x2)
     return min(
-        (SweepResult(t, _sweep_residual(a, b, offsets, t, target))
-         for t in (t0, (lo + hi) / 2.0, *bracket)),
+        (SweepResult(t, residual(t)) for t in (t0, (lo + hi) / 2.0, *bracket)),
         key=lambda result: result.best_residual,
     )
 

@@ -7,7 +7,9 @@ the two auxiliary circles. Rotating the second polygon until one distance
 pair agrees then forces the whole multisets to agree; both rotation branches
 are produced and each result is re-verified against the full multiset. The
 rotation's opening angle solves the law of cosines with
-:func:`geom.phase_candidates`, the solve reconstruction uses too.
+:func:`geom.phase_candidates`, the solve reconstruction uses too. Vertex
+distances come from :func:`geom.vertex_offsets`; the first polygon is
+measured once per candidate point, for its multiset and reference vertex.
 """
 
 import math
@@ -31,8 +33,9 @@ from .geom import (
     multiset_close,
     normalize_angle,
     phase_candidates,
-    vertices,
+    vertex_offsets,
 )
+from .geom import vertices  # unused here; perfbench/tracing.py wraps pairing.vertices
 from .moments import CircleFamily
 
 
@@ -61,8 +64,8 @@ def _require_same_order(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> None:
 # Pairing squares lengths up to twice the largest length L (the working
 # point is within R1 + R2 of every vertex) and adds three such squares. With
 # L in [2^(e-1), 2^e), |e| <= 510 keeps each such sum below 2^(2e+4) <= 2^1024
-# and L^2 >= 2^(2e-2) >= 2^-1022 normal, so the relative gates decide as at
-# unit scale, except on a length so far below L that its square is subnormal.
+# and L^2 >= 2^(2e-2) >= 2^-1022 normal. A length far below L can still have
+# a subnormal square; the intersection height then squares at its own scale.
 MAX_LENGTH_EXPONENT = 510
 
 
@@ -110,11 +113,8 @@ def align_second_polygon(
         raise NotACandidateCenter(
             f"point sits {arm} from the second center, expected {r1}"
         )
-    # Only the reference vertex, by the expressions of geom.vertices and
-    # PlanePoint.distance_to.
-    angle = p1.phase + TWO_PI / p1.n * ref_vertex
-    vx, vy = p1.center.x + r1 * math.cos(angle), p1.center.y + r1 * math.sin(angle)
-    d_star = math.hypot(point.x - vx, point.y - vy)
+    (dx,), (dy,) = vertex_offsets(p1, point, (ref_vertex,))
+    d_star = math.hypot(dx, dy)
     if min(r1, r2) <= tol.relative_eps * scale:
         # One polygon is a point: every vertex of the second already sits at
         # the only achievable distance, so no rotation is needed.
@@ -133,9 +133,10 @@ def align_second_polygon(
 
 
 def _best_conditioned_vertex(
-    p1: RegularPolygonSpec, p2: RegularPolygonSpec, point: PlanePoint
+    p1: RegularPolygonSpec, p2: RegularPolygonSpec, distances: list[float]
 ) -> int:
-    """Reference vertex whose opening cosine is nearest zero.
+    """Reference vertex whose opening cosine is nearest zero, from the
+    distances of the first polygon's vertices in vertex order.
 
     The rotation angle is recovered through an arccos whose error grows as
     1/sin(angle); a reference distance near either extreme (for example the
@@ -146,13 +147,8 @@ def _best_conditioned_vertex(
     r1, r2 = p1.circumradius, p2.circumradius
     if r1 * r2 <= 0.0:
         return 0
-    best, best_k = math.inf, 0
-    for k, v in enumerate(vertices(p1)):
-        d = point.distance_to(v)
-        cos_open = abs((r1 * r1 + r2 * r2 - d * d) / (2.0 * r1 * r2))
-        if cos_open < best:
-            best, best_k = cos_open, k
-    return best_k
+    cosines = [abs((r1 * r1 + r2 * r2 - d * d) / (2.0 * r1 * r2)) for d in distances]
+    return cosines.index(min(cosines))
 
 
 def _phases_coincide(a: float, b: float, period: float, tol: Tolerance) -> bool:
@@ -207,8 +203,9 @@ def pair_polygons(
     results: list[PairingResult] = []
     gate = tol.multiset_gate()
     for point in candidate_centers(p1, p2, tol):
-        first_distances = distance_multiset(p1, point)
-        ref_vertex = _best_conditioned_vertex(p1, p2, point)
+        distances = list(map(math.hypot, *vertex_offsets(p1, point, range(p1.n))))
+        first_distances = tuple(sorted(distances))
+        ref_vertex = _best_conditioned_vertex(p1, p2, distances)
         for candidate in align_second_polygon(p1, p2, point, ref_vertex, tol):
             second_distances = distance_multiset(candidate, point)
             if not multiset_close(first_distances, second_distances, gate):

@@ -12,8 +12,9 @@ radius to an angle, ``d^2 = r^2 + l^2 - 2 r l cos(t)``, is symmetric in the
 two arms, and so is its floating-point evaluation (``2.0 * r * l`` doubles
 exactly and addition commutes): the angle found with arms (larger,
 smaller) is the one a search with (smaller, larger) would find, bit for
-bit. The search therefore runs once. Solving that law for the angle is
-:func:`geom.phase_candidates`, which pairing's rotation step shares.
+bit. The search therefore runs once. ``geom`` holds both directions of the
+law: :func:`geom.phase_candidates` solves it for the angle, as pairing's
+rotation does, and :func:`geom.law_of_cosines_distances` evaluates it.
 """
 
 import math
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 from .errors import InfeasibleFamily, PhaseSearchFailed
 from .geom import (
     DEFAULT_TOLERANCE,
-    TWO_PI,
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
     distance_multiset,
+    law_of_cosines_distances,
     multiset_close,
     normalize_angle,
     phase_candidates,
@@ -69,29 +70,20 @@ def smaller_vanishes(larger: float, smaller: float, tol: Tolerance) -> bool:
     return smaller * smaller <= tol.relative_eps * (larger * larger)
 
 
-def _generated_distances(n: int, r: float, l: float, t: float) -> tuple[float, ...]:
-    step = TWO_PI / n
-    return tuple(
-        sorted(
-            math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + step * k), 0.0))
-            for k in range(n)
-        )
-    )
-
-
 def _find_phase(
     n: int, r: float, l: float, radii: tuple[float, ...], tol: Tolerance
 ) -> float:
-    """An opening angle whose full generated multiset matches the radii.
+    """An opening angle whose generated multiset matches the (ascending) radii.
 
     Tries the largest radius first (its cosine is nearest -1 and best
     conditioned), then smaller ones, + branch before -, and accepts at
     :meth:`Tolerance.multiset_gate`.
     """
     accept = tol.multiset_gate()
-    for d in sorted(radii, reverse=True):
+    a, b = r * r + l * l, 2.0 * r * l
+    for d in reversed(radii):
         for t in phase_candidates(r, l, d, tol):
-            if multiset_close(_generated_distances(n, r, l, t), radii, accept):
+            if multiset_close(law_of_cosines_distances(a, b, n, t), radii, accept):
                 return t
     raise PhaseSearchFailed(
         f"no phase reproduced the radii for arms ({r}, {l}); this indicates a "

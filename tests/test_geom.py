@@ -11,8 +11,10 @@ from concentric_gons import (
     circle_circle_intersection,
     distance_multiset,
     multiset_close,
+    random_instance,
     vertices,
 )
+from concentric_gons.geom import law_of_cosines_distances, vertex_offsets
 
 from closed_forms import TriangleInequalityViolated, heron_area
 
@@ -251,6 +253,113 @@ def test_multiset_invariant_under_rigid_motion(n, radius, phase, px, py, spin, d
     moved_poly = RegularPolygonSpec(n, move(poly.center), radius, phase + spin)
     moved = distance_multiset(moved_poly, move(point))
     assert base == pytest.approx(moved, rel=1e-9, abs=1e-9)
+
+
+# ------------------------------------------------- the two kernels
+
+
+def _bits(values):
+    """Exact bit patterns, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+def _written_out_offsets(poly, point):
+    """Vertex placement and offsets with the expressions the kernel keeps."""
+    step = 2.0 * math.pi / poly.n
+    dxs, dys = [], []
+    for k in range(poly.n):
+        x = poly.center.x + poly.circumradius * math.cos(poly.phase + step * k)
+        y = poly.center.y + poly.circumradius * math.sin(poly.phase + step * k)
+        dxs.append(x - point.x)
+        dys.append(y - point.y)
+    return dxs, dys
+
+
+def _written_out_vertices(poly):
+    step = 2.0 * math.pi / poly.n
+    return [
+        (
+            poly.center.x + poly.circumradius * math.cos(poly.phase + step * k),
+            poly.center.y + poly.circumradius * math.sin(poly.phase + step * k),
+        )
+        for k in range(poly.n)
+    ]
+
+
+def _kernel_cases():
+    """(polygon, point): signed-zero centers, points and a point polygon;
+    random pairs scaled by 2^0 and 2^+-600; and n = 256."""
+    for cx in (0.0, -0.0):
+        for radius in (0.0, 1.0):
+            poly = RegularPolygonSpec(4, PlanePoint(cx, -cx), radius, 0.0)
+            for point in (PlanePoint(0.0, 0.0), PlanePoint(-0.0, -0.0), PlanePoint(-0.0, 0.0)):
+                yield poly, point
+    for n in (3, 12, 256):
+        inst = random_instance(n, 5)
+        for k in (0, 600, -600):
+            point = PlanePoint(math.ldexp(inst.point.x, k), math.ldexp(inst.point.y, k))
+            for poly in (inst.polygon1, inst.polygon2):
+                center = PlanePoint(math.ldexp(poly.center.x, k), math.ldexp(poly.center.y, k))
+                scaled = RegularPolygonSpec(
+                    n, center, math.ldexp(poly.circumradius, k), poly.phase
+                )
+                yield scaled, point
+
+
+def test_vertex_kernel_matches_the_written_out_placement_bit_for_bit():
+    for poly, point in _kernel_cases():
+        dxs, dys = vertex_offsets(poly, point, range(poly.n))
+        want_x, want_y = _written_out_offsets(poly, point)
+        assert (_bits(dxs), _bits(dys)) == (_bits(want_x), _bits(want_y)), (poly, point)
+        for k in (0, poly.n - 1):
+            (dx,), (dy,) = vertex_offsets(poly, point, (k,))
+            assert _bits((dx, dy)) == _bits((dxs[k], dys[k]))
+        built = [(v.x, v.y) for v in vertices(poly)]
+        want = _written_out_vertices(poly)
+        assert [_bits(v) for v in built] == [_bits(v) for v in want], poly
+        assert _bits(distance_multiset(poly, point)) == _bits(
+            sorted(math.hypot(point.x - x, point.y - y) for x, y in want)
+        )
+
+
+def test_vertex_kernel_keeps_the_non_finite_vertex_error():
+    poly = RegularPolygonSpec(4, PlanePoint(1e308, 0.0), 1e308, 0.0)
+    with pytest.raises(ValueError, match=r"coordinates must be finite, got \(inf, "):
+        vertex_offsets(poly, PlanePoint(0.0, 0.0), range(4))
+    # Vertex 2 points away from the overflow.
+    assert vertex_offsets(poly, PlanePoint(0.0, 0.0), (2,))[0] == [1e308 - 1e308]
+
+
+def _written_out_distances(n, r, l, t):
+    """Sorted law-of-cosines distances with the expressions the kernel keeps."""
+    step = 2.0 * math.pi / n
+    return sorted(
+        math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + step * k), 0.0))
+        for k in range(n)
+    )
+
+
+# Near-equal arms at a mirror phase (t = 0): the square of the distance to
+# vertex 0 rounds below 0 and must be clamped.
+MIRROR_ARMS = ((7.4007673759475265, 7.40076737594752), (3.534615757169955, 3.534615757169953))
+
+
+@pytest.mark.parametrize("n", [3, 4, 16, 256])
+def test_law_of_cosines_kernel_matches_the_written_out_law_bit_for_bit(n):
+    arms = [*MIRROR_ARMS, (2.0, 0.7), (1.0, 1.0), (1.5, 0.0), (0.0, 0.0)]
+    # Arms scaled by 2^+-300 put a and b at 2^+-600.
+    arms += [(math.ldexp(r, k), math.ldexp(l, k)) for r, l in arms[:3] for k in (300, -300)]
+    for r, l in arms:
+        for t in (0.0, -0.0, math.pi / n, 0.3, -1.2):
+            got = law_of_cosines_distances(r * r + l * l, 2.0 * r * l, n, t)
+            assert _bits(got) == _bits(_written_out_distances(n, r, l, t)), (r, l, t)
+
+
+def test_mirror_phase_squares_round_below_zero():
+    r, l = MIRROR_ARMS[0]
+    a, b = r * r + l * l, 2.0 * r * l
+    assert a - b * math.cos(0.0) < 0.0
+    assert law_of_cosines_distances(a, b, 4, 0.0)[0] == 0.0
 
 
 # ------------------------------------------------- multiset comparison

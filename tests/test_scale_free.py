@@ -321,3 +321,30 @@ def test_length_range_edges(k, accepted):
     else:
         with pytest.raises(ValueError, match="largest length"):
             pair_polygons(p1, p2)
+
+
+@pytest.mark.parametrize("k", [0, -300, -500, -511])
+def test_small_ratio_pair_keeps_its_count_at_the_lower_edge(k):
+    # Circumradii 1 and 1e-8: at 2^-511 (largest-length exponent -510) the
+    # squares of the short lengths fall below the normal range, where the
+    # height of the auxiliary intersection must not collapse to zero.
+    p1 = RegularPolygonSpec(3, PlanePoint(0.0, 0.0), math.ldexp(1.0, k), 0.0)
+    p2 = RegularPolygonSpec(
+        3, PlanePoint(math.ldexp(1.0 - 0.4e-8, k), 0.0), math.ldexp(1e-8, k), 0.5
+    )
+    assert len(pair_polygons(p1, p2)) == 4
+
+
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_pairing_scales_bit_for_bit_down_to_largest_exponent_minus_508(n, point):
+    # Short lengths have subnormal squares here; the intersection height
+    # must still scale exactly.
+    for seed in range(1, 11):
+        inst = random_instance(n, seed, zero_smaller_radius=point)
+        p1, p2 = inst.polygon1, inst.polygon2
+        largest = max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
+        k = -508 - math.frexp(largest)[1]
+        base = pair_polygons(p1, p2)
+        scaled = pair_polygons(ldexp_polygon(p1, k), ldexp_polygon(p2, k))
+        assert scaled == [ldexp_result(result, k) for result in base], seed

@@ -1,7 +1,9 @@
 """Smoke tests: each script under scripts/ runs to completion on tiny inputs,
-and the benchmark's tracer still finds every function it wraps."""
+the CLI's output bytes on the small corpus are pinned, and the benchmark's
+tracer still finds every function it wraps."""
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -55,6 +57,28 @@ def test_output_corpus_is_reproducible(tmp_path):
     records = json.loads(first)
     assert {record["exit"] for record in records} == {0, 1, 2}
     assert any(record["svg"] for record in records)
+
+
+# sha256 over the ``--json`` stdout and the SVG texts of the ``--sizes 3``
+# corpus (372 commands). Human text and stderr are left out, because
+# argparse words them differently across Python versions; the floats depend
+# on the C library's trig, so the pin holds per platform. A new digest is a
+# change in output: re-pin only with a CHANGES.md entry that names the
+# commands whose output changed.
+CORPUS_SHA256 = "722dae4d94ef544e1288537b160af289c0a6c658e70eafbc142f906ab4b4319b"
+
+
+def test_output_corpus_bytes_are_pinned(tmp_path):
+    done = run_script("output_corpus.py", "--out", "corpus.json", "--sizes", "3", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    records = json.loads((tmp_path / "corpus.json").read_bytes())
+    assert len(records) == 372
+    pinned = [
+        [record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
+        for record in records
+    ]
+    digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == CORPUS_SHA256
 
 
 def test_tracer_wraps_only_names_the_library_still_has():

@@ -3,10 +3,12 @@ correspondence in both directions.
 
 Polygons to circles: every pair of regular n-gons whose auxiliary circles
 meet admits concentric circles through one vertex of each (``pairing``).
-Circles to polygons: a radii family passing two algebraic conditions on its
-power averages is realized by exactly two polygons, recovered in closed
-form (``moments``, ``reconstruct``), triangles and squares included, with
-brute-force cross-checks (``oracle``).
+Circles to polygons: the circumradii of the two polygons follow in closed
+form from the first two power averages, and a family is realized when the
+polygons placed from them reproduce its radii (``moments``,
+``reconstruct``), triangles and squares included; the paper's two
+algebraic conditions are reported alongside, with brute-force
+cross-checks (``oracle``).
 """
 
 from .errors import (
@@ -19,7 +21,6 @@ from .errors import (
     InvalidMomentOrder,
     MismatchedOrder,
     NotACandidateCenter,
-    PhaseSearchFailed,
 )
 from .geom import (
     DEFAULT_TOLERANCE,
@@ -83,7 +84,6 @@ __all__ = [
     "MismatchedOrder",
     "NotACandidateCenter",
     "PairingResult",
-    "PhaseSearchFailed",
     "PlanePoint",
     "RadiiPair",
     "RandomInstance",

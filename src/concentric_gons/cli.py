@@ -27,16 +27,14 @@ from .instances import (
     load_instance,
     polygon_record,
 )
-from .moments import (
-    CircleFamily,
-    RadiiPair,
+from .moments import (  # unused here; perfbench/tracing.py wraps cli's copies
     assess_feasibility,
     cyclic_averages,
-    recover_circumradii,
 )
+from .moments import CircleFamily, RadiiPair, leading_averages, recover_circumradii
 from .oracle import angle_sweep, power_identity_residual, random_instance
 from .pairing import candidate_centers, pair_polygons
-from .reconstruct import reconstruct_polygons, smaller_vanishes
+from .reconstruct import reconstruct_polygons
 from .svg import render_configuration
 
 EXIT_OK = 0
@@ -139,23 +137,29 @@ def _write_svg(path: str, text: str) -> None:
 def cmd_check(args) -> int:
     tol = _tolerance_from_args(args)
     family = _family_from_args(args)
-    averages = cyclic_averages(family)
-    report = assess_feasibility(averages, tol)
-    recovered = None
+    # The verdict is reconstruction's, so check says feasible exactly when
+    # reconstruct succeeds; the report and the circumradii are printed.
     try:
-        recovered = _pair_record(recover_circumradii(averages, tol))
-    except InfeasibleMoments:
-        pass
+        rec = reconstruct_polygons(family, tol)
+    except InfeasibleFamily as exc:
+        feasible, report = False, exc.report
+        try:
+            pair = recover_circumradii(leading_averages(family), tol)
+        except InfeasibleMoments:
+            pair = None
+    else:
+        feasible, report, pair = True, rec.report, rec.circumradii
+    recovered = None if pair is None else _pair_record(pair)
     payload = {
         "n": family.n,
         "radii": list(family.radii),
-        "feasible": report.feasible,
+        "feasible": feasible,
         "report": _report_record(report),
         "recovered": recovered,
     }
     lines = [
         f"n = {family.n}",
-        f"feasible: {'yes' if report.feasible else 'no'}",
+        f"feasible: {'yes' if feasible else 'no'}",
         f"condition 1 ratio: {report.condition1_ratio!r} (ok: {report.condition1_ok})",
         f"condition 2 ok: {report.condition2_ok}",
     ]
@@ -167,7 +171,7 @@ def cmd_check(args) -> int:
             + (" (single polygon)" if recovered["degenerate"] else "")
         )
     _emit(args, payload, lines)
-    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+    return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
 def _reconstruction_svg(family: CircleFamily, rec) -> str:
@@ -281,30 +285,33 @@ def cmd_pair(args) -> int:
 
 def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
     family = doc.circles
-    averages = cyclic_averages(family)
-    report = assess_feasibility(averages, tol)
+    try:
+        rec = reconstruct_polygons(family, tol)
+    except InfeasibleFamily as exc:
+        return {"kind": "circles", "report": _report_record(exc.report),
+                "angle_sweeps": [], "pass": False}
     sweeps = []
-    ok = report.feasible
-    if report.feasible:
-        pair = recover_circumradii(averages, tol)
+    ok = True
+    if not rec.point_polygon:
         # Sweep in the units of the averages, as reconstruction searches:
         # the sweep decision and its gate are then relative to the family.
+        averages = leading_averages(family)
+        pair = rec.circumradii
         larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
-        if not smaller_vanishes(larger, smaller, tol):
-            # The sweep is bit-symmetric in its arms (2.0*r*l doubles exactly,
-            # addition commutes), so one sweep serves both arm orders.
-            radii = tuple(map(averages.scaled, family.radii))
-            sweep = angle_sweep(larger, smaller, family.n, radii)
-            residual = math.ldexp(sweep.best_residual, averages.exponent)
-            sweeps = [
-                {"vertex_arm": r, "center_arm": l, "best_phase": sweep.best_phase,
-                 "best_residual": residual}
-                for r, l in ((pair.larger, pair.smaller), (pair.smaller, pair.larger))
-            ]
-            ok = sweep.best_residual <= SWEEP_TOLERANCE
+        # The sweep is bit-symmetric in its arms (2.0*r*l doubles exactly,
+        # addition commutes), so one sweep serves both arm orders.
+        radii = tuple(map(averages.scaled, family.radii))
+        sweep = angle_sweep(larger, smaller, family.n, radii)
+        residual = math.ldexp(sweep.best_residual, averages.exponent)
+        sweeps = [
+            {"vertex_arm": r, "center_arm": l, "best_phase": sweep.best_phase,
+             "best_residual": residual}
+            for r, l in ((pair.larger, pair.smaller), (pair.smaller, pair.larger))
+        ]
+        ok = sweep.best_residual <= SWEEP_TOLERANCE
     return {
         "kind": "circles",
-        "report": _report_record(report),
+        "report": _report_record(rec.report),
         "angle_sweeps": sweeps,
         "pass": ok,
     }

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+from functools import cached_property
+
 
 class GeometryError(Exception):
     """Base class for every error this library raises deliberately."""
@@ -34,12 +36,13 @@ class DegenerateGeometry(GeometryError):
 
 
 class InfeasibleFamily(GeometryError):
-    """Circle radii fail the feasibility conditions; the report is attached."""
+    """Circle radii admit no two polygons. ``report``, the paper's two
+    conditions, is built by ``build_report`` when first read."""
 
-    def __init__(self, message, report):
+    def __init__(self, message, build_report):
         super().__init__(message)
-        self.report = report
+        self._build_report = build_report
 
-
-class PhaseSearchFailed(GeometryError):
-    """Feasibility holds numerically but no vertex phase reproduced the radii."""
+    @cached_property
+    def report(self):
+        return self._build_report()

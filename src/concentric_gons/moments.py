@@ -10,11 +10,18 @@ point if and only if
       S(4) produced by eliminating the two radii from the power-sum system.
 
 When both hold, the two circumradii follow from S(2) and S(4) alone.
+
+The library's verdict reads only S(2), S(4) (:func:`leading_averages`, O(n)):
+the recovery discriminant's gate is condition I's lower bound, and the
+placement built from the recovered circumradii must reproduce the radii
+(``reconstruct``). The O(n^2) table of every order (:func:`cyclic_averages`)
+and condition II feed the :class:`FeasibilityReport` alone.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import InfeasibleMoments, InvalidMomentOrder
 from .geom import DEFAULT_TOLERANCE, PlanePoint, Tolerance
@@ -49,17 +56,36 @@ class CircleFamily:
 
 
 @dataclass(frozen=True)
-class CyclicAverages:
+class LeadingAverages:
+    """The averages S(2) and S(4) of n radii, in units of ``2^exponent``:
+    all that the verdict and circumradius recovery read.
+
+    ``values`` begins with S(2), S(4) of the radii divided by
+    ``2^exponent``; :class:`CyclicAverages` continues it with the higher
+    orders.
+    """
+
+    n: int
+    values: tuple[float, ...]
+    exponent: int = 0
+
+    def __post_init__(self):
+        if len(self.values) != 2:
+            raise ValueError(f"expected 2 averages, got {len(self.values)}")
+
+    def scaled(self, length: float) -> float:
+        """A length of the family in the units of ``values``."""
+        return math.ldexp(length, -self.exponent)
+
+
+@dataclass(frozen=True)
+class CyclicAverages(LeadingAverages):
     """Averages of the 2m-th radius powers for m = 1..n-1, in units of
     ``2^exponent``.
 
     ``values[m-1]`` holds the order-2m average of the radii divided by
     ``2^exponent``; :meth:`power` gives it in the family's units.
     """
-
-    n: int
-    values: tuple[float, ...]
-    exponent: int = 0
 
     def __post_init__(self):
         if len(self.values) != self.n - 1:
@@ -71,10 +97,6 @@ class CyclicAverages:
         if not 1 <= m <= self.n - 1:
             raise InvalidMomentOrder(f"order m={m} outside 1..{self.n - 1}")
         return math.ldexp(self.values[m - 1], 2 * m * self.exponent)
-
-    def scaled(self, length: float) -> float:
-        """A length of the family in the units of ``values``."""
-        return math.ldexp(length, -self.exponent)
 
 
 @dataclass(frozen=True)
@@ -105,28 +127,48 @@ class FeasibilityReport:
         return self.condition1_ok and self.condition2_ok
 
 
+def _scaled_squares(family: CircleFamily) -> tuple[list[float], int]:
+    """The squared radii divided by ``4^e``, ``e = math.frexp(largest
+    radius)[1]``, and ``e``. The division is exact, so every power of them
+    is at most 1 and every decision on them depends on shape alone. More
+    than ``MAX_VERTEX_COUNT`` radii raise ValueError."""
+    if family.n > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {family.n} exceeds {MAX_VERTEX_COUNT}")
+    exponent = math.frexp(family.radii[-1])[1]
+    radii = [math.ldexp(r, -exponent) for r in family.radii]
+    return [r * r for r in radii], exponent
+
+
+def leading_averages(family: CircleFamily) -> LeadingAverages:
+    """S(2) and S(4) of the radii divided by ``2^e`` (see
+    :func:`_scaled_squares`), as compensated sums (``math.fsum``): the
+    circumradii are recovered from them alone. O(n)."""
+    squares, exponent = _scaled_squares(family)
+    n = family.n
+    values = (math.fsum(squares) / n, math.fsum([q ** 2 for q in squares]) / n)
+    return LeadingAverages(n=n, values=values, exponent=exponent)
+
+
 def cyclic_averages(family: CircleFamily) -> CyclicAverages:
     """Averages of the 2m-th radius powers, m = 1..n-1, of the radii divided
     by ``2^e``, ``e = math.frexp(largest radius)[1]``: exactly, so every
     power is at most 1 and every decision on them depends on shape alone.
 
-    S(2) and S(4) are compensated sums (``math.fsum``): the circumradii are
-    recovered from them alone. Orders m >= 3 carry a running product of the
-    squared radii and add it up plainly, each within a relative (m + n)u of
-    exact, u = 2^-53 (about 1.4e-14 at n = 64, far below the condition-II
-    gate). More than ``MAX_VERTEX_COUNT`` radii raise ValueError.
+    S(2) and S(4) are those of :func:`leading_averages`. Orders m >= 3 carry
+    a running product of the squared radii and add it up in a fixed
+    left-to-right fold (``sum`` of floats compensates from Python 3.12 on,
+    so its bits would depend on the interpreter), each within a relative
+    (m + n)u of exact, u = 2^-53 (about 1.4e-14 at n = 64, far below the
+    condition-II gate). O(n^2): only the report reads it. More than
+    ``MAX_VERTEX_COUNT`` radii raise ValueError.
     """
+    squares, exponent = _scaled_squares(family)
     n = family.n
-    if n > MAX_VERTEX_COUNT:
-        raise ValueError(f"vertex count {n} exceeds {MAX_VERTEX_COUNT}")
-    exponent = math.frexp(family.radii[-1])[1]
-    radii = [math.ldexp(r, -exponent) for r in family.radii]
-    squares = [r * r for r in radii]
     powers = [q ** 2 for q in squares]
     values = [math.fsum(squares) / n, math.fsum(powers) / n]
     for _ in range(3, n):
         powers = list(map(operator.mul, powers, squares))
-        values.append(sum(powers) / n)
+        values.append(reduce(operator.add, powers) / n)
     return CyclicAverages(n=n, values=tuple(values), exponent=exponent)
 
 
@@ -173,7 +215,7 @@ def two_radius_power_sum(r1: float, r2: float, n: int, m: int) -> float:
 
 
 def condition_one(
-    av: CyclicAverages, tol: Tolerance = DEFAULT_TOLERANCE
+    av: LeadingAverages, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[bool, float]:
     """First feasibility test: S(2)^2 / S(4) must lie in [2/3, 1].
 
@@ -230,7 +272,7 @@ def condition_two(
     return all(r <= tol.relative_eps for r in residuals), residuals
 
 
-def _discriminant(av: CyclicAverages, tol: Tolerance) -> tuple[float, float]:
+def _discriminant(av: LeadingAverages, tol: Tolerance) -> tuple[float, float]:
     """(difference of squared circumradii)^2 from the first two averages,
     and the gate below which it counts as zero: ``relative_eps`` times its
     own scale, ``max(S(2)^2, S(4))``."""
@@ -239,7 +281,7 @@ def _discriminant(av: CyclicAverages, tol: Tolerance) -> tuple[float, float]:
 
 
 def recover_circumradii(
-    av: CyclicAverages, tol: Tolerance = DEFAULT_TOLERANCE
+    av: LeadingAverages, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> RadiiPair:
     """The two circumradii determined by the first two averages, in the
     family's units.

@@ -1,6 +1,18 @@
 """Circles-to-polygons direction: realize a feasible radii family as two
 concrete regular polygons observed from the family center.
 
+The verdict. A family is realizable when the recovery discriminant passes
+its gate (condition I's lower bound) and the polygons placed from the
+recovered circumradii reproduce the radii within
+:meth:`Tolerance.multiset_gate` times the largest radius. The decision reads
+S(2) and S(4) alone (:func:`moments.leading_averages`) and one placement, so
+it costs O(n log n). A placement that misses the gate by less than
+``sqrt(relative_eps)`` of the largest radius is polished by Gauss-Newton
+first: a discriminant inside its gate leaves the circumradii uncertain by
+about that much. The paper's conditions I and II are computed when the
+report is first read (:attr:`Reconstruction.report`,
+:attr:`InfeasibleFamily.report`); the O(n^2) power table is built there.
+
 Placement convention: with M the family center, both polygon centers go on
 the +x axis from M, the first at distance ``smaller`` with circumradius
 ``larger`` and the second at distance ``larger`` with circumradius
@@ -18,9 +30,10 @@ rotation does, and :func:`geom.law_of_cosines_distances` evaluates it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
-from .errors import InfeasibleFamily, PhaseSearchFailed
+from .errors import InfeasibleFamily, InfeasibleMoments
 from .geom import (
     DEFAULT_TOLERANCE,
     PlanePoint,
@@ -31,6 +44,7 @@ from .geom import (
     multiset_close,
     normalize_angle,
     phase_candidates,
+    vertex_offsets,
 )
 from .moments import (
     CircleFamily,
@@ -38,8 +52,23 @@ from .moments import (
     RadiiPair,
     assess_feasibility,
     cyclic_averages,
+    leading_averages,
     recover_circumradii,
 )
+
+# Gauss-Newton steps of the polish at most.
+POLISH_STEPS = 4
+
+
+def _feasibility_report(radii: tuple[float, ...], tol: Tolerance) -> FeasibilityReport:
+    """Conditions I and II on the radii: the O(n^2) power table. The report
+    depends on shape alone, so radii divided by a power of two give the
+    family's report bit for bit."""
+    return assess_feasibility(cyclic_averages(CircleFamily(PlanePoint(0.0, 0.0), radii)), tol)
+
+
+def _rejection(message: str, radii: tuple[float, ...], tol: Tolerance) -> InfeasibleFamily:
+    return InfeasibleFamily(message, partial(_feasibility_report, radii, tol))
 
 
 @dataclass(frozen=True)
@@ -48,10 +77,16 @@ class Reconstruction:
 
     polygon1: RegularPolygonSpec
     polygon2: RegularPolygonSpec
-    report: FeasibilityReport
     circumradii: RadiiPair
     point_polygon: bool  # second polygon collapsed to a point
     residuals: tuple[float, float]
+    family: CircleFamily = field(repr=False)
+    tol: Tolerance = field(repr=False)
+
+    @cached_property
+    def report(self) -> FeasibilityReport:
+        """The paper's conditions I and II, built when first read."""
+        return _feasibility_report(self.family.radii, self.tol)
 
 
 def verify_reconstruction(family: CircleFamily, poly: RegularPolygonSpec) -> float:
@@ -70,24 +105,131 @@ def smaller_vanishes(larger: float, smaller: float, tol: Tolerance) -> bool:
     return smaller * smaller <= tol.relative_eps * (larger * larger)
 
 
+def _relative_gap(distances: list[float], radii: tuple[float, ...]) -> float:
+    """The largest elementwise gap of two ascending sequences, relative to
+    their largest length, as :func:`geom.multiset_close` gates it."""
+    return max(abs(x - y) for x, y in zip(distances, radii)) / max(distances[-1], radii[-1])
+
+
+def _solve3(rows: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Cramer's rule for a 3x3 system; None when it is singular."""
+
+    def det(m):
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+
+    whole = det(rows)
+    if whole == 0.0 or not math.isfinite(whole):
+        return None
+    return [
+        det([[rhs[i] if j == col else rows[i][j] for j in range(3)] for i in range(3)]) / whole
+        for col in range(3)
+    ]
+
+
+def _polish(
+    n: int, larger: float, smaller: float, t: float, radii: tuple[float, ...], tol: Tolerance
+) -> tuple[float, float, float, float]:
+    """Gauss-Newton on the placement against the unsquared residuals d_k -
+    radii_k, matched in sorted order: ``(gap, t, larger, smaller)`` of the
+    best iterate, with ``gap`` as :func:`_relative_gap` measures it.
+
+    With u = R + r and v = R - r, ``d_k^2 = u^2 sin^2(theta_k / 2) + v^2
+    cos^2(theta_k / 2)``, so the Jacobian row of d_k in (u, v, t) is ``(u
+    sin^2, v cos^2, (u^2 - v^2) sin(theta_k) / 4) / d_k``; the 3x3 normal
+    equations are solved directly. The gradient in v vanishes at v = 0, so
+    v is seeded as the larger of its recovered value and the smaller of two
+    bounds on it that hold when the discriminant sits inside its gate: the
+    smallest radius (every distance is at least |R - r|) and
+    ``sqrt(relative_eps) * u / 2``. Distances ascend as cos(theta_k)
+    descends, so the vertices sorted by cosine line up with the sorted
+    distances. Steps stop once one fails to shrink the gap or leaves |v| <= u.
+    """
+    u = larger + smaller
+    v = max(larger - smaller, min(radii[0], math.sqrt(tol.relative_eps) * u / 2.0))
+    origin = PlanePoint(0.0, 0.0)
+    best = None
+    for _ in range(POLISH_STEPS + 1):
+        placed = law_of_cosines_distances((u * u + v * v) / 2.0, (u * u - v * v) / 2.0, n, t)
+        gap = _relative_gap(placed, radii)
+        if best is not None and not (gap < best[0] and abs(v) <= u):
+            break
+        best = (gap, t, u, abs(v))
+        unit = RegularPolygonSpec(n, origin, 1.0, t)
+        angles = sorted(zip(*vertex_offsets(unit, origin, range(n))), reverse=True)
+        normal = [[0.0] * 3 for _ in range(3)]
+        gradient = [0.0] * 3
+        for (cos_k, sin_k), d, target in zip(angles, placed, radii):
+            if d == 0.0:
+                continue
+            row = (
+                u * (1.0 - cos_k) / (2.0 * d),
+                v * (1.0 + cos_k) / (2.0 * d),
+                (u * u - v * v) * sin_k / (4.0 * d),
+            )
+            for i in range(3):
+                gradient[i] -= row[i] * (d - target)
+                for j in range(3):
+                    normal[i][j] += row[i] * row[j]
+        # A damping of 2^-40 of the trace keeps the system solvable where v
+        # drops out (v = 0 against a zero radius) and barely moves the rest.
+        damping = 2.0 ** -40 * (normal[0][0] + normal[1][1] + normal[2][2])
+        for i in range(3):
+            normal[i][i] += damping
+        step = _solve3(normal, gradient)
+        if step is None:
+            break
+        u, v, t = u + step[0], v + step[1], t + step[2]
+    gap, t, u, v = best
+    return gap, t, (u + v) / 2.0, (u - v) / 2.0
+
+
 def _find_phase(
     n: int, r: float, l: float, radii: tuple[float, ...], tol: Tolerance
-) -> float:
-    """An opening angle whose generated multiset matches the (ascending) radii.
+) -> tuple[float, float, float]:
+    """An opening angle t and arms ``(larger, smaller)`` whose law-of-cosines
+    distances match the (ascending) radii within
+    :meth:`Tolerance.multiset_gate` times the largest.
 
-    Tries the largest radius first (its cosine is nearest -1 and best
-    conditioned), then smaller ones, + branch before -, and accepts at
-    :meth:`Tolerance.multiset_gate`.
+    Tries the largest radius's phase candidates with the arms as given, +
+    branch before -; a largest radius out of the arms' reach puts a vertex at
+    the far (t = pi) or near (t = 0) point instead. When these miss, the
+    best one is polished
+    (:func:`_polish`) if it misses by at most ``sqrt(relative_eps)``: acos
+    loses half the digits of an angle near 0 or pi, and a discriminant inside
+    its gate leaves the arms uncertain by about that much. Otherwise, or when
+    the polished placement still misses, InfeasibleFamily names the smallest
+    relative gap seen and whether the polish ran.
     """
     accept = tol.multiset_gate()
     a, b = r * r + l * l, 2.0 * r * l
-    for d in reversed(radii):
-        for t in phase_candidates(r, l, d, tol):
-            if multiset_close(law_of_cosines_distances(a, b, n, t), radii, accept):
-                return t
-    raise PhaseSearchFailed(
-        f"no phase reproduced the radii for arms ({r}, {l}); this indicates a "
-        "tolerance mismatch, not mathematical impossibility"
+    larger, smaller = max(r, l), min(r, l)
+    candidates = phase_candidates(r, l, radii[-1], tol) if smaller > 0.0 else ()
+    best = None
+    for t in candidates or (math.pi if radii[-1] > larger + smaller else 0.0,):
+        distances = law_of_cosines_distances(a, b, n, t)
+        if multiset_close(distances, radii, accept):
+            return t, larger, smaller
+        gap = _relative_gap(distances, radii)
+        if best is None or gap < best[0]:
+            best = (gap, t)
+    gap = best[0]
+    polished = gap <= math.sqrt(tol.relative_eps)
+    if polished:
+        polished_gap, t, larger, smaller = _polish(n, larger, smaller, best[1], radii, tol)
+        a, b = larger * larger + smaller * smaller, 2.0 * larger * smaller
+        if multiset_close(law_of_cosines_distances(a, b, n, t), radii, accept):
+            return t, larger, smaller
+        gap = min(gap, polished_gap)
+    raise _rejection(
+        f"no placement reproduces the radii: best relative gap {gap:.3g} against "
+        f"the gate {accept.relative_eps:.3g}, "
+        + ("polished without reaching the gate" if polished else "too far to polish"),
+        radii,
+        tol,
     )
 
 
@@ -97,28 +239,42 @@ def reconstruct_polygons(
     """Build the two regular polygons whose vertex distances from the family
     center reproduce the family radii.
 
-    Raises InfeasibleFamily (report attached) when either feasibility
-    condition fails. When the smaller recovered circumradius vanishes, the
-    second polygon degenerates to a point at distance ``larger`` from the
-    center and the phase search is skipped.
+    Raises InfeasibleFamily (report built when read) when the discriminant
+    fails its gate or no placement reproduces the radii (see the module
+    docstring). When the smaller recovered circumradius vanishes and one
+    polygon centered on the family reproduces the radii, the second polygon
+    degenerates to a point at distance ``larger`` from the center and the
+    phase search is skipped.
     """
-    averages = cyclic_averages(family)
-    report = assess_feasibility(averages, tol)
-    if not report.feasible:
-        raise InfeasibleFamily("radii family fails the feasibility conditions", report)
-    pair = recover_circumradii(averages, tol)
-    center = family.center
-    n = family.n
+    averages = leading_averages(family)
     # Decisions and the phase search run in the units of the averages,
     # where every gate is relative and no square under- or overflows.
+    radii = tuple(map(averages.scaled, family.radii))
+    try:
+        pair = recover_circumradii(averages, tol)
+    except InfeasibleMoments as exc:
+        raise _rejection(f"radii family fails condition I: {exc}", radii, tol) from None
+    center = family.center
+    n = family.n
     larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
-    point_polygon = smaller_vanishes(larger, smaller, tol)
+    gate = tol.multiset_gate().relative_eps * max(larger, radii[-1])
+    point_polygon = (
+        smaller_vanishes(larger, smaller, tol)
+        and radii[-1] - larger <= gate
+        and larger - radii[0] <= gate
+    )
     if point_polygon:
         # The first polygon is centered on the family, the second is a point.
         second, phase = 0.0, 0.0
     else:
+        t, placed_larger, placed_smaller = _find_phase(n, larger, smaller, radii, tol)
+        if (placed_larger, placed_smaller) != (larger, smaller):
+            pair = RadiiPair(
+                math.ldexp(placed_larger, averages.exponent),
+                math.ldexp(placed_smaller, averages.exponent),
+                pair.degenerate,
+            )
         second = pair.smaller
-        t = _find_phase(n, larger, smaller, tuple(map(averages.scaled, family.radii)), tol)
         # Each center sits on the +x axis, so the direction back to the
         # family center is pi; vertex angles are measured from that line.
         # One angle serves both polygons (see the module docstring).
@@ -132,8 +288,9 @@ def reconstruct_polygons(
     return Reconstruction(
         polygon1=poly1,
         polygon2=poly2,
-        report=report,
         circumradii=pair,
         point_polygon=point_polygon,
         residuals=residuals,
+        family=family,
+        tol=tol,
     )

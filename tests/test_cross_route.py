@@ -1,6 +1,6 @@
-"""Three routes, one verdict: ``check`` (the moment conditions),
-``reconstruct`` (recovery and phase search) and ``verify`` on a circles
-file (the Cartesian law-of-cosines oracle) agree on random families in
+"""Three routes, one verdict: ``check`` and ``reconstruct`` (recovery and
+placement) and ``verify`` on a circles file (placement, then the
+law-of-cosines oracle) agree on random families in
 every unit, feasible or made infeasible. Pairing feeds the same routes:
 every configuration ``pair_polygons`` returns passes ``check`` and
 reconstructs the two polygons' circumradii."""

@@ -91,6 +91,32 @@ def test_first_two_averages_are_compensated_sums(radii):
     assert av.values[1] == math.fsum(q ** 2 for q in squares) / fam.n
 
 
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (4, 8, 33, 64, 256) for seed in (1, 2)])
+def test_higher_averages_are_a_left_to_right_fold(n, seed):
+    # sum() of floats compensates from Python 3.12 on; the averages of
+    # orders m >= 3 must not depend on the interpreter.
+    fam = random_instance(n, seed).family
+    av = cyclic_averages(fam)
+    squares = [x * x for x in (math.ldexp(r, -av.exponent) for r in fam.radii)]
+    powers = [q ** 2 for q in squares]
+    for m in range(3, n):
+        powers = [p * q for p, q in zip(powers, squares)]
+        total = powers[0]
+        for p in powers[1:]:
+            total += p
+        assert av.values[m - 1] == total / n, m
+
+
+def test_leading_averages_are_the_first_two_cyclic_averages():
+    from concentric_gons.moments import leading_averages
+
+    fam = random_instance(64, 5).family
+    leading, full = leading_averages(fam), cyclic_averages(fam)
+    assert (leading.n, leading.values, leading.exponent) == (full.n, full.values[:2], full.exponent)
+    with pytest.raises(ValueError, match="vertex count 257 exceeds 256"):
+        leading_averages(CircleFamily(PlanePoint(0, 0), (1.0,) * 257))
+
+
 @pytest.mark.parametrize(
     "radii",
     [

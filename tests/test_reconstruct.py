@@ -231,14 +231,13 @@ def test_reconstruct_all_zero_family():
 
 
 def test_phase_search_failure_is_reported():
-    # Target radii no phase can generate for the given arms: every
-    # candidate cosine is out of range, so the search must say so rather
-    # than return a junk placement.
-    from concentric_gons.errors import PhaseSearchFailed
+    # Target radii no phase can generate for the given arms: the largest
+    # radius is out of reach, so the search must reject the family with the
+    # typed error rather than return a junk placement.
     from concentric_gons.reconstruct import _find_phase
     from concentric_gons import Tolerance
 
-    with pytest.raises(PhaseSearchFailed):
+    with pytest.raises(InfeasibleFamily, match="best relative gap 0.75 .* too far to polish"):
         _find_phase(4, 1.0, 0.5, (2.0, 2.0, 2.0, 2.0), Tolerance())
 
 

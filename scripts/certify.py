@@ -3,8 +3,9 @@
 
 Prints, per vertex count, the worst observed residual for the power-sum
 identity and for the full round trip (distances -> recovered radii ->
-rebuilt polygons -> distances). All randomness is seeded, so two runs of
-this script print identical tables.
+rebuilt polygons -> distances), the latter relative to the largest radius
+and as a fraction of the multiset gate that decides a family. All
+randomness is seeded, so two runs of this script print identical tables.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from concentric_gons import (
     PlanePoint,
     RegularPolygonSpec,
     SplitMix64,
+    Tolerance,
     power_identity_residual,
     random_instance,
     reconstruct_polygons,
@@ -48,8 +50,7 @@ def round_trip_row(n, samples, seed):
             abs(rec.circumradii.larger - hi) / hi,
             abs(rec.circumradii.smaller - lo) / lo,
         )
-        scale = max(1.0, inst.family.radii[-1])
-        worst_multiset = max(worst_multiset, max(rec.residuals) / scale)
+        worst_multiset = max(worst_multiset, max(rec.residuals) / inst.family.radii[-1])
     return worst_multiset, worst_radii
 
 
@@ -60,12 +61,13 @@ def main():
     parser.add_argument("--max-order", type=int, default=12)
     args = parser.parse_args()
 
-    print(f"{'n':>3} {'identity':>12} {'round trip':>12} {'radii':>12}")
+    gate = Tolerance().multiset_gate().relative_eps
+    print(f"{'n':>3} {'identity':>12} {'round trip':>12} {'of gate':>9} {'radii':>12}")
     started = time.perf_counter()
     for n in range(3, args.max_order + 1):
         ident = identity_row(n, args.samples, args.seed * 1000)
         multiset, radii = round_trip_row(n, args.samples, args.seed * 20_000)
-        print(f"{n:>3} {ident:>12.3e} {multiset:>12.3e} {radii:>12.3e}")
+        print(f"{n:>3} {ident:>12.3e} {multiset:>12.3e} {multiset / gate:>9.2e} {radii:>12.3e}")
     print(f"total {time.perf_counter() - started:.2f}s for {args.samples} samples per row")
 
 

@@ -43,7 +43,6 @@ from .moments import (
     condition_one,
     condition_two,
     cyclic_averages,
-    higher_average_prediction,
     recover_circumradii,
     two_radius_power_sum,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "condition_two",
     "cyclic_averages",
     "distance_multiset",
-    "higher_average_prediction",
     "multiset_close",
     "normalize_angle",
     "pair_polygons",

@@ -43,6 +43,10 @@ class InfeasibleFamily(GeometryError):
         super().__init__(message)
         self._build_report = build_report
 
+    def __reduce__(self):
+        # Exception's own reduce passes only the message to __init__.
+        return type(self), (*self.args, self._build_report), self.__dict__
+
     @cached_property
     def report(self):
         return self._build_report()

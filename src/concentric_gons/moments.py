@@ -235,13 +235,8 @@ def condition_one(
 
 
 def _predicted_averages(s2: float, s4: float, top: int) -> list[float]:
-    spread = max(s4 - s2 * s2, 0.0)
-    h = spread / s2 / s2 if s2 > 0.0 else 0.0
-    return _power_averages(s2, h, top)
-
-
-def higher_average_prediction(s2: float, s4: float, m: int) -> float:
-    """The order-2m average implied by the first two, for a realizable family.
+    """The averages of orders 1..top implied by the first two, for a
+    realizable family.
 
     The squared distances of a realizable family are ``s2 - b cos t`` over
     a period, with ``b^2 = 2 (s4 - s2^2)``; the spread ``s4 - s2^2`` is
@@ -249,7 +244,9 @@ def higher_average_prediction(s2: float, s4: float, m: int) -> float:
     integral and Bonnet's Legendre recurrence, normalized by s2^m
     (:func:`_power_averages` with ``h = spread / s2^2``).
     """
-    return _predicted_averages(s2, s4, m)[m - 1]
+    spread = max(s4 - s2 * s2, 0.0)
+    h = spread / s2 / s2 if s2 > 0.0 else 0.0
+    return _power_averages(s2, h, top)
 
 
 def condition_two(
@@ -259,7 +256,7 @@ def condition_two(
     predicted from S(2) and S(4).
 
     The predictions come from one pass of the normalized Legendre/Bonnet
-    recurrence (:func:`higher_average_prediction`), O(1) per order.
+    recurrence (:func:`_predicted_averages`), O(1) per order.
     Residuals are relative: ``|S(2m) - predicted| / S(2m)`` (0 for all-zero
     radii), the same in every unit. For n = 3 the range is empty and the
     test passes vacuously.

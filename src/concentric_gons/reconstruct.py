@@ -12,6 +12,10 @@ first: a discriminant inside its gate leaves the circumradii uncertain by
 about that much. The paper's conditions I and II are computed when the
 report is first read (:attr:`Reconstruction.report`,
 :attr:`InfeasibleFamily.report`); the O(n^2) power table is built there.
+Likewise :attr:`Reconstruction.residuals` is measured when first read: the
+polygons are placed in Cartesian coordinates and their vertex distances
+compared with the radii, independently of the law-of-cosines gate that
+decided the family.
 
 Placement convention: with M the family center, both polygon centers go on
 the +x axis from M, the first at distance ``smaller`` with circumradius
@@ -73,13 +77,16 @@ def _rejection(message: str, radii: tuple[float, ...], tol: Tolerance) -> Infeas
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Two polygon placements realizing a radii family, with diagnostics."""
+    """Two polygon placements realizing a radii family, with diagnostics.
+
+    ``report`` and ``residuals`` are derived from ``family`` and the
+    polygons, computed on first read and cached; they take no part in
+    ``repr`` or ``==``."""
 
     polygon1: RegularPolygonSpec
     polygon2: RegularPolygonSpec
     circumradii: RadiiPair
     point_polygon: bool  # second polygon collapsed to a point
-    residuals: tuple[float, float]
     family: CircleFamily = field(repr=False)
     tol: Tolerance = field(repr=False)
 
@@ -87,6 +94,16 @@ class Reconstruction:
     def report(self) -> FeasibilityReport:
         """The paper's conditions I and II, built when first read."""
         return _feasibility_report(self.family.radii, self.tol)
+
+    @cached_property
+    def residuals(self) -> tuple[float, float]:
+        """:func:`verify_reconstruction` of each polygon: its vertices placed
+        in Cartesian coordinates and measured against the radii, when first
+        read. The decision never reads it."""
+        return (
+            verify_reconstruction(self.family, self.polygon1),
+            verify_reconstruction(self.family, self.polygon2),
+        )
 
 
 def verify_reconstruction(family: CircleFamily, poly: RegularPolygonSpec) -> float:
@@ -281,16 +298,11 @@ def reconstruct_polygons(
         phase = normalize_angle(math.pi + t)
     poly1 = RegularPolygonSpec(n, PlanePoint(center.x + second, center.y), pair.larger, phase)
     poly2 = RegularPolygonSpec(n, PlanePoint(center.x + pair.larger, center.y), second, phase)
-    residuals = (
-        verify_reconstruction(family, poly1),
-        verify_reconstruction(family, poly2),
-    )
     return Reconstruction(
         polygon1=poly1,
         polygon2=poly2,
         circumradii=pair,
         point_polygon=point_polygon,
-        residuals=residuals,
         family=family,
         tol=tol,
     )

@@ -16,12 +16,12 @@ from concentric_gons import (
     condition_two,
     cyclic_averages,
     distance_multiset,
-    higher_average_prediction,
     random_instance,
     reconstruct_polygons,
     recover_circumradii,
     two_radius_power_sum,
 )
+from concentric_gons.moments import _predicted_averages
 
 SQRT3 = math.sqrt(3.0)
 
@@ -283,6 +283,11 @@ def test_condition_two_rejects_arithmetic_progression():
     ok, residuals = condition_two(cyclic_averages(family(1, 2, 3, 4)))
     assert not ok
     assert residuals[0] == pytest.approx(75.0 / 1222.5, abs=1e-12)
+
+
+def higher_average_prediction(s2: float, s4: float, m: int) -> float:
+    """The order-2m average condition II predicts from the first two."""
+    return _predicted_averages(s2, s4, m)[m - 1]
 
 
 def binomial_prediction(s2: float, s4: float, m: int) -> Fraction:

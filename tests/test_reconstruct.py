@@ -1,4 +1,8 @@
+import io
+import json
 import math
+import pickle
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,9 @@ from concentric_gons import (
     reconstruct_polygons,
     verify_reconstruction,
 )
+from concentric_gons import reconstruct
+from concentric_gons.cli import main
+from concentric_gons.geom import law_of_cosines_distances
 
 SQRT3 = math.sqrt(3.0)
 
@@ -249,3 +256,99 @@ def test_reconstruct_zero_smaller_radius_instances():
         rec = reconstruct_polygons(instance.family)
         assert rec.point_polygon
         assert max(rec.residuals) <= 1e-9
+
+
+# ------------------------------------------------------- lazy diagnostics
+
+
+def lazy_families():
+    """Families of every kind reconstruct_polygons accepts: generated at n = 3,
+    8 and 64, a point polygon, and a boundary family (R = 1, r = 1 - 3e-8)
+    that only the polish places."""
+    boundary = law_of_cosines_distances(1.0 + (1.0 - 3e-8) ** 2, 2.0 * (1.0 - 3e-8), 16, 0.0)
+    return [
+        *(random_instance(n, 3).family for n in (3, 8, 64)),
+        random_instance(5, 9, zero_smaller_radius=True).family,
+        CircleFamily(PlanePoint(0.0, 0.0), tuple(sorted(boundary))),
+    ]
+
+
+def counting(monkeypatch):
+    """Count the calls to reconstruct.verify_reconstruction."""
+    calls = []
+
+    def counted(family, poly):
+        calls.append(poly)
+        return verify_reconstruction(family, poly)
+
+    monkeypatch.setattr(reconstruct, "verify_reconstruction", counted)
+    return calls
+
+
+def test_the_decision_measures_no_residuals(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the decision measured the residuals")
+
+    monkeypatch.setattr(reconstruct, "verify_reconstruction", forbidden)
+    families = lazy_families()
+    recs = [reconstruct_polygons(fam) for fam in families]
+    assert recs[3].point_polygon and recs[4].circumradii.degenerate
+    monkeypatch.undo()
+    calls = counting(monkeypatch)
+    for fam, rec in zip(families, recs):
+        eager = (
+            verify_reconstruction(fam, rec.polygon1),
+            verify_reconstruction(fam, rec.polygon2),
+        )
+        assert [r.hex() for r in rec.residuals] == [r.hex() for r in eager]
+        assert rec.residuals is rec.residuals
+    assert len(calls) == 2 * len(families)
+
+
+def run_json(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+def test_check_and_verify_measure_no_residuals(monkeypatch, tmp_path):
+    fam = CircleFamily(PlanePoint(0.0, 0.0), random_instance(8, 3).family.radii)
+    source = tmp_path / "circles.json"
+    source.write_text(json.dumps({
+        "format": "concentric-gons/1",
+        "kind": "circles",
+        "circles": {"center": [0.0, 0.0], "radii": list(fam.radii)},
+    }), encoding="utf-8")
+    radii = "--radii=" + ",".join(map(repr, fam.radii))
+    calls = counting(monkeypatch)
+    assert run_json("check", radii, "--json")[1]["feasible"]
+    assert run_json("verify", "--input", str(source), "--json")[1]["result"]["pass"]
+    assert calls == []
+    code, payload = run_json("reconstruct", radii, "--json")
+    assert code == 0 and len(calls) == 2
+    assert payload["residuals"] == list(reconstruct_polygons(fam).residuals)
+
+
+def test_reconstruction_survives_pickling_before_and_after_reading():
+    rec = reconstruct_polygons(random_instance(8, 3).family)
+    fresh = pickle.loads(pickle.dumps(rec))
+    assert fresh == rec
+    residuals, report = rec.residuals, rec.report
+    read = pickle.loads(pickle.dumps(rec))
+    for copy in (fresh, read):
+        assert copy == rec
+        assert copy.residuals == residuals and copy.report == report
+
+
+def test_infeasible_family_survives_pickling():
+    with pytest.raises(InfeasibleFamily) as excinfo:
+        reconstruct_polygons(CircleFamily(PlanePoint(0, 0), (1.0, 2.0, 3.0, 4.0)))
+    exc = excinfo.value
+    fresh = pickle.loads(pickle.dumps(exc))
+    report = exc.report
+    read = pickle.loads(pickle.dumps(exc))
+    for copy in (fresh, read):
+        assert type(copy) is InfeasibleFamily
+        assert str(copy) == str(exc)
+        assert copy.report == report

@@ -29,7 +29,7 @@ def test_certify_runs_on_a_tiny_sweep(tmp_path):
     done = run_script("certify.py", "--samples", "2", "--max-order", "4", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     rows = done.stdout.splitlines()
-    assert rows[0].split() == ["n", "identity", "round", "trip", "radii"]
+    assert rows[0].split() == ["n", "identity", "round", "trip", "of", "gate", "radii"]
     assert [row.split()[0] for row in rows[1:3]] == ["3", "4"]
 
 

@@ -1,18 +1,22 @@
 """Plane primitives: points, regular polygons, distances, circle
 intersection, the law of cosines in both directions, and tolerance-aware
-multiset comparison. Vertex placement (:func:`vertex_offsets`) and the law
-of cosines (:func:`law_of_cosines_distances` forward,
-:func:`phase_candidates` inverse) are written out here and nowhere else.
+multiset comparison. Vertex placement (:func:`float_vertex_offsets`), the
+circle intersection (:func:`float_circle_intersection`) and the law of
+cosines (:func:`law_of_cosines_distances` forward, :func:`opening_cosines`
+inverse) are written out here and nowhere else; the ``float_`` kernels take
+plain floats, so that a caller can run them in units of its own choosing.
 
 Everything here is a pure function over immutable values. Tolerances are
 explicit and relative: comparisons accept a :class:`Tolerance` and default
 to :data:`DEFAULT_TOLERANCE`.
 """
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
+from itertools import repeat
 from math import cos, isfinite, sin, sqrt
+from operator import ge, sub
 
 from .errors import CoincidentCircles, DegenerateGeometry
 
@@ -41,8 +45,13 @@ class Tolerance:
         Distances generated from a recovered angle carry trig rounding from
         each of the n vertices, and a tangency point is rounded by up to one
         gate; a single gate would read either as misalignment.
-        ``relative_eps`` stays below its validity ceiling.
+        ``relative_eps`` stays below its validity ceiling. Built once per
+        tolerance: the decision paths ask for it on every call.
         """
+        return self._multiset_gate
+
+    @functools.cached_property
+    def _multiset_gate(self) -> "Tolerance":
         return Tolerance(min(self.relative_eps * 10.0, 9.9e-4))
 
 
@@ -108,15 +117,33 @@ def vertex_offsets(
     as :class:`RegularPolygonSpec` says. Offsets from the origin are the
     coordinates, signed zeros included; a non-finite vertex raises the
     ValueError that building its :class:`PlanePoint` would."""
-    cx, cy, radius, phase = poly.center.x, poly.center.y, poly.circumradius, poly.phase
-    px, py = point.x, point.y
-    step = TWO_PI / poly.n
+    center = poly.center
+    return float_vertex_offsets(
+        center.x, center.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, ks
+    )
+
+
+def float_vertex_offsets(
+    cx: float,
+    cy: float,
+    radius: float,
+    phase: float,
+    n: int,
+    px: float,
+    py: float,
+    ks: range | tuple[int, ...],
+) -> tuple[list[float], list[float]]:
+    """:func:`vertex_offsets` of the n-gon with center (cx, cy), circumradius
+    ``radius`` and phase ``phase``, from the point (px, py)."""
+    step = TWO_PI / n
+    # Rounding is monotone, so every vertex is finite when |c| + radius is.
+    checked = not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius)))
     dxs, dys = [], []
     for k in ks:
         angle = phase + step * k
         x = cx + radius * cos(angle)
         y = cy + radius * sin(angle)
-        if not (isfinite(x) and isfinite(y)):
+        if checked and not (isfinite(x) and isfinite(y)):
             raise ValueError(f"coordinates must be finite, got ({x}, {y})")
         dxs.append(x - px)
         dys.append(y - py)
@@ -142,38 +169,42 @@ def circle_circle_intersection(
     tolerance, and none when the circles are disjoint. Coincident circles
     of positive radius raise CoincidentCircles.
     """
+    points = float_circle_intersection(c1.x, c1.y, r1, c2.x, c2.y, r2, tol.relative_eps)
+    return tuple(PlanePoint(x, y) for x, y in points)
+
+
+def float_circle_intersection(
+    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float, eps: float
+) -> tuple[tuple[float, ...], ...]:
+    """:func:`circle_circle_intersection` of the circles centered at
+    (x1, y1) and (x2, y2), with relative tolerance ``eps``: the points as
+    (x, y) pairs. Lengths far below the largest one lose their squares to
+    underflow, so a caller near the bottom of the float range passes them
+    in units of that largest length."""
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError(f"radii must be >= 0, got ({r1}, {r2})")
-    dist = c1.distance_to(c2)
-    g = tol.relative_eps * max(r1 + r2, dist)
+    dist = math.hypot(x1 - x2, y1 - y2)
+    g = eps * max(r1 + r2, dist)
     if dist <= g:
         if abs(r1 - r2) <= g:
             if r1 <= g and r2 <= g:
                 # Two point-circles at the same spot intersect in that point.
-                return (PlanePoint((c1.x + c2.x) / 2.0, (c1.y + c2.y) / 2.0),)
+                return (((x1 + x2) / 2.0, (y1 + y2) / 2.0),)
             raise CoincidentCircles(f"circles share center and radius {r1}")
         return ()
     if dist > r1 + r2 + g or dist < abs(r1 - r2) - g:
         return ()
-    ux = (c2.x - c1.x) / dist
-    uy = (c2.y - c1.y) / dist
+    ux = (x2 - x1) / dist
+    uy = (y2 - y1) / dist
     along = (dist * dist + r1 * r1 - r2 * r2) / (2.0 * dist)
-    foot = PlanePoint(c1.x + along * ux, c1.y + along * uy)
+    fx = x1 + along * ux
+    fy = y1 + along * uy
     if abs(dist - (r1 + r2)) <= g or abs(dist - abs(r1 - r2)) <= g:
-        return (foot,)
+        return ((fx, fy),)
     height_sq = r1 * r1 - along * along
-    e = 0
-    if height_sq < sys.float_info.min:
-        # A subnormal square has lost its digits: square at r1's binary scale.
-        e = math.frexp(r1)[1]
-        r1_e, along_e = math.ldexp(r1, -e), math.ldexp(along, -e)
-        height_sq = r1_e * r1_e - along_e * along_e
-    height = math.ldexp(math.sqrt(height_sq), e) if height_sq > 0.0 else 0.0
+    height = sqrt(height_sq) if height_sq > 0.0 else 0.0
     # (-uy, ux) is the counterclockwise normal: positive half-plane first.
-    return (
-        PlanePoint(foot.x - height * uy, foot.y + height * ux),
-        PlanePoint(foot.x + height * uy, foot.y - height * ux),
-    )
+    return ((fx - height * uy, fy + height * ux), (fx + height * uy, fy - height * ux))
 
 
 def distance_multiset(poly: RegularPolygonSpec, point: PlanePoint) -> tuple[float, ...]:
@@ -212,7 +243,7 @@ def phase_candidates(
             f"arm lengths must be positive, got ({r}, {l}): any angle works "
             "when d equals |r - l|, none otherwise"
         )
-    cos_t = (r * r + l * l - d * d) / (2.0 * r * l)
+    (cos_t,) = opening_cosines(r * r + l * l, 2.0 * r * l, (d,))
     if abs(cos_t) > 1.0 + tol.relative_eps:
         return ()
     cos_t = max(-1.0, min(1.0, cos_t))
@@ -220,6 +251,20 @@ def phase_candidates(
     if abs(cos_t) >= 1.0 - tol.relative_eps:  # the mirror coincides at 0 and pi
         return (t,)
     return (t, -t)
+
+
+def opening_cosines(
+    a: float, b: float, distances: tuple[float, ...] | list[float]
+) -> list[float]:
+    """The cosines ``(a - d^2) / b`` of the opening angles at which each
+    distance d is seen, in the order given.
+
+    With a = r^2 + l^2 and b = 2rl, cos(t) = (a - d^2) / b solves
+    d^2 = r^2 + l^2 - 2 r l cos(t) for the angle t between arms r and l;
+    rounding can carry a cosine just past +/-1. The only place that
+    inverts this law.
+    """
+    return [(a - d * d) / b for d in distances]
 
 
 def multiset_close(
@@ -232,4 +277,4 @@ def multiset_close(
     if len(a) != len(b):
         return False
     g = tol.relative_eps * max(a[-1], b[-1]) if a else 0.0
-    return all(abs(x - y) <= g for x, y in zip(a, b))
+    return all(map(ge, repeat(g), map(abs, map(sub, a, b))))

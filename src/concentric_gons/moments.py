@@ -41,13 +41,14 @@ class CircleFamily:
     radii: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-        if len(self.radii) < 3:
-            raise ValueError(f"need at least 3 radii, got {len(self.radii)}")
-        for r in self.radii:
-            if not (math.isfinite(r) and r >= 0.0):
-                raise ValueError(f"radii must be finite and >= 0, got {r}")
-        if any(a > b for a, b in zip(self.radii, self.radii[1:])):
+        radii = tuple(map(float, self.radii))
+        object.__setattr__(self, "radii", radii)
+        if len(radii) < 3:
+            raise ValueError(f"need at least 3 radii, got {len(radii)}")
+        if not all(map(math.isfinite, radii)) or min(radii) < 0.0:
+            bad = next(r for r in radii if not (math.isfinite(r) and r >= 0.0))
+            raise ValueError(f"radii must be finite and >= 0, got {bad}")
+        if not all(map(operator.le, radii, radii[1:])):
             raise ValueError("radii must be sorted ascending")
 
     @property

@@ -18,7 +18,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .geom import TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle
-from .geom import law_of_cosines_distances, vertex_offsets
+from .geom import law_of_cosines_distances, opening_cosines, vertex_offsets
 from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.vertices
 from .moments import MAX_VERTEX_COUNT, CircleFamily, two_radius_power_sum
 
@@ -105,8 +105,9 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
     """The phase in [0, pi/n] whose law-of-cosines distances best match a
     target, and their largest gap from it.
 
-    With a = r^2 + l^2 and b = 2rl, x_k = (a - d_k^2) / b are the cosines
-    cos(t + 2*pi*k/n) in some order, so the Chebyshev product identity
+    With a = r^2 + l^2 and b = 2rl, the x_k = (a - d_k^2) / b of
+    :func:`geom.opening_cosines` are the cosines cos(t + 2*pi*k/n) in some
+    order, so the Chebyshev product identity
     prod_k (y - cos(t + 2*pi*k/n)) = 2^(1-n) (T_n(y) - cos(nt)) gives cos(nt)
     at any y0; the midpoint of the widest gap among the x_k keeps every
     factor away from 0. ``acos`` loses half the digits where cos(nt) is near
@@ -127,7 +128,7 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
 
     if b == 0.0:
         return SweepResult(0.0, residual(0.0))
-    cosines = sorted(max(-1.0, min(1.0, (a - d * d) / b)) for d in target)
+    cosines = sorted(max(-1.0, min(1.0, c)) for c in opening_cosines(a, b, target))
     edges = [-1.0, *cosines, 1.0]
     _, left, right = max((right - left, left, right) for left, right in zip(edges, edges[1:]))
     y0 = (left + right) / 2.0

@@ -7,14 +7,21 @@ the two auxiliary circles. Rotating the second polygon until one distance
 pair agrees then forces the whole multisets to agree; both rotation branches
 are produced and each result is re-verified against the full multiset. The
 rotation's opening angle solves the law of cosines with
-:func:`geom.phase_candidates`, the solve reconstruction uses too. Vertex
-distances come from :func:`geom.vertex_offsets`; the first polygon is
-measured once per candidate point, for its multiset and reference vertex.
+:func:`geom.phase_candidates`, the solve reconstruction uses too.
+
+Pairing runs on plain floats in units of 2^e, e the binary exponent of the
+largest length L = max(R1, R2, |c1c2|): every length is then below 2 and
+every gate is relative, so a pair and its scaling by a power of two take
+the same decisions on the same bits; a square underflows only for a length
+below about 2^-511 L. The geom float kernels place the vertices and
+intersect the circles; the first polygon is measured once per candidate
+point, for its multiset and reference vertex. Validated objects are built
+once, for accepted results only, in the caller's units.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
+from math import atan2, fmod, frexp, hypot, isfinite, ldexp
 
 from .errors import (
     CoincidentAuxiliaryCircles,
@@ -28,14 +35,16 @@ from .geom import (
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
-    circle_circle_intersection,
-    distance_multiset,
+    float_circle_intersection,
+    float_vertex_offsets,
     multiset_close,
     normalize_angle,
+    opening_cosines,
     phase_candidates,
-    vertex_offsets,
 )
-from .geom import vertices  # unused here; perfbench/tracing.py wraps pairing.vertices
+# Unused here; perfbench/tracing.py wraps pairing.distance_multiset and
+# pairing.vertices.
+from .geom import distance_multiset, vertices
 from .moments import CircleFamily
 
 
@@ -61,12 +70,37 @@ def _require_same_order(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> None:
         raise MismatchedOrder(f"vertex counts differ: {p1.n} vs {p2.n}")
 
 
-# Pairing squares lengths up to twice the largest length L (the working
-# point is within R1 + R2 of every vertex) and adds three such squares. With
-# L in [2^(e-1), 2^e), |e| <= 510 keeps each such sum below 2^(2e+4) <= 2^1024
-# and L^2 >= 2^(2e-2) >= 2^-1022 normal. A length far below L can still have
-# a subnormal square; the intersection height then squares at its own scale.
+# Pairing runs in units of 2^e, e the binary exponent of the largest length
+# L (see _in_units): there every length is below 2, and a square underflows
+# only for a length below about 2^-511 L, whatever e is. So a pair scales bit
+# for bit over the whole range, down to L = 2^-511. The range bounds the
+# caller's units, where the results are returned: with L in [2^(e-1), 2^e)
+# and |e| <= 510, squares of lengths up to twice L, and sums of three, stay
+# below 2^(2e+4) <= 2^1024, and L^2 >= 2^(2e-2) >= 2^-1022 stays normal.
 MAX_LENGTH_EXPONENT = 510
+
+
+def _largest_length(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> float:
+    return max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
+
+
+def _in_units(
+    p1: RegularPolygonSpec, p2: RegularPolygonSpec, largest: float, *coordinates: float
+) -> tuple[int, float, float, float, float, float, float]:
+    """The binary exponent e of the largest length, then both centers and
+    circumradii divided by 2^e: (e, x1, y1, r1, x2, y2, r2).
+
+    The centers' coordinates, and any others given, must stay finite in
+    those units; where one exceeds 2^(e + 1020), e rises to match. Such a
+    pair has lost its shape to rounding in the caller's units already."""
+    c1, c2 = p1.center, p2.center
+    far = max(abs(c1.x), abs(c1.y), abs(c2.x), abs(c2.y), *map(abs, coordinates))
+    e = max(frexp(largest)[1], frexp(far)[1] - 1020)
+    return (
+        e,
+        ldexp(c1.x, -e), ldexp(c1.y, -e), ldexp(p1.circumradius, -e),
+        ldexp(c2.x, -e), ldexp(c2.y, -e), ldexp(p2.circumradius, -e),
+    )
 
 
 def auxiliary_circles(
@@ -77,17 +111,63 @@ def auxiliary_circles(
     return (p1.center, p2.circumradius), (p2.center, p1.circumradius)
 
 
-def candidate_centers(
-    p1: RegularPolygonSpec, p2: RegularPolygonSpec, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[PlanePoint, ...]:
-    """Intersection points of the auxiliary circles (0, 1, or 2 points)."""
-    (c1, rad1), (c2, rad2) = auxiliary_circles(p1, p2)
+def _meeting_points(
+    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float, eps: float
+) -> tuple[tuple[float, ...], ...]:
+    """The auxiliary circles' intersections: each center (x1, y1), (x2, y2)
+    with the other polygon's circumradius."""
     try:
-        return circle_circle_intersection(c1, rad1, c2, rad2, tol)
+        return float_circle_intersection(x1, y1, r2, x2, y2, r1, eps)
     except CoincidentCircles as exc:
         raise CoincidentAuxiliaryCircles(
             "auxiliary circles coincide; every point on them qualifies"
         ) from exc
+
+
+def candidate_centers(
+    p1: RegularPolygonSpec, p2: RegularPolygonSpec, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[PlanePoint, ...]:
+    """Intersection points of the auxiliary circles (0, 1, or 2 points)."""
+    _require_same_order(p1, p2)
+    e, *units = _in_units(p1, p2, _largest_length(p1, p2))
+    return tuple(
+        PlanePoint(ldexp(x, e), ldexp(y, e))
+        for x, y in _meeting_points(*units, tol.relative_eps)
+    )
+
+
+def _second_phases(
+    p2: RegularPolygonSpec, units: tuple, px: float, py: float, reference: float, tol: Tolerance
+) -> tuple[float, ...]:
+    """The phases of the second polygon rotated about its center so that its
+    vertex 0 sits ``reference`` from the point (px, py). ``units`` is what
+    :func:`_in_units` returns; lengths are in its units, and errors report
+    them in the caller's.
+
+    The opening angle comes from the law of cosines; its mirror gives a
+    second solution unless the reference distance is extremal.
+    """
+    e, _, _, r1, x2, y2, r2 = units
+    arm = hypot(px - x2, py - y2)
+    scale = max(r1, r2)
+    if abs(arm - r1) > tol.relative_eps * scale:
+        raise NotACandidateCenter(
+            f"point sits {ldexp(arm, e)} from the second center, expected {ldexp(r1, e)}"
+        )
+    if min(r1, r2) <= tol.relative_eps * scale:
+        # One polygon is a point: every vertex of the second already sits at
+        # the only achievable distance, so no rotation is needed.
+        return (p2.phase,)
+    openings = phase_candidates(r1, r2, reference, tol)
+    if not openings:
+        raise NotACandidateCenter(
+            f"reference distance {ldexp(reference, e)} is unreachable from the second polygon"
+        )
+    toward_point = atan2(py - y2, px - x2)
+    plus = normalize_angle(toward_point + openings[0])
+    if len(openings) == 1:
+        return (plus,)
+    return (plus, normalize_angle(toward_point + openings[1]))
 
 
 def align_second_polygon(
@@ -106,37 +186,18 @@ def align_second_polygon(
     polygon always presents vertex 0 at the matched distance.
     """
     _require_same_order(p1, p2)
-    r1, r2 = p1.circumradius, p2.circumradius
-    arm = point.distance_to(p2.center)
-    scale = max(r1, r2)
-    if abs(arm - r1) > tol.relative_eps * scale:
-        raise NotACandidateCenter(
-            f"point sits {arm} from the second center, expected {r1}"
-        )
-    (dx,), (dy,) = vertex_offsets(p1, point, (ref_vertex,))
-    d_star = math.hypot(dx, dy)
-    if min(r1, r2) <= tol.relative_eps * scale:
-        # One polygon is a point: every vertex of the second already sits at
-        # the only achievable distance, so no rotation is needed.
-        return (p2,)
-    openings = phase_candidates(r1, r2, d_star, tol)
-    if not openings:
-        raise NotACandidateCenter(
-            f"reference distance {d_star} is unreachable from the second polygon"
-        )
-    toward_point = math.atan2(point.y - p2.center.y, point.x - p2.center.x)
-    plus = RegularPolygonSpec(p2.n, p2.center, r2, normalize_angle(toward_point + openings[0]))
-    if len(openings) == 1:
-        return (plus,)
-    minus = RegularPolygonSpec(p2.n, p2.center, r2, normalize_angle(toward_point + openings[1]))
-    return (plus, minus)
+    units = _in_units(p1, p2, _largest_length(p1, p2), point.x, point.y)
+    e, x1, y1, r1 = units[:4]
+    px, py = ldexp(point.x, -e), ldexp(point.y, -e)
+    (dx,), (dy,) = float_vertex_offsets(x1, y1, r1, p1.phase, p1.n, px, py, (ref_vertex,))
+    phases = _second_phases(p2, units, px, py, hypot(dx, dy), tol)
+    return tuple(RegularPolygonSpec(p2.n, p2.center, p2.circumradius, t) for t in phases)
 
 
-def _best_conditioned_vertex(
-    p1: RegularPolygonSpec, p2: RegularPolygonSpec, distances: list[float]
-) -> int:
+def _best_conditioned_vertex(a: float, b: float, distances: list[float]) -> int:
     """Reference vertex whose opening cosine is nearest zero, from the
-    distances of the first polygon's vertices in vertex order.
+    distances of the first polygon's vertices in vertex order, with
+    a = r1^2 + r2^2 and b = 2 r1 r2.
 
     The rotation angle is recovered through an arccos whose error grows as
     1/sin(angle); a reference distance near either extreme (for example the
@@ -144,28 +205,29 @@ def _best_conditioned_vertex(
     to half the working precision. Vertex angles are spaced 2*pi/n, so a
     mid-range cosine always exists.
     """
-    r1, r2 = p1.circumradius, p2.circumradius
-    if r1 * r2 <= 0.0:
+    if b <= 0.0:
         return 0
-    cosines = [abs((r1 * r1 + r2 * r2 - d * d) / (2.0 * r1 * r2)) for d in distances]
+    cosines = list(map(abs, opening_cosines(a, b, distances)))
     return cosines.index(min(cosines))
 
 
 def _phases_coincide(a: float, b: float, period: float, tol: Tolerance) -> bool:
-    diff = math.fmod(abs(a - b), period)
+    diff = fmod(abs(a - b), period)
     return min(diff, period - diff) <= tol.relative_eps
 
 
-def _is_duplicate(result: PairingResult, seen: list[PairingResult], tol: Tolerance) -> bool:
-    period = TWO_PI / result.aligned_second.n
-    center_gap = tol.relative_eps * result.circles.radii[-1]
-    for other in seen:
+def _is_duplicate(found: tuple, kept: list[tuple], tol: Tolerance) -> bool:
+    """Whether ``found``, a (px, py, first distances, second phase) tuple in
+    units, repeats one in ``kept`` within tolerance. The cheap phase test
+    runs before the O(n) ones."""
+    px, py, first, phase = found
+    period = TWO_PI / len(first)
+    center_gap = tol.relative_eps * first[-1]
+    for qx, qy, other, other_phase in kept:
         if (
-            result.center.distance_to(other.center) <= center_gap
-            and multiset_close(result.circles.radii, other.circles.radii, tol)
-            and _phases_coincide(
-                result.aligned_second.phase, other.aligned_second.phase, period, tol
-            )
+            _phases_coincide(phase, other_phase, period, tol)
+            and hypot(px - qx, py - qy) <= center_gap
+            and multiset_close(first, other, tol)
         ):
             return True
     return False
@@ -188,7 +250,7 @@ def pair_polygons(
     larger = max(p1.circumradius, p2.circumradius)
     center_distance = p1.center.distance_to(p2.center)
     largest = max(larger, center_distance)
-    if not (math.isfinite(largest) and abs(math.frexp(largest)[1]) <= MAX_LENGTH_EXPONENT):
+    if not (isfinite(largest) and abs(frexp(largest)[1]) <= MAX_LENGTH_EXPONENT):
         raise ValueError(
             f"largest length {largest} of the polygon pair lies outside "
             f"[2^{-MAX_LENGTH_EXPONENT - 1}, 2^{MAX_LENGTH_EXPONENT}), where its squares "
@@ -200,30 +262,38 @@ def pair_polygons(
             "concentric polygons with equal circumradius: every point at that "
             "distance from the shared center works"
         )
-    results: list[PairingResult] = []
+    units = _in_units(p1, p2, largest)
+    e, x1, y1, r1, x2, y2, r2 = units
+    n, phase1 = p1.n, p1.phase
+    a, b = r1 * r1 + r2 * r2, 2.0 * r1 * r2
     gate = tol.multiset_gate()
-    for point in candidate_centers(p1, p2, tol):
-        distances = list(map(math.hypot, *vertex_offsets(p1, point, range(p1.n))))
-        first_distances = tuple(sorted(distances))
-        ref_vertex = _best_conditioned_vertex(p1, p2, distances)
-        for candidate in align_second_polygon(p1, p2, point, ref_vertex, tol):
-            second_distances = distance_multiset(candidate, point)
-            if not multiset_close(first_distances, second_distances, gate):
+    results: list[PairingResult] = []
+    kept: list[tuple] = []  # (px, py, first, phase) of each result, in units
+    for px, py in _meeting_points(x1, y1, r1, x2, y2, r2, tol.relative_eps):
+        offsets = float_vertex_offsets(x1, y1, r1, phase1, n, px, py, range(n))
+        distances = list(map(hypot, *offsets))
+        first = sorted(distances)
+        ref_vertex = _best_conditioned_vertex(a, b, distances)
+        circles = None
+        for phase in _second_phases(p2, units, px, py, distances[ref_vertex], tol):
+            offsets = float_vertex_offsets(x2, y2, r2, phase, n, px, py, range(n))
+            second = sorted(map(hypot, *offsets))
+            if not multiset_close(first, second, gate):
+                gap = max(abs(u - v) for u, v in zip(first, second))
                 warnings.warn(
-                    "aligned distance pair did not propagate to the full "
-                    f"multiset at {point}; largest gap "
-                    f"{max(abs(a - b) for a, b in zip(first_distances, second_distances))}",
+                    "aligned distance pair did not propagate to the full multiset at "
+                    f"{PlanePoint(ldexp(px, e), ldexp(py, e))}; largest gap {ldexp(gap, e)}",
                     RuntimeWarning,
                     stacklevel=2,
                 )
                 continue
-            result = PairingResult(
-                center=point,
-                aligned_second=candidate,
-                circles=CircleFamily(center=point, radii=first_distances),
-                matched_vertex_pair=(ref_vertex, 0),
-            )
-            if not _is_duplicate(result, results, tol):
-                results.append(result)
+            found = (px, py, first, phase)
+            if _is_duplicate(found, kept, tol):
+                continue
+            kept.append(found)
+            if circles is None:
+                center = PlanePoint(ldexp(px, e), ldexp(py, e))
+                circles = CircleFamily(center=center, radii=[ldexp(d, e) for d in first])
+            aligned = RegularPolygonSpec(n, p2.center, p2.circumradius, phase)
+            results.append(PairingResult(center, aligned, circles, (ref_vertex, 0)))
     return results
-

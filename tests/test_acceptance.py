@@ -168,8 +168,7 @@ def test_criterion_6_round_trip_property():
                 abs(rec.circumradii.larger - hi) / hi,
                 abs(rec.circumradii.smaller - lo) / lo,
             )
-            scale = max(1.0, inst.family.radii[-1])
-            worst_multiset = max(worst_multiset, max(rec.residuals) / scale)
+            worst_multiset = max(worst_multiset, max(rec.residuals) / inst.family.radii[-1])
     elapsed = time.perf_counter() - started
     assert worst_multiset <= 1e-8, worst_multiset
     assert worst_radii <= 1e-8, worst_radii

@@ -14,7 +14,7 @@ from concentric_gons import (
     random_instance,
     vertices,
 )
-from concentric_gons.geom import law_of_cosines_distances, vertex_offsets
+from concentric_gons.geom import law_of_cosines_distances, opening_cosines, vertex_offsets
 
 from closed_forms import TriangleInequalityViolated, heron_area
 
@@ -353,6 +353,20 @@ def test_law_of_cosines_kernel_matches_the_written_out_law_bit_for_bit(n):
         for t in (0.0, -0.0, math.pi / n, 0.3, -1.2):
             got = law_of_cosines_distances(r * r + l * l, 2.0 * r * l, n, t)
             assert _bits(got) == _bits(_written_out_distances(n, r, l, t)), (r, l, t)
+
+
+@pytest.mark.parametrize("n", [3, 4, 16, 256])
+def test_inverse_law_kernel_matches_the_three_written_out_inverses_bit_for_bit(n):
+    # The expressions phase_candidates, the pairing reference vertex and
+    # angle_sweep each wrote out before they shared opening_cosines.
+    arms = [*MIRROR_ARMS, (2.0, 0.7), (1.0, 1.0), (0.3, 1e-8)]
+    arms += [(math.ldexp(r, k), math.ldexp(l, k)) for r, l in arms[:3] for k in (300, -300)]
+    for r, l in arms:
+        a, b = r * r + l * l, 2.0 * r * l
+        distances = law_of_cosines_distances(a, b, n, 0.3) + [0.0, abs(r - l), r + l, 3.0 * r]
+        got = _bits(opening_cosines(a, b, distances))
+        assert got == _bits([(r * r + l * l - d * d) / (2.0 * r * l) for d in distances]), (r, l)
+        assert got == _bits([(a - d * d) / b for d in distances]), (r, l)
 
 
 def test_mirror_phase_squares_round_below_zero():

@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from concentric_gons import (
+    CircleFamily,
     CoincidentAuxiliaryCircles,
     MismatchedOrder,
     NotACandidateCenter,
@@ -154,6 +156,23 @@ def test_alignment_rejects_unreachable_reference_distance():
     p2 = triangle(10, 0, 1)
     with pytest.raises(NotACandidateCenter, match="unreachable"):
         align_second_polygon(p1, p2, PlanePoint(8, 0), 0)
+
+
+def test_alignment_errors_report_lengths_in_the_callers_units():
+    # Alignment runs in units of the largest length; its messages do not.
+    k = -300
+    p1 = triangle(0, 0, math.ldexp(2.0, k))
+    p2 = triangle(math.ldexp(10.0, k), 0, math.ldexp(1.0, k))
+    far = PlanePoint(math.ldexp(10.0, k), math.ldexp(10.0, k))
+    expected = (
+        f"point sits {math.ldexp(10.0, k)} from the second center, "
+        f"expected {math.ldexp(2.0, k)}"
+    )
+    with pytest.raises(NotACandidateCenter, match=re.escape(expected)):
+        align_second_polygon(p1, p2, far, 0)
+    expected = f"reference distance {math.ldexp(6.0, k)} is unreachable"
+    with pytest.raises(NotACandidateCenter, match=re.escape(expected)):
+        align_second_polygon(p1, p2, PlanePoint(math.ldexp(8.0, k), 0), 0)
 
 
 # ---------------------------------------------------------------- pairing
@@ -357,3 +376,52 @@ def test_alignment_builds_only_the_reference_vertex(monkeypatch):
         for k in range(p1.n)
     ]
     assert phases == expected
+
+
+def test_pairing_builds_validated_objects_only_for_its_results(monkeypatch):
+    # One circle family and one center per candidate point, shared by both
+    # rotation branches, and one polygon per accepted branch: no validated
+    # object per vertex or per rejected branch.
+    inst = random_instance(8, 7)
+    p1, p2 = inst.polygon1, inst.polygon2
+    built = {PlanePoint: 0, RegularPolygonSpec: 0, CircleFamily: 0}
+    for cls in built:
+        original = cls.__post_init__
+
+        def counting(self, cls=cls, original=original):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    results = pair_polygons(p1, p2)
+    assert len(results) == 4
+    points = len({id(result.center) for result in results})
+    assert points == 2
+    assert built == {PlanePoint: points, RegularPolygonSpec: len(results), CircleFamily: points}
+
+
+def test_gate_warning_points_at_the_caller_in_the_callers_units(monkeypatch):
+    # A branch that fails the full-multiset gate is reported, not dropped;
+    # the warning names the caller's line and the caller's lengths.
+    k = -300
+    inst = random_instance(8, 7)
+    p1, p2 = (
+        RegularPolygonSpec(
+            p.n,
+            PlanePoint(math.ldexp(p.center.x, k), math.ldexp(p.center.y, k)),
+            math.ldexp(p.circumradius, k),
+            p.phase,
+        )
+        for p in (inst.polygon1, inst.polygon2)
+    )
+    points = candidate_centers(p1, p2)
+    monkeypatch.setattr(pairing, "multiset_close", lambda *args: False)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert pair_polygons(p1, p2) == []
+    assert len(caught) == 4
+    for warning, point in zip(caught, [point for point in points for _ in range(2)]):
+        assert warning.filename == __file__
+        head = f"aligned distance pair did not propagate to the full multiset at {point}; "
+        message = str(warning.message)
+        assert message.startswith(head + "largest gap ")
+        assert 0.0 <= float(message[len(head + "largest gap "):]) <= 1e-12 * p1.circumradius

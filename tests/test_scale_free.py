@@ -24,6 +24,7 @@ from concentric_gons import (
     RadiiPair,
     RegularPolygonSpec,
     Reconstruction,
+    candidate_centers,
     multiset_close,
     pair_polygons,
     random_instance,
@@ -263,6 +264,16 @@ def test_pairing_survives_translation(n, scale):
             assert multiset_close(a.circles.radii, b.circles.radii, gate), shift
 
 
+def test_pair_far_from_the_origin_stays_finite_in_units_of_its_largest_length():
+    # Centers near 1e308 and circumradii near 1e-3: divided by the largest
+    # length's 2^e the coordinates would overflow, so the units give way.
+    inst = random_instance(5, 2)
+    p1, p2 = (moved_polygon(p, 1e-3, (1e308, 0.0)) for p in (inst.polygon1, inst.polygon2))
+    points = candidate_centers(p1, p2)
+    assert [point.x for point in points] == [1e308, 1e308]
+    assert points[0].y == pytest.approx(0.0034955152539872967, rel=1e-12)
+
+
 def write_pair_file(path, p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> str:
     payload = {
         "format": "concentric-gons/1",
@@ -326,8 +337,9 @@ def test_length_range_edges(k, accepted):
 @pytest.mark.parametrize("k", [0, -300, -500, -511])
 def test_small_ratio_pair_keeps_its_count_at_the_lower_edge(k):
     # Circumradii 1 and 1e-8: at 2^-511 (largest-length exponent -510) the
-    # squares of the short lengths fall below the normal range, where the
-    # height of the auxiliary intersection must not collapse to zero.
+    # squares of the short lengths fall below the normal range in the
+    # caller's units, where the height of the auxiliary intersection would
+    # collapse to zero; in units of the largest length they do not.
     p1 = RegularPolygonSpec(3, PlanePoint(0.0, 0.0), math.ldexp(1.0, k), 0.0)
     p2 = RegularPolygonSpec(
         3, PlanePoint(math.ldexp(1.0 - 0.4e-8, k), 0.0), math.ldexp(1e-8, k), 0.5
@@ -335,16 +347,30 @@ def test_small_ratio_pair_keeps_its_count_at_the_lower_edge(k):
     assert len(pair_polygons(p1, p2)) == 4
 
 
-@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
-@pytest.mark.parametrize("n", PAIR_SIZES)
-def test_pairing_scales_bit_for_bit_down_to_largest_exponent_minus_508(n, point):
-    # Short lengths have subnormal squares here; the intersection height
-    # must still scale exactly.
+def assert_pairing_scales_bit_for_bit_to_exponent(exponent, n, point):
+    """Random pairs scaled so that their largest length has the binary
+    exponent ``exponent`` pair exactly as the unscaled ones, scaled."""
     for seed in range(1, 11):
         inst = random_instance(n, seed, zero_smaller_radius=point)
         p1, p2 = inst.polygon1, inst.polygon2
         largest = max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
-        k = -508 - math.frexp(largest)[1]
+        k = exponent - math.frexp(largest)[1]
         base = pair_polygons(p1, p2)
         scaled = pair_polygons(ldexp_polygon(p1, k), ldexp_polygon(p2, k))
         assert scaled == [ldexp_result(result, k) for result in base], seed
+
+
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_pairing_scales_bit_for_bit_down_to_largest_exponent_minus_508(n, point):
+    # Short lengths have subnormal squares here in the caller's units.
+    assert_pairing_scales_bit_for_bit_to_exponent(-508, n, point)
+
+
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+@pytest.mark.parametrize("exponent", [-509, -510])
+def test_pairing_scales_bit_for_bit_down_to_largest_exponent_minus_510(exponent, n, point):
+    # The bottom of the accepted range: pairing in units of the largest
+    # length keeps every bit of the result down to 2^-511.
+    assert_pairing_scales_bit_for_bit_to_exponent(exponent, n, point)

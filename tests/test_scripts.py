@@ -100,3 +100,22 @@ def test_tracer_wraps_only_names_the_library_still_has():
         layer, function = span.split(".")
         defined = getattr(importlib.import_module(f"concentric_gons.{layer}"), function)
         assert getattr(caller, attr) is defined, (module, attr, span)
+
+
+def test_pairing_gates_through_its_multiset_close_attribute(monkeypatch):
+    # The polygons benchmark counts pair_polygons' full-multiset gates by
+    # wrapping pairing.multiset_close; a gate that stopped looking the name
+    # up there would read as zero work.
+    pairing = importlib.import_module("concentric_gons.pairing")
+    oracle = importlib.import_module("concentric_gons.oracle")
+    calls = []
+    original = pairing.multiset_close
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pairing, "multiset_close", counting)
+    inst = oracle.random_instance(8, 7)
+    assert pairing.pair_polygons(inst.polygon1, inst.polygon2)
+    assert len(calls) >= 1

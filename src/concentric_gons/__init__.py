@@ -27,7 +27,6 @@ from .geom import (
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
-    circle_circle_intersection,
     distance_multiset,
     multiset_close,
     normalize_angle,
@@ -56,7 +55,6 @@ from .oracle import (
 from .pairing import (
     PairingResult,
     align_second_polygon,
-    auxiliary_circles,
     candidate_centers,
     pair_polygons,
 )
@@ -93,9 +91,7 @@ __all__ = [
     "align_second_polygon",
     "angle_sweep",
     "assess_feasibility",
-    "auxiliary_circles",
     "candidate_centers",
-    "circle_circle_intersection",
     "condition_one",
     "condition_two",
     "cyclic_averages",

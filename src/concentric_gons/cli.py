@@ -112,8 +112,9 @@ def _report_record(report) -> dict:
     }
 
 
-def _pair_record(pair: RadiiPair) -> dict:
-    return {"larger": pair.larger, "smaller": pair.smaller, "degenerate": pair.degenerate}
+def _pair_record(pair: RadiiPair, report) -> dict:
+    degenerate = report.degenerate_single_polygon
+    return {"larger": pair.larger, "smaller": pair.smaller, "degenerate": degenerate}
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -149,7 +150,7 @@ def cmd_check(args) -> int:
             pair = None
     else:
         feasible, report, pair = True, rec.report, rec.circumradii
-    recovered = None if pair is None else _pair_record(pair)
+    recovered = None if pair is None else _pair_record(pair, report)
     payload = {
         "n": family.n,
         "radii": list(family.radii),
@@ -204,7 +205,7 @@ def cmd_reconstruct(args) -> int:
         "radii": list(family.radii),
         "feasible": True,
         "report": _report_record(rec.report),
-        "circumradii": _pair_record(rec.circumradii),
+        "circumradii": _pair_record(rec.circumradii, rec.report),
         "polygons": [polygon_record(rec.polygon1), polygon_record(rec.polygon2)],
         "point_polygon": rec.point_polygon,
         "residuals": list(rec.residuals),

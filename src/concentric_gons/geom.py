@@ -1,10 +1,11 @@
 """Plane primitives: points, regular polygons, distances, circle
 intersection, the law of cosines in both directions, and tolerance-aware
 multiset comparison. Vertex placement (:func:`float_vertex_offsets`), the
-circle intersection (:func:`float_circle_intersection`) and the law of
-cosines (:func:`law_of_cosines_distances` forward, :func:`opening_cosines`
-inverse) are written out here and nowhere else; the ``float_`` kernels take
-plain floats, so that a caller can run them in units of its own choosing.
+circle intersection (:func:`float_circle_intersection`), the law of cosines
+(:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
+and the largest gap between two sequences (:func:`largest_gap`) are written
+out here and nowhere else; the ``float_`` kernels take plain floats, so
+that a caller can run them in units of its own choosing.
 
 Everything here is a pure function over immutable values. Tolerances are
 explicit and relative: comparisons accept a :class:`Tolerance` and default
@@ -155,32 +156,20 @@ def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:
     return tuple(map(PlanePoint, *vertex_offsets(poly, PlanePoint(0.0, 0.0), range(poly.n))))
 
 
-def circle_circle_intersection(
-    c1: PlanePoint,
-    r1: float,
-    c2: PlanePoint,
-    r2: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[PlanePoint, ...]:
-    """Intersection points of two circles.
-
-    Returns two points for transversal intersection (the point on the
-    positive side of the c1->c2 axis first), one point for tangency within
-    tolerance, and none when the circles are disjoint. Coincident circles
-    of positive radius raise CoincidentCircles.
-    """
-    points = float_circle_intersection(c1.x, c1.y, r1, c2.x, c2.y, r2, tol.relative_eps)
-    return tuple(PlanePoint(x, y) for x, y in points)
-
-
 def float_circle_intersection(
     x1: float, y1: float, r1: float, x2: float, y2: float, r2: float, eps: float
 ) -> tuple[tuple[float, ...], ...]:
-    """:func:`circle_circle_intersection` of the circles centered at
-    (x1, y1) and (x2, y2), with relative tolerance ``eps``: the points as
-    (x, y) pairs. Lengths far below the largest one lose their squares to
-    underflow, so a caller near the bottom of the float range passes them
-    in units of that largest length."""
+    """Intersection points, as (x, y) pairs, of the circles centered at
+    (x1, y1) and (x2, y2), with relative tolerance ``eps``.
+
+    Returns two points for transversal intersection (the point on the
+    positive side of the center-1 -> center-2 axis first), one point for
+    tangency within tolerance, and none when the circles are disjoint.
+    Coincident circles of positive radius raise CoincidentCircles. Lengths
+    far below the largest one lose their squares to underflow, so a caller
+    near the bottom of the float range passes them in units of that largest
+    length. The only place that intersects two circles.
+    """
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError(f"radii must be >= 0, got ({r1}, {r2})")
     dist = math.hypot(x1 - x2, y1 - y2)
@@ -265,6 +254,13 @@ def opening_cosines(
     inverts this law.
     """
     return [(a - d * d) / b for d in distances]
+
+
+def largest_gap(
+    a: tuple[float, ...] | list[float], b: tuple[float, ...] | list[float]
+) -> float:
+    """``max |a_k - b_k|`` over the pairs of two nonempty sequences, in order."""
+    return max(map(abs, map(sub, a, b)))
 
 
 def multiset_close(

@@ -102,11 +102,10 @@ class CyclicAverages(LeadingAverages):
 
 @dataclass(frozen=True)
 class RadiiPair:
-    """Recovered circumradii, larger first, with the single-polygon flag."""
+    """Recovered circumradii, larger first."""
 
     larger: float
     smaller: float
-    degenerate: bool
 
     def __post_init__(self):
         if not self.larger >= self.smaller >= 0.0:
@@ -285,12 +284,13 @@ def recover_circumradii(
     family's units.
 
     ``larger^2, smaller^2 = (S(2) +/- sqrt(3 S(2)^2 - 2 S(4))) / 2``. A
-    discriminant within tolerance of zero is flagged degenerate (one polygon)
-    but still split: forcing the radii equal would drop up to
-    sqrt(relative_eps) of their difference. Only a discriminant within
-    rounding of zero (``2^-50`` of its scale) gives equal radii, since its
-    root would be noise of about sqrt(u). Below ``-gate`` it raises
-    InfeasibleMoments, as does a squared radius below ``-relative_eps * S(2)``.
+    discriminant within tolerance of zero (one polygon,
+    :attr:`FeasibilityReport.degenerate_single_polygon`) is still split:
+    forcing the radii equal would drop up to sqrt(relative_eps) of their
+    difference. Only a discriminant within rounding of zero (``2^-50`` of
+    its scale) gives equal radii, since its root would be noise of about
+    sqrt(u). Below ``-gate`` it raises InfeasibleMoments, as does a squared
+    radius below ``-relative_eps * S(2)``.
     """
     s2, s4 = av.values[:2]
     disc, g = _discriminant(av, tol)
@@ -303,7 +303,7 @@ def recover_circumradii(
         raise InfeasibleMoments(f"squared radius {smaller_sq} is negative beyond tolerance")
     larger = math.sqrt(max(larger_sq, 0.0))
     smaller = min(math.sqrt(max(smaller_sq, 0.0)), larger)
-    return RadiiPair(math.ldexp(larger, av.exponent), math.ldexp(smaller, av.exponent), disc <= g)
+    return RadiiPair(math.ldexp(larger, av.exponent), math.ldexp(smaller, av.exponent))
 
 
 def assess_feasibility(

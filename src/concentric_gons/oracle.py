@@ -14,11 +14,10 @@ instances reproduce bit-for-bit anywhere.
 import functools
 import math
 from math import cos, ldexp
-from operator import sub
 from typing import NamedTuple
 
 from .geom import TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle
-from .geom import law_of_cosines_distances, opening_cosines, vertex_offsets
+from .geom import largest_gap, law_of_cosines_distances, opening_cosines, vertex_offsets
 from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.vertices
 from .moments import MAX_VERTEX_COUNT, CircleFamily, two_radius_power_sum
 
@@ -124,7 +123,7 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
     b = 2.0 * r * l
 
     def residual(t: float) -> float:
-        return max(map(abs, map(sub, law_of_cosines_distances(a, b, n, t), target)))
+        return largest_gap(law_of_cosines_distances(a, b, n, t), target)
 
     if b == 0.0:
         return SweepResult(0.0, residual(0.0))

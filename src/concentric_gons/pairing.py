@@ -37,6 +37,7 @@ from .geom import (
     Tolerance,
     float_circle_intersection,
     float_vertex_offsets,
+    largest_gap,
     multiset_close,
     normalize_angle,
     opening_cosines,
@@ -101,14 +102,6 @@ def _in_units(
         ldexp(c1.x, -e), ldexp(c1.y, -e), ldexp(p1.circumradius, -e),
         ldexp(c2.x, -e), ldexp(c2.y, -e), ldexp(p2.circumradius, -e),
     )
-
-
-def auxiliary_circles(
-    p1: RegularPolygonSpec, p2: RegularPolygonSpec
-) -> tuple[tuple[PlanePoint, float], tuple[PlanePoint, float]]:
-    """Each polygon's center paired with the other polygon's circumradius."""
-    _require_same_order(p1, p2)
-    return (p1.center, p2.circumradius), (p2.center, p1.circumradius)
 
 
 def _meeting_points(
@@ -279,7 +272,7 @@ def pair_polygons(
             offsets = float_vertex_offsets(x2, y2, r2, phase, n, px, py, range(n))
             second = sorted(map(hypot, *offsets))
             if not multiset_close(first, second, gate):
-                gap = max(abs(u - v) for u, v in zip(first, second))
+                gap = largest_gap(first, second)
                 warnings.warn(
                     "aligned distance pair did not propagate to the full multiset at "
                     f"{PlanePoint(ldexp(px, e), ldexp(py, e))}; largest gap {ldexp(gap, e)}",

@@ -44,11 +44,12 @@ from .geom import (
     RegularPolygonSpec,
     Tolerance,
     distance_multiset,
+    float_vertex_offsets,
+    largest_gap,
     law_of_cosines_distances,
     multiset_close,
     normalize_angle,
     phase_candidates,
-    vertex_offsets,
 )
 from .moments import (
     CircleFamily,
@@ -111,8 +112,7 @@ def verify_reconstruction(family: CircleFamily, poly: RegularPolygonSpec) -> flo
     from the family center and the family radii."""
     if poly.n != family.n:
         raise ValueError(f"vertex count {poly.n} does not match {family.n} radii")
-    measured = distance_multiset(poly, family.center)
-    return max(abs(a - b) for a, b in zip(measured, family.radii))
+    return largest_gap(distance_multiset(poly, family.center), family.radii)
 
 
 def smaller_vanishes(larger: float, smaller: float, tol: Tolerance) -> bool:
@@ -125,7 +125,7 @@ def smaller_vanishes(larger: float, smaller: float, tol: Tolerance) -> bool:
 def _relative_gap(distances: list[float], radii: tuple[float, ...]) -> float:
     """The largest elementwise gap of two ascending sequences, relative to
     their largest length, as :func:`geom.multiset_close` gates it."""
-    return max(abs(x - y) for x, y in zip(distances, radii)) / max(distances[-1], radii[-1])
+    return largest_gap(distances, radii) / max(distances[-1], radii[-1])
 
 
 def _solve3(rows: list[list[float]], rhs: list[float]) -> list[float] | None:
@@ -167,7 +167,6 @@ def _polish(
     """
     u = larger + smaller
     v = max(larger - smaller, min(radii[0], math.sqrt(tol.relative_eps) * u / 2.0))
-    origin = PlanePoint(0.0, 0.0)
     best = None
     for _ in range(POLISH_STEPS + 1):
         placed = law_of_cosines_distances((u * u + v * v) / 2.0, (u * u - v * v) / 2.0, n, t)
@@ -175,8 +174,8 @@ def _polish(
         if best is not None and not (gap < best[0] and abs(v) <= u):
             break
         best = (gap, t, u, abs(v))
-        unit = RegularPolygonSpec(n, origin, 1.0, t)
-        angles = sorted(zip(*vertex_offsets(unit, origin, range(n))), reverse=True)
+        unit = float_vertex_offsets(0.0, 0.0, 1.0, normalize_angle(t), n, 0.0, 0.0, range(n))
+        angles = sorted(zip(*unit), reverse=True)
         normal = [[0.0] * 3 for _ in range(3)]
         gradient = [0.0] * 3
         for (cos_k, sin_k), d, target in zip(angles, placed, radii):
@@ -289,7 +288,6 @@ def reconstruct_polygons(
             pair = RadiiPair(
                 math.ldexp(placed_larger, averages.exponent),
                 math.ldexp(placed_smaller, averages.exponent),
-                pair.degenerate,
             )
         second = pair.smaller
         # Each center sits on the +x axis, so the direction back to the

@@ -17,6 +17,7 @@ from concentric_gons import (
     PlanePoint,
     RegularPolygonSpec,
     SplitMix64,
+    assess_feasibility,
     condition_two,
     cyclic_averages,
     distance_multiset,
@@ -116,8 +117,9 @@ def test_criterion_4_degenerate_boundaries():
     sums2 = sum(r * r for r in collinear.radii)
     sums4 = sum(r ** 4 for r in collinear.radii)
     assert abs(3 * sums2 ** 2 - 2 * 3 * sums4) <= 1e-12  # vanishing discriminant
-    pair = recover_circumradii(cyclic_averages(collinear))
-    assert pair.degenerate
+    av = cyclic_averages(collinear)
+    pair = recover_circumradii(av)
+    assert assess_feasibility(av).degenerate_single_polygon
     assert abs(pair.larger - 1.0) <= 1e-12
     rec = reconstruct_polygons(collinear)
     assert max(rec.residuals) <= 1e-9

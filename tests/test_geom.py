@@ -1,20 +1,28 @@
 import math
+import random
+from operator import sub
 
 import pytest
 from hypothesis import given, strategies as st
 
 from concentric_gons import (
+    DEFAULT_TOLERANCE,
     CoincidentCircles,
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
-    circle_circle_intersection,
     distance_multiset,
     multiset_close,
     random_instance,
     vertices,
 )
-from concentric_gons.geom import law_of_cosines_distances, opening_cosines, vertex_offsets
+from concentric_gons.geom import (
+    float_circle_intersection,
+    largest_gap,
+    law_of_cosines_distances,
+    opening_cosines,
+    vertex_offsets,
+)
 
 from closed_forms import TriangleInequalityViolated, heron_area
 
@@ -128,63 +136,67 @@ def test_heron_symmetric_in_all_orders(a, b, c):
 # ------------------------------------------------- circle intersection
 
 
+EPS = DEFAULT_TOLERANCE.relative_eps
+
+
 def test_externally_tangent_circles():
-    points = circle_circle_intersection(PlanePoint(0, 0), 1, PlanePoint(2, 0), 1)
+    points = float_circle_intersection(0, 0, 1, 2, 0, 1, EPS)
     assert len(points) == 1
-    assert points[0].x == pytest.approx(1.0, abs=1e-12)
-    assert points[0].y == pytest.approx(0.0, abs=1e-12)
+    (x, y), = points
+    assert x == pytest.approx(1.0, abs=1e-12)
+    assert y == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_point_intersection_order():
-    points = circle_circle_intersection(PlanePoint(0, 0), 1, PlanePoint(2, 0), 2)
+    points = float_circle_intersection(0, 0, 1, 2, 0, 2, EPS)
     assert len(points) == 2
     first, second = points
-    assert first.x == pytest.approx(0.25, abs=1e-12)
-    assert first.y == pytest.approx(math.sqrt(15) / 4, abs=1e-12)
-    assert second.y == pytest.approx(-math.sqrt(15) / 4, abs=1e-12)
+    assert first[0] == pytest.approx(0.25, abs=1e-12)
+    assert first[1] == pytest.approx(math.sqrt(15) / 4, abs=1e-12)
+    assert second[1] == pytest.approx(-math.sqrt(15) / 4, abs=1e-12)
 
 
 def test_disjoint_circles():
-    assert circle_circle_intersection(PlanePoint(0, 0), 1, PlanePoint(5, 0), 1) == ()
+    assert float_circle_intersection(0, 0, 1, 5, 0, 1, EPS) == ()
 
 
 def test_concentric_distinct_radii():
-    assert circle_circle_intersection(PlanePoint(0, 0), 1, PlanePoint(0, 0), 2) == ()
+    assert float_circle_intersection(0, 0, 1, 0, 0, 2, EPS) == ()
 
 
 def test_coincident_circles_raise():
     with pytest.raises(CoincidentCircles):
-        circle_circle_intersection(PlanePoint(0, 0), 1, PlanePoint(0, 0), 1)
+        float_circle_intersection(0, 0, 1, 0, 0, 1, EPS)
 
 
 def test_contained_circle_no_intersection():
-    assert circle_circle_intersection(PlanePoint(0, 0), 5, PlanePoint(1, 0), 1) == ()
+    assert float_circle_intersection(0, 0, 5, 1, 0, 1, EPS) == ()
 
 
 def test_internally_tangent_circles():
-    points = circle_circle_intersection(PlanePoint(0, 0), 3, PlanePoint(1, 0), 2)
+    points = float_circle_intersection(0, 0, 3, 1, 0, 2, EPS)
     assert len(points) == 1
-    assert points[0].x == pytest.approx(3.0, abs=1e-12)
-    assert points[0].y == pytest.approx(0.0, abs=1e-12)
+    (x, y), = points
+    assert x == pytest.approx(3.0, abs=1e-12)
+    assert y == pytest.approx(0.0, abs=1e-12)
 
 
 @given(coords, coords, lengths, coords, coords, lengths)
 def test_intersection_points_lie_on_both_circles(x1, y1, r1, x2, y2, r2):
-    c1, c2 = PlanePoint(x1, y1), PlanePoint(x2, y2)
     try:
-        points = circle_circle_intersection(c1, r1, c2, r2)
-        swapped = circle_circle_intersection(c2, r2, c1, r1)
+        points = float_circle_intersection(x1, y1, r1, x2, y2, r2, EPS)
+        swapped = float_circle_intersection(x2, y2, r2, x1, y1, r1, EPS)
     except CoincidentCircles:
         return
-    for p in points:
-        assert c1.distance_to(p) == pytest.approx(r1, rel=1e-9, abs=1e-9)
-        assert c2.distance_to(p) == pytest.approx(r2, rel=1e-9, abs=1e-9)
+    for px, py in points:
+        assert math.hypot(px - x1, py - y1) == pytest.approx(r1, rel=1e-9, abs=1e-9)
+        assert math.hypot(px - x2, py - y2) == pytest.approx(r2, rel=1e-9, abs=1e-9)
     assert len(points) == len(swapped)
     # Match within 1e-9 rather than after rounding to 9 decimals: a
     # coordinate near a rounding boundary would split otherwise equal points.
     for ours, theirs in ((points, swapped), (swapped, points)):
         for p in ours:
-            assert min(p.distance_to(q) for q in theirs) <= 1e-9
+            assert min(math.dist(p, q) for q in theirs) <= 1e-9
 
 
 # ------------------------------------------------- distance multiset
@@ -367,6 +379,21 @@ def test_inverse_law_kernel_matches_the_three_written_out_inverses_bit_for_bit(n
         got = _bits(opening_cosines(a, b, distances))
         assert got == _bits([(r * r + l * l - d * d) / (2.0 * r * l) for d in distances]), (r, l)
         assert got == _bits([(a - d * d) / b for d in distances]), (r, l)
+
+
+def test_largest_gap_matches_the_four_written_out_gaps_bit_for_bit():
+    # reconstruct's relative gap, verify_reconstruction and the pairing gate
+    # warning wrote out the generator; angle_sweep's residual the map form.
+    rng = random.Random(14)
+    specials = (0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        a = sorted(rng.choice(specials) if rng.random() < 0.3 else rng.random() for _ in range(n))
+        b = [rng.choice((x, x, -x, 0.0, -0.0, x + rng.random())) for x in a]
+        for first, second in ((a, b), (b, a), (tuple(a), a), (a, a)):
+            got = largest_gap(first, second)
+            assert got.hex() == max(abs(x - y) for x, y in zip(first, second)).hex()
+            assert got.hex() == max(map(abs, map(sub, first, second))).hex()
 
 
 def test_mirror_phase_squares_round_below_zero():

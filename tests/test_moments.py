@@ -352,24 +352,27 @@ def test_feasible_family_with_averages_near_the_largest_double():
 
 
 def test_recover_worked_triangle_family():
-    pair = recover_circumradii(cyclic_averages(family(*TRIANGLE_FAMILY)))
+    av = cyclic_averages(family(*TRIANGLE_FAMILY))
+    pair = recover_circumradii(av)
     assert pair.larger == pytest.approx(2.0, abs=1e-12)
     assert pair.smaller == pytest.approx(1.0, abs=1e-12)
-    assert not pair.degenerate
+    assert not assess_feasibility(av).degenerate_single_polygon
 
 
 def test_recover_degenerate_family():
-    pair = recover_circumradii(cyclic_averages(family(1, 1, 2)))
-    assert pair.degenerate
+    av = cyclic_averages(family(1, 1, 2))
+    pair = recover_circumradii(av)
+    assert assess_feasibility(av).degenerate_single_polygon
     assert pair.larger == pytest.approx(1.0, abs=1e-12)
     assert pair.smaller == pytest.approx(1.0, abs=1e-12)
 
 
 def test_recover_all_equal_family():
-    pair = recover_circumradii(cyclic_averages(family(1, 1, 1, 1)))
+    av = cyclic_averages(family(1, 1, 1, 1))
+    pair = recover_circumradii(av)
     assert pair.larger == pytest.approx(1.0, abs=1e-12)
     assert pair.smaller == pytest.approx(0.0, abs=1e-12)
-    assert not pair.degenerate
+    assert not assess_feasibility(av).degenerate_single_polygon
 
 
 def test_recover_rejects_infeasible_averages():

@@ -12,7 +12,6 @@ from concentric_gons import (
     PlanePoint,
     RegularPolygonSpec,
     align_second_polygon,
-    auxiliary_circles,
     candidate_centers,
     condition_one,
     condition_two,
@@ -35,28 +34,10 @@ def triangle(cx, cy, radius, phase=0.0):
     return RegularPolygonSpec(3, PlanePoint(cx, cy), radius, phase)
 
 
-# ------------------------------------------------------ auxiliary circles
-
-
-def test_auxiliary_circles_swap_radii():
-    p1 = triangle(0, 0, 2)
-    p2 = triangle(2, 0, 1)
-    (c1, r1), (c2, r2) = auxiliary_circles(p1, p2)
-    assert (c1, r1) == (PlanePoint(0, 0), 1)
-    assert (c2, r2) == (PlanePoint(2, 0), 2)
-
-
-def test_auxiliary_circles_identical_polygons_coincide():
-    p = triangle(1, 1, 1.5)
-    (c1, r1), (c2, r2) = auxiliary_circles(p, p)
-    assert c1 == c2
-    assert r1 == r2 == 1.5
-
-
 def test_mismatched_order_rejected_everywhere():
     p1 = triangle(0, 0, 1)
     p2 = RegularPolygonSpec(4, PlanePoint(2, 0), 1, 0.0)
-    for op in (auxiliary_circles, candidate_centers, pair_polygons):
+    for op in (candidate_centers, pair_polygons):
         with pytest.raises(MismatchedOrder):
             op(p1, p2)
 

@@ -119,7 +119,6 @@ def test_reconstruct_degenerate_collinear_family():
     fam = CircleFamily(PlanePoint(0, 0), (1.0, 1.0, 2.0))
     rec = reconstruct_polygons(fam)
     assert rec.report.degenerate_single_polygon
-    assert rec.circumradii.degenerate
     assert rec.circumradii.larger == pytest.approx(1.0, abs=1e-12)
     assert max(rec.residuals) <= 1e-9
 
@@ -292,7 +291,7 @@ def test_the_decision_measures_no_residuals(monkeypatch):
     monkeypatch.setattr(reconstruct, "verify_reconstruction", forbidden)
     families = lazy_families()
     recs = [reconstruct_polygons(fam) for fam in families]
-    assert recs[3].point_polygon and recs[4].circumradii.degenerate
+    assert recs[3].point_polygon and recs[4].report.degenerate_single_polygon
     monkeypatch.undo()
     calls = counting(monkeypatch)
     for fam, rec in zip(families, recs):

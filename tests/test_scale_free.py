@@ -19,6 +19,7 @@ from concentric_gons import (
     DEFAULT_TOLERANCE,
     CircleFamily,
     InfeasibleFamily,
+    NotACandidateCenter,
     PairingResult,
     PlanePoint,
     RadiiPair,
@@ -86,9 +87,7 @@ def test_power_of_two_scaling_scales_every_length_bit_for_bit(k, n, kind):
     assert scaled.report == base.report
     assert scaled.point_polygon == base.point_polygon
     pair = base.circumradii
-    assert scaled.circumradii == RadiiPair(
-        math.ldexp(pair.larger, k), math.ldexp(pair.smaller, k), pair.degenerate
-    )
+    assert scaled.circumradii == RadiiPair(math.ldexp(pair.larger, k), math.ldexp(pair.smaller, k))
     assert scaled.polygon1 == ldexp_polygon(base.polygon1, k)
     assert scaled.polygon2 == ldexp_polygon(base.polygon2, k)
     assert scaled.residuals == tuple(math.ldexp(r, k) for r in base.residuals)
@@ -262,6 +261,21 @@ def test_pairing_survives_translation(n, scale):
         assert len(moved) == len(base), shift
         for a, b in zip(base, moved):
             assert multiset_close(a.circles.radii, b.circles.radii, gate), shift
+
+
+@pytest.mark.xfail(strict=True, raises=NotACandidateCenter)
+def test_pairing_count_survives_a_shift_of_1e9_largest_lengths():
+    # The arm check runs on the meeting point in absolute coordinates, whose
+    # rounding grows with the distance from the origin; on random_instance
+    # pairs it fails from shifts of about 1e7 largest lengths on.
+    for n in PAIR_SIZES:
+        for seed in PAIR_SEEDS:
+            inst = random_instance(n, seed)
+            p1, p2 = inst.polygon1, inst.polygon2
+            largest = max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
+            shift = (1e9 * largest, 0.0)
+            moved = pair_polygons(*(moved_polygon(p, 1.0, shift) for p in (p1, p2)))
+            assert len(moved) == len(pair_polygons(p1, p2)), (n, seed)
 
 
 def test_pair_far_from_the_origin_stays_finite_in_units_of_its_largest_length():

@@ -1,5 +1,5 @@
 """Smoke tests: each script under scripts/ runs to completion on tiny inputs,
-the CLI's output bytes on the small corpus are pinned, and the benchmark's
+the CLI's output bytes on the whole corpus are pinned, and the benchmark's
 tracer still finds every function it wraps."""
 
 import ast
@@ -59,20 +59,20 @@ def test_output_corpus_is_reproducible(tmp_path):
     assert any(record["svg"] for record in records)
 
 
-# sha256 over the ``--json`` stdout and the SVG texts of the ``--sizes 3``
-# corpus (372 commands). Human text and stderr are left out, because
+# sha256 over the ``--json`` stdout and the SVG texts of the whole corpus
+# (852 commands, every size). Human text and stderr are left out, because
 # argparse words them differently across Python versions; the floats depend
 # on the C library's trig, so the pin holds per platform. A new digest is a
 # change in output: re-pin only with a CHANGES.md entry that names the
 # commands whose output changed.
-CORPUS_SHA256 = "248656eff2b1c98ea15e39df2662ae861f655d73c994253e4bf6cf5a9831641b"
+CORPUS_SHA256 = "2914686d1c5281a775bbea6d9bf66d25ea6cf4dc3c2a59b86df7e92d74765f53"
 
 
 def test_output_corpus_bytes_are_pinned(tmp_path):
-    done = run_script("output_corpus.py", "--out", "corpus.json", "--sizes", "3", cwd=tmp_path)
+    done = run_script("output_corpus.py", "--out", "corpus.json", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     records = json.loads((tmp_path / "corpus.json").read_bytes())
-    assert len(records) == 372
+    assert len(records) == 852
     pinned = [
         [record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
         for record in records

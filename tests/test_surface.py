@@ -19,3 +19,49 @@ def test_import_loads_only_the_standard_library_and_exports_resolve():
     names = concentric_gons.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(concentric_gons, name)] == []
+
+
+def test_public_names_are_pinned():
+    # Growing or shrinking the API is a decision, recorded here when made.
+    assert sorted(concentric_gons.__all__) == [
+        "CircleFamily",
+        "CoincidentAuxiliaryCircles",
+        "CoincidentCircles",
+        "CyclicAverages",
+        "DEFAULT_TOLERANCE",
+        "DegenerateGeometry",
+        "FeasibilityReport",
+        "GeometryError",
+        "InfeasibleFamily",
+        "InfeasibleMoments",
+        "InvalidMomentOrder",
+        "MismatchedOrder",
+        "NotACandidateCenter",
+        "PairingResult",
+        "PlanePoint",
+        "RadiiPair",
+        "RandomInstance",
+        "Reconstruction",
+        "RegularPolygonSpec",
+        "SplitMix64",
+        "Tolerance",
+        "align_second_polygon",
+        "angle_sweep",
+        "assess_feasibility",
+        "candidate_centers",
+        "condition_one",
+        "condition_two",
+        "cyclic_averages",
+        "distance_multiset",
+        "multiset_close",
+        "normalize_angle",
+        "pair_polygons",
+        "phase_candidates",
+        "power_identity_residual",
+        "random_instance",
+        "reconstruct_polygons",
+        "recover_circumradii",
+        "two_radius_power_sum",
+        "verify_reconstruction",
+        "vertices",
+    ]

@@ -75,7 +75,7 @@ def test_boundary_families_are_feasible_on_every_route(tmp_path, n, t):
     assert verdicts(tmp_path / "circles.json", radii) == (0, 0, 0)
     rec = reconstruct_polygons(family(radii))
     assert max(rec.residuals) <= GATE * radii[-1]
-    assert rec.circumradii.degenerate
+    assert rec.report.degenerate_single_polygon
 
 
 SWEEP_DELTAS = (0.0, *(10.0 ** -k for k in range(3, 14)), 3e-7, 3e-8, 3e-9)

@@ -27,11 +27,8 @@ from .instances import (
     load_instance,
     polygon_record,
 )
-from .moments import (  # unused here; perfbench/tracing.py wraps cli's copies
-    assess_feasibility,
-    cyclic_averages,
-)
-from .moments import CircleFamily, RadiiPair, leading_averages, recover_circumradii
+from .moments import CircleFamily, RadiiPair, assess_feasibility, cyclic_averages
+from .moments import leading_averages, recover_circumradii
 from .oracle import angle_sweep, power_identity_residual, random_instance
 from .pairing import candidate_centers, pair_polygons
 from .reconstruct import reconstruct_polygons
@@ -71,15 +68,13 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 
 
 def _family_from_args(args) -> CircleFamily:
-    if args.radii is not None:
-        values = _parse_radii(args.radii)
-        if sorted(values) != list(values):
-            print("warning: radii were not sorted ascending; sorting", file=sys.stderr)
-            values = tuple(sorted(values))
-        return CircleFamily(center=PlanePoint(0.0, 0.0), radii=values)
-    if args.input is not None:
+    if args.radii is None:
         return _load(args.input, "circles").circles
-    raise InstanceFormatError("provide --radii or --input")
+    values = _parse_radii(args.radii)
+    if sorted(values) != list(values):
+        print("warning: radii were not sorted ascending; sorting", file=sys.stderr)
+        values = tuple(sorted(values))
+    return CircleFamily(center=PlanePoint(0.0, 0.0), radii=values)
 
 
 def _load(path: str, kind: str | None = None) -> InstanceDocument:
@@ -135,21 +130,30 @@ def _write_svg(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from None
 
 
+def _decide(family: CircleFamily, tol: Tolerance):
+    """The paper's report on the family (conditions I and II, O(n^2)) and its
+    reconstruction, or None in its place when the family is infeasible."""
+    try:
+        rec = reconstruct_polygons(family, tol)
+    except InfeasibleFamily:
+        rec = None
+    return assess_feasibility(cyclic_averages(family), tol), rec
+
+
 def cmd_check(args) -> int:
     tol = _tolerance_from_args(args)
     family = _family_from_args(args)
     # The verdict is reconstruction's, so check says feasible exactly when
     # reconstruct succeeds; the report and the circumradii are printed.
-    try:
-        rec = reconstruct_polygons(family, tol)
-    except InfeasibleFamily as exc:
-        feasible, report = False, exc.report
+    report, rec = _decide(family, tol)
+    feasible = rec is not None
+    if feasible:
+        pair = rec.circumradii
+    else:
         try:
             pair = recover_circumradii(leading_averages(family), tol)
         except InfeasibleMoments:
             pair = None
-    else:
-        feasible, report, pair = True, rec.report, rec.circumradii
     recovered = None if pair is None else _pair_record(pair, report)
     payload = {
         "n": family.n,
@@ -189,14 +193,13 @@ def _reconstruction_svg(family: CircleFamily, rec) -> str:
 def cmd_reconstruct(args) -> int:
     tol = _tolerance_from_args(args)
     family = _family_from_args(args)
-    try:
-        rec = reconstruct_polygons(family, tol)
-    except InfeasibleFamily as exc:
+    report, rec = _decide(family, tol)
+    if rec is None:
         payload = {
             "n": family.n,
             "radii": list(family.radii),
             "feasible": False,
-            "report": _report_record(exc.report),
+            "report": _report_record(report),
         }
         _emit(args, payload, ["feasible: no"])
         return EXIT_INFEASIBLE
@@ -204,8 +207,8 @@ def cmd_reconstruct(args) -> int:
         "n": family.n,
         "radii": list(family.radii),
         "feasible": True,
-        "report": _report_record(rec.report),
-        "circumradii": _pair_record(rec.circumradii, rec.report),
+        "report": _report_record(report),
+        "circumradii": _pair_record(rec.circumradii, report),
         "polygons": [polygon_record(rec.polygon1), polygon_record(rec.polygon2)],
         "point_polygon": rec.point_polygon,
         "residuals": list(rec.residuals),
@@ -286,10 +289,9 @@ def cmd_pair(args) -> int:
 
 def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
     family = doc.circles
-    try:
-        rec = reconstruct_polygons(family, tol)
-    except InfeasibleFamily as exc:
-        return {"kind": "circles", "report": _report_record(exc.report),
+    report, rec = _decide(family, tol)
+    if rec is None:
+        return {"kind": "circles", "report": _report_record(report),
                 "angle_sweeps": [], "pass": False}
     sweeps = []
     ok = True
@@ -312,7 +314,7 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
         ok = sweep.best_residual <= SWEEP_TOLERANCE
     return {
         "kind": "circles",
-        "report": _report_record(rec.report),
+        "report": _report_record(report),
         "angle_sweeps": sweeps,
         "pass": ok,
     }
@@ -432,13 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, radii=False, input_file=False, svg=False, seed=False):
+    def add_common(p, radii=False, input_file=False, svg=False, seed=False, required=()):
+        # With --radii, exactly one of --radii and --input is given.
+        sources = p.add_mutually_exclusive_group(required=True) if radii else p
         if radii:
-            p.add_argument("--radii", help="comma-separated circle radii")
+            sources.add_argument("--radii", help="comma-separated circle radii")
         if input_file:
-            p.add_argument("--input", help="instance JSON file")
+            sources.add_argument("--input", required="--input" in required,
+                                 help="instance JSON file")
         if svg:
-            p.add_argument("--svg", help="write an SVG drawing to this path")
+            p.add_argument("--svg", required="--svg" in required,
+                           help="write an SVG drawing to this path")
         if seed:
             p.add_argument("--seed", type=int, default=1, help="certification seed")
         p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_pair = sub.add_parser("pair", help="find shared circles for two polygons")
-    add_common(p_pair, input_file=True, svg=True)
+    add_common(p_pair, input_file=True, svg=True, required=("--input",))
     p_pair.set_defaults(func=cmd_pair)
 
     p_verify = sub.add_parser("verify", help="brute-force cross-checks")
@@ -461,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="draw an instance to SVG")
-    add_common(p_render, input_file=True, svg=True)
+    add_common(p_render, input_file=True, svg=True, required=("--input", "--svg"))
     p_render.set_defaults(func=cmd_render)
     return parser
 
@@ -477,12 +483,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse help/usage paths
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.command == "pair" and not args.input:
-        print("error: pair requires --input", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "render" and not (args.input and args.svg):
-        print("error: render requires --input and --svg", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, OverflowError) as exc:  # InstanceFormatError included

@@ -1,7 +1,5 @@
 """Exception types shared across the library."""
 
-from functools import cached_property
-
 
 class GeometryError(Exception):
     """Base class for every error this library raises deliberately."""
@@ -36,17 +34,4 @@ class DegenerateGeometry(GeometryError):
 
 
 class InfeasibleFamily(GeometryError):
-    """Circle radii admit no two polygons. ``report``, the paper's two
-    conditions, is built by ``build_report`` when first read."""
-
-    def __init__(self, message, build_report):
-        super().__init__(message)
-        self._build_report = build_report
-
-    def __reduce__(self):
-        # Exception's own reduce passes only the message to __init__.
-        return type(self), (*self.args, self._build_report), self.__dict__
-
-    @cached_property
-    def report(self):
-        return self._build_report()
+    """Circle radii admit no two polygons."""

@@ -9,13 +9,12 @@ S(2) and S(4) alone (:func:`moments.leading_averages`) and one placement, so
 it costs O(n log n). A placement that misses the gate by less than
 ``sqrt(relative_eps)`` of the largest radius is polished by Gauss-Newton
 first: a discriminant inside its gate leaves the circumradii uncertain by
-about that much. The paper's conditions I and II are computed when the
-report is first read (:attr:`Reconstruction.report`,
-:attr:`InfeasibleFamily.report`); the O(n^2) power table is built there.
-Likewise :attr:`Reconstruction.residuals` is measured when first read: the
-polygons are placed in Cartesian coordinates and their vertex distances
-compared with the radii, independently of the law-of-cosines gate that
-decided the family.
+about that much. The paper's conditions I and II take no part: their report,
+``assess_feasibility(cyclic_averages(family), tol)``, costs an O(n^2) power
+table and is built by whoever prints it. :attr:`Reconstruction.residuals` is
+measured when first read: the polygons are placed in Cartesian coordinates
+and their vertex distances compared with the radii, independently of the
+law-of-cosines gate that decided the family.
 
 Placement convention: with M the family center, both polygon centers go on
 the +x axis from M, the first at distance ``smaller`` with circumradius
@@ -35,7 +34,7 @@ rotation does, and :func:`geom.law_of_cosines_distances` evaluates it.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import InfeasibleFamily, InfeasibleMoments
 from .geom import (
@@ -51,50 +50,27 @@ from .geom import (
     normalize_angle,
     phase_candidates,
 )
-from .moments import (
-    CircleFamily,
-    FeasibilityReport,
-    RadiiPair,
-    assess_feasibility,
-    cyclic_averages,
-    leading_averages,
-    recover_circumradii,
-)
+from .moments import CircleFamily, RadiiPair, leading_averages, recover_circumradii
+# Unused here; perfbench/tracing.py wraps reconstruct.assess_feasibility and
+# reconstruct.cyclic_averages.
+from .moments import assess_feasibility, cyclic_averages
 
 # Gauss-Newton steps of the polish at most.
 POLISH_STEPS = 4
-
-
-def _feasibility_report(radii: tuple[float, ...], tol: Tolerance) -> FeasibilityReport:
-    """Conditions I and II on the radii: the O(n^2) power table. The report
-    depends on shape alone, so radii divided by a power of two give the
-    family's report bit for bit."""
-    return assess_feasibility(cyclic_averages(CircleFamily(PlanePoint(0.0, 0.0), radii)), tol)
-
-
-def _rejection(message: str, radii: tuple[float, ...], tol: Tolerance) -> InfeasibleFamily:
-    return InfeasibleFamily(message, partial(_feasibility_report, radii, tol))
 
 
 @dataclass(frozen=True)
 class Reconstruction:
     """Two polygon placements realizing a radii family, with diagnostics.
 
-    ``report`` and ``residuals`` are derived from ``family`` and the
-    polygons, computed on first read and cached; they take no part in
-    ``repr`` or ``==``."""
+    ``residuals`` is derived from ``family`` and the polygons, computed on
+    first read and cached; it takes no part in ``repr`` or ``==``."""
 
     polygon1: RegularPolygonSpec
     polygon2: RegularPolygonSpec
     circumradii: RadiiPair
     point_polygon: bool  # second polygon collapsed to a point
     family: CircleFamily = field(repr=False)
-    tol: Tolerance = field(repr=False)
-
-    @cached_property
-    def report(self) -> FeasibilityReport:
-        """The paper's conditions I and II, built when first read."""
-        return _feasibility_report(self.family.radii, self.tol)
 
     @cached_property
     def residuals(self) -> tuple[float, float]:
@@ -240,12 +216,10 @@ def _find_phase(
         if multiset_close(law_of_cosines_distances(a, b, n, t), radii, accept):
             return t, larger, smaller
         gap = min(gap, polished_gap)
-    raise _rejection(
+    raise InfeasibleFamily(
         f"no placement reproduces the radii: best relative gap {gap:.3g} against "
         f"the gate {accept.relative_eps:.3g}, "
-        + ("polished without reaching the gate" if polished else "too far to polish"),
-        radii,
-        tol,
+        + ("polished without reaching the gate" if polished else "too far to polish")
     )
 
 
@@ -255,12 +229,11 @@ def reconstruct_polygons(
     """Build the two regular polygons whose vertex distances from the family
     center reproduce the family radii.
 
-    Raises InfeasibleFamily (report built when read) when the discriminant
-    fails its gate or no placement reproduces the radii (see the module
-    docstring). When the smaller recovered circumradius vanishes and one
-    polygon centered on the family reproduces the radii, the second polygon
-    degenerates to a point at distance ``larger`` from the center and the
-    phase search is skipped.
+    Raises InfeasibleFamily when the discriminant fails its gate or no
+    placement reproduces the radii (see the module docstring). When the
+    smaller recovered circumradius vanishes and one polygon centered on the
+    family reproduces the radii, the second polygon degenerates to a point
+    at distance ``larger`` from the center and the phase search is skipped.
     """
     averages = leading_averages(family)
     # Decisions and the phase search run in the units of the averages,
@@ -269,7 +242,7 @@ def reconstruct_polygons(
     try:
         pair = recover_circumradii(averages, tol)
     except InfeasibleMoments as exc:
-        raise _rejection(f"radii family fails condition I: {exc}", radii, tol) from None
+        raise InfeasibleFamily(f"radii family fails condition I: {exc}") from None
     center = family.center
     n = family.n
     larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
@@ -302,5 +275,4 @@ def reconstruct_polygons(
         circumradii=pair,
         point_polygon=point_polygon,
         family=family,
-        tol=tol,
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from concentric_gons import PlanePoint, RegularPolygonSpec, random_instance
+from concentric_gons import PlanePoint, RegularPolygonSpec, cli, random_instance, reconstruct
 from concentric_gons.cli import build_parser, main
 from concentric_gons.instances import (
     InstanceFormatError,
@@ -196,6 +196,15 @@ def test_check_usage_errors():
     assert code == 1
     code, _, _ = run_cli("check")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+def test_radii_and_input_together_are_a_usage_error(command, tmp_path):
+    # Either source alone decides the family; given both, neither is used.
+    for source in (write_circles(tmp_path / "c.json", [1.0, 1.0, 2.0]), "/nonexistent"):
+        code, out, err = run_cli(command, "--radii", "1,1,2", "--input", source, "--json")
+        assert (code, out) == (1, "")
+        assert "not allowed with argument --radii" in err
 
 
 @pytest.mark.parametrize(
@@ -689,3 +698,38 @@ def test_verify_pair_above_the_vertex_limit_is_a_usage_error(p1, p2, flags, tmp_
     assert run_cli("verify", "--input", path, *flags) == (
         1, "", f"error: vertex count {p1.n} exceeds 256\n"
     )
+
+
+@pytest.mark.parametrize("kind", ["feasible", "infeasible"])
+def test_each_circles_command_builds_one_power_table(kind, monkeypatch, tmp_path):
+    # check, reconstruct and verify print the paper's report, one O(n^2)
+    # power table each; reconstruction builds none and render prints none.
+    radii = list(random_instance(8, 3).family.radii)
+    if kind == "infeasible":
+        radii[-1] *= 1.01
+    source = write_circles(tmp_path / "c.json", radii)
+    calls = []
+
+    def counted(module):
+        original = module.cyclic_averages
+
+        def counting(family):
+            calls.append(module.__name__)
+            return original(family)
+
+        monkeypatch.setattr(module, "cyclic_averages", counting)
+
+    counted(cli)
+    counted(reconstruct)
+    code = 0 if kind == "feasible" else 2
+    for argv in (
+        ["check", "--input", source, "--json"],
+        ["reconstruct", "--input", source, "--json"],
+        ["verify", "--input", source, "--json"],
+    ):
+        calls.clear()
+        assert run_cli(*argv)[0] == code, argv
+        assert calls == ["concentric_gons.cli"], argv
+    calls.clear()
+    assert run_cli("render", "--input", source, "--svg", str(tmp_path / "c.svg"))[0] == 0
+    assert calls == []

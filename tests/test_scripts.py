@@ -59,13 +59,13 @@ def test_output_corpus_is_reproducible(tmp_path):
     assert any(record["svg"] for record in records)
 
 
-# sha256 over the ``--json`` stdout and the SVG texts of the whole corpus
-# (852 commands, every size). Human text and stderr are left out, because
-# argparse words them differently across Python versions; the floats depend
-# on the C library's trig, so the pin holds per platform. A new digest is a
-# change in output: re-pin only with a CHANGES.md entry that names the
-# commands whose output changed.
-CORPUS_SHA256 = "2914686d1c5281a775bbea6d9bf66d25ea6cf4dc3c2a59b86df7e92d74765f53"
+# sha256 over the exit code, the ``--json`` stdout and the SVG texts of the
+# whole corpus (852 commands, every size). Human text and stderr are left
+# out, because argparse words them differently across Python versions; the
+# floats depend on the C library's trig, so the pin holds per platform. A
+# new digest is a change in output: re-pin only with a CHANGES.md entry that
+# names the commands whose output changed.
+CORPUS_SHA256 = "ed3a2654ac14a61d6f1f07aa4177543b9ce101c3f8d766d3346c7414464d16cf"
 
 
 def test_output_corpus_bytes_are_pinned(tmp_path):
@@ -74,7 +74,7 @@ def test_output_corpus_bytes_are_pinned(tmp_path):
     records = json.loads((tmp_path / "corpus.json").read_bytes())
     assert len(records) == 852
     pinned = [
-        [record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
+        [record["exit"], record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
         for record in records
     ]
     digest = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode("utf-8")).hexdigest()

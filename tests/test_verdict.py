@@ -1,8 +1,9 @@
 """One verdict for a circles family: the recovery discriminant's gate, then
 the placement's length gate, polished by Gauss-Newton when it barely misses.
 ``check``, ``reconstruct`` and ``verify --input`` all read it. The paper's
-conditions I and II are computed only when the report is read, and they
-agree with the verdict outside a measured band."""
+conditions I and II are a report that only the CLI builds, with
+``assess_feasibility(cyclic_averages(family), tol)``, and they agree with
+the verdict outside a measured band."""
 
 import io
 import json
@@ -75,7 +76,7 @@ def test_boundary_families_are_feasible_on_every_route(tmp_path, n, t):
     assert verdicts(tmp_path / "circles.json", radii) == (0, 0, 0)
     rec = reconstruct_polygons(family(radii))
     assert max(rec.residuals) <= GATE * radii[-1]
-    assert rec.report.degenerate_single_polygon
+    assert assess_feasibility(cyclic_averages(family(radii))).degenerate_single_polygon
 
 
 SWEEP_DELTAS = (0.0, *(10.0 ** -k for k in range(3, 14)), 3e-7, 3e-8, 3e-9)
@@ -115,13 +116,12 @@ def test_the_decision_builds_no_power_table(monkeypatch):
 
     monkeypatch.setattr(moments, "condition_two", forbidden)
     monkeypatch.setattr(reconstruct, "cyclic_averages", forbidden)
-    rec = reconstruct_polygons(feasible)
-    with pytest.raises(InfeasibleFamily) as excinfo:
+    reconstruct_polygons(feasible)
+    with pytest.raises(InfeasibleFamily):
         reconstruct_polygons(perturbed)
     monkeypatch.undo()
-    assert rec.report == assess_feasibility(cyclic_averages(feasible))
-    assert excinfo.value.report == assess_feasibility(cyclic_averages(perturbed))
-    assert rec.report.feasible and not excinfo.value.report.feasible
+    assert assess_feasibility(cyclic_averages(feasible)).feasible
+    assert not assess_feasibility(cyclic_averages(perturbed)).feasible
 
 
 def test_a_miss_names_its_gap_and_whether_the_polish_ran():

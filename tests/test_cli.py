@@ -655,6 +655,23 @@ def test_certification_bytes_are_pinned():
     assert digest == "a1425d8b032299fba18555719d9ffc8ececd6a683b14747315bbbd7ebd2c83c6"
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (2, "cffd702fe58535ea7ff7467ab7a56884b2af15df06387b4352cddf04a06c3b3d"),
+        (12345, "8abb2bb73c78394cb9cd276095e2950b2b509784b4ca96bd21c182d4292ae460"),
+        (-1, "39ab47ed9cfcaf1fb3c73804361b7a5bf67654e04b8a72c69c2192c675e6ab77"),
+        (2**64 + 3, "967688abadb556042d0c3956495a9185ceceb822a77069b0ac0c6ddae611cf13"),
+    ],
+    ids=["2", "12345", "-1", "2^64+3"],
+)
+def test_certification_bytes_are_pinned_on_more_seeds(seed, digest):
+    # Seeds below 0 and at or above 2^64 reach the generator through its
+    # 64-bit mask.
+    out = run_cli("verify", "--seed", str(seed), "--json")[1]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n", [64, 256])
 def test_verify_large_instances(n, tmp_path):
     inst = random_instance(n, 1)

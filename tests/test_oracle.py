@@ -175,6 +175,16 @@ def test_identity_rejects_more_vertices_than_the_moment_core(n):
         power_identity_residual(poly, PlanePoint(1.5, 0.0), 1)
 
 
+@pytest.mark.parametrize("phase", [0.0, 3.14159])
+@pytest.mark.parametrize("n", [3, 8])
+def test_identity_rejects_a_vertex_beyond_the_float_range(n, phase):
+    # Vertex 0 or its neighbours lie past 1.8e308 although the lengths,
+    # divided by 2^e, are small: the check reads the unscaled vertices.
+    poly = RegularPolygonSpec(n, PlanePoint(1.5e308, 0.0), 1e308, phase)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        power_identity_residual(poly, PlanePoint(1.5e308, 1e300), 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=3, max_value=12),
@@ -513,3 +523,80 @@ def test_random_instance_radii_match_the_vertex_construction_bit_for_bit():
             inst = random_instance(n, seed)
             built = tuple(sorted(inst.point.distance_to(v) for v in vertices(inst.polygon1)))
             assert inst.family.radii == built
+
+
+RANDOM_INSTANCE_PINS = {
+    (3, 1, False): (
+        ("0x1.2d71175573fdcp+2", "-0x1.1ce17cad62c88p-1"),
+        ("-0x1.28d5b919a979ep+1", "0x1.0166d5a6db4a1p+1"),
+        ("0x1.6d5f980fd3190p+2", "0x1.4a63edc0a648cp+2"),
+        ("0x1.4b02db503e04ep+2", "-0x1.8fc8f80d05b58p+2"),
+        ("0x1.deed64ef74f4ep+2", "0x1.361302505f78ap+1"),
+    ),
+    (3, 1, True): (
+        ("0x1.3a99c426fbca8p+1", "0x1.2d71175573fdcp+2"),
+        ("0x1.3a99c426fbca8p+1", "0x1.2d71175573fdcp+2"),
+        ("0x1.6d5f980fd3190p+2", "0x1.1c674f1e3aa62p+2"),
+        ("-0x1.73cb4710d09eap+1", "0x1.aacb6499beed3p+2"),
+        ("0x0.0p+0", "0x1.23bbba8154b78p+0"),
+    ),
+    (5, -7, False): (
+        ("0x1.047b1fb49a048p+2", "-0x1.b3f66d965ab9fp+1"),
+        ("-0x1.701d22ad7f000p-2", "-0x1.5696438ee482cp+2"),
+        ("0x1.11fdaf91c0aefp+2", "0x1.efd90690c6ad0p+1"),
+        ("0x1.65f5e4efbbb8fp+2", "-0x1.da0b9a05e2434p+2"),
+        ("0x1.35aa179d606f7p+2", "0x1.f9ec2f7c42d00p-1"),
+    ),
+    (5, -7, True): (
+        ("-0x1.b5837ba4f4840p-3", "0x1.047b1fb49a048p+2"),
+        ("-0x1.b5837ba4f4840p-3", "0x1.047b1fb49a048p+2"),
+        ("0x1.11fdaf91c0aefp+2", "0x1.77d25e446bec8p+1"),
+        ("-0x1.08809f3dc1ca4p+2", "0x1.2c75b6c98f353p+1"),
+        ("0x0.0p+0", "0x1.7d0dd8e07c168p+1"),
+    ),
+    (12, 2**64 + 5, False): (
+        ("-0x1.5621dc4fade54p+1", "-0x1.006c3b18def1bp+2"),
+        ("0x1.90151672c3b80p-3", "0x1.7ccd1fcf12daep+1"),
+        ("0x1.f6e9977e8fe9ep+1", "0x1.0ed705843abd4p+2"),
+        ("-0x1.6306eec13ab0ap+2", "-0x1.53f7851555232p+0"),
+        ("0x1.e30fcd399a163p+2", "0x1.6f589dbcfd5dap+0"),
+    ),
+    (12, 2**64 + 5, True): (
+        ("0x1.42f3f683e1f40p+1", "-0x1.5621dc4fade54p+1"),
+        ("0x1.42f3f683e1f40p+1", "-0x1.5621dc4fade54p+1"),
+        ("0x1.f6e9977e8fe9ep+1", "0x1.8a0f8406ef91ap+2"),
+        ("0x1.01085807ba71fp+2", "0x1.ec35fcca7e804p-1"),
+        ("0x0.0p+0", "0x1.c03f98e46edf1p+1"),
+    ),
+    (64, 123456789, False): (
+        ("-0x1.8ab9d709bcf92p+1", "0x1.9961e6e713ca0p-3"),
+        ("0x1.975956de5728cp-1", "0x1.8c086680aeaefp+1"),
+        ("0x1.6c89b8004b67bp+0", "0x1.5f7fb4ea061c8p+1"),
+        ("-0x1.c294981bff31ep+1", "-0x1.27d3c545ea017p+0"),
+        ("0x1.35c29ccf27c6bp+2", "0x1.1c711a611fc88p+2"),
+    ),
+    (64, 123456789, True): (
+        ("-0x1.b26ae86e0c680p-3", "-0x1.8ab9d709bcf92p+1"),
+        ("-0x1.b26ae86e0c680p-3", "-0x1.8ab9d709bcf92p+1"),
+        ("0x1.6c89b8004b67bp+0", "0x1.21b2c036f443ep+2"),
+        ("0x1.dbc5485ee94ecp-1", "-0x1.1dbcaa01ba32cp+1"),
+        ("0x0.0p+0", "0x1.298c4e1119ffap+2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("n, seed, zero", RANDOM_INSTANCE_PINS)
+def test_random_instance_is_pinned_bit_for_bit(n, seed, zero):
+    # Every float of the instance, as drawn at the time of writing: seeds
+    # below 0 and at or above 2^64 reach the generator through its 64-bit mask.
+    inst = random_instance(n, seed, zero_smaller_radius=zero)
+    p1, p2 = inst.polygon1, inst.polygon2
+    fields = (
+        (inst.point.x, inst.point.y),
+        (p1.center.x, p1.center.y),
+        (p1.circumradius, p1.phase),
+        (p2.center.x, p2.center.y),
+        (p2.circumradius, p2.phase),
+    )
+    assert (p1.n, p2.n) == (n, n)
+    assert tuple((a.hex(), b.hex()) for a, b in fields) == RANDOM_INSTANCE_PINS[n, seed, zero]

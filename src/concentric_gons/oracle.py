@@ -13,11 +13,12 @@ instances reproduce bit-for-bit anywhere.
 
 import functools
 import math
-from math import cos, ldexp
+from itertools import repeat
+from math import cos, isfinite, ldexp, sin
 from typing import NamedTuple
 
 from .geom import TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle
-from .geom import largest_gap, law_of_cosines_distances, opening_cosines, vertex_offsets
+from .geom import float_vertex_offsets, largest_gap, law_of_cosines_distances, opening_cosines
 from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.vertices
 from .moments import MAX_VERTEX_COUNT, CircleFamily, two_radius_power_sum
 
@@ -66,33 +67,50 @@ def power_identity_residual(
     orders raise InvalidMomentOrder); the residual certifies the
     arithmetic, not the input. More than ``MAX_VERTEX_COUNT`` vertices
     raise ValueError. The squared vertex distances are kept for the last
-    (polygon, point), so the orders of one polygon share one pass of trig.
+    polygon and point, keyed on their seven numbers, so the orders of one
+    polygon share one pass of trig.
     """
     if poly.n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {poly.n} exceeds {MAX_VERTEX_COUNT}")
-    e, arm, squares = _scaled_squares(poly, point)
-    closed = two_radius_power_sum(ldexp(poly.circumradius, e), ldexp(arm, e), poly.n, m)
-    direct = math.fsum(q ** m for q in squares)
+    c = poly.center
+    return _identity_residual(c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, m)
+
+
+def _identity_residual(
+    cx: float, cy: float, r: float, phase: float, n: int, px: float, py: float, m: int
+) -> float:
+    """:func:`power_identity_residual` on the numbers of a polygon and a point."""
+    e, arm, squares = _scaled_squares(cx, cy, r, phase, n, px, py)
+    closed = two_radius_power_sum(ldexp(r, e), ldexp(arm, e), n, m)
+    direct = math.fsum(map(pow, squares, repeat(m)))
     return abs(direct - closed) / (closed or 1.0)
 
 
 @functools.lru_cache(maxsize=1)
 def _scaled_squares(
-    poly: RegularPolygonSpec, point: PlanePoint
+    cx: float, cy: float, r: float, phase: float, n: int, px: float, py: float
 ) -> tuple[int, float, tuple[float, ...]]:
     """The exponent e = -frexp(larger arm), the distance from the point to
     the polygon center, and the squared distances from the point to every
     vertex, each coordinate difference divided by 2^e.
 
-    A non-finite vertex raises the ValueError of
-    :func:`geom.vertex_offsets`. A key equal up to the sign of a zero gives
-    the same squares.
+    The vertices are placed in one pass from lengths already divided by
+    2^e, exactly in the normal range; a polygon reaching past the float
+    range before or after the division is placed as given and divided
+    after, so a vertex past it raises the ValueError of
+    :func:`geom.float_vertex_offsets`. A key equal up to the sign of a zero
+    gives the same squares.
     """
-    arm = point.distance_to(poly.center)
-    e = -math.frexp(max(poly.circumradius, arm))[1]
-    dxs, dys = vertex_offsets(poly, point, range(poly.n))
-    squares = [ldexp(dx, e) ** 2 + ldexp(dy, e) ** 2 for dx, dy in zip(dxs, dys)]
-    return e, arm, tuple(squares)
+    arm = math.hypot(px - cx, py - cy)
+    e = -math.frexp(max(r, arm))[1]
+    reach = max(abs(cx), abs(cy)) + r
+    if isfinite(reach) and math.frexp(reach)[1] + e < 1024:
+        dxs, dys = float_vertex_offsets(
+            ldexp(cx, e), ldexp(cy, e), ldexp(r, e), phase, n, ldexp(px, e), ldexp(py, e), range(n)
+        )
+        return e, arm, tuple([dx * dx + dy * dy for dx, dy in zip(dxs, dys)])
+    dxs, dys = float_vertex_offsets(cx, cy, r, phase, n, px, py, range(n))
+    return e, arm, tuple([ldexp(dx, e) ** 2 + ldexp(dy, e) ** 2 for dx, dy in zip(dxs, dys)])
 
 
 class SweepResult(NamedTuple):
@@ -180,24 +198,33 @@ def random_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> Ran
     from the point in a random direction. The second polygon's vertex angles
     mirror or shift the first's, which is exactly the freedom that preserves
     the multiset. With ``zero_smaller_radius`` the second circumradius is 0
-    and every distance collapses to the first circumradius.
+    and every distance collapses to the first circumradius. ``verify
+    --seed`` draws the same numbers and builds no points or polygons.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    (px, py), *polygons = _draw_instance(n, seed, zero_smaller_radius)
+    polygon1, polygon2 = (
+        RegularPolygonSpec(n, PlanePoint(cx, cy), r, phase) for cx, cy, r, phase in polygons
+    )
+    return RandomInstance(polygon1=polygon1, polygon2=polygon2, point=PlanePoint(px, py))
+
+
+def _draw_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> tuple:
+    """The numbers of :func:`random_instance`: the point (px, py), then
+    (cx, cy, circumradius, phase) of each polygon, phases in [0, 2*pi)."""
     rng = SplitMix64(seed)
     r1 = rng.uniform(0.1, 10.0)
     r2 = 0.0 if zero_smaller_radius else rng.uniform(0.1, 10.0)
-    point = PlanePoint(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+    px, py = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
     dir1 = rng.angle()
     dir2 = rng.angle()
     relative = rng.angle()
     mirror = -1.0 if rng.next_u64() & 1 else 1.0
     shift = rng.below(n)
-    center1 = PlanePoint(point.x + r2 * math.cos(dir1), point.y + r2 * math.sin(dir1))
-    center2 = PlanePoint(point.x + r1 * math.cos(dir2), point.y + r1 * math.sin(dir2))
     # The angle from each center back to the point anchors the vertex phases.
     phase1 = normalize_angle(dir1 + math.pi + relative)
     phase2 = normalize_angle(dir2 + math.pi + mirror * relative + TWO_PI * shift / n)
-    polygon1 = RegularPolygonSpec(n, center1, r1, phase1)
-    polygon2 = RegularPolygonSpec(n, center2, r2, phase2)
-    return RandomInstance(polygon1=polygon1, polygon2=polygon2, point=point)
+    polygon1 = (px + r2 * cos(dir1), py + r2 * sin(dir1), r1, phase1)
+    polygon2 = (px + r1 * cos(dir2), py + r1 * sin(dir2), r2, phase2)
+    return (px, py), polygon1, polygon2

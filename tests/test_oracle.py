@@ -121,7 +121,9 @@ def _scaled(poly, point, k):
 
 def _identity_cases(n):
     """(polygon, point) pairs of one size: both random polygons, scaled by
-    2^k, a point polygon, and the point at the polygon's center."""
+    2^k, a point polygon, the point at the polygon's center, and polygons
+    whose lengths sit below 2^-1023 of a coordinate, so that a coordinate
+    divided by 2^e would overflow."""
     inst = random_instance(n, 17)
     for k in (0, 600, -600):
         for poly in (inst.polygon1, inst.polygon2):
@@ -129,6 +131,8 @@ def _identity_cases(n):
     point_polygon = random_instance(n, 17, zero_smaller_radius=True).polygon2
     yield point_polygon, inst.point
     yield inst.polygon1, inst.polygon1.center
+    yield RegularPolygonSpec(n, PlanePoint(1e300, 0.0), 1e-300, 0.3), PlanePoint(1e300, 1e-300)
+    yield RegularPolygonSpec(n, PlanePoint(0.0, -1e300), 1e-9, 0.3), PlanePoint(0.0, -1e300)
 
 
 @pytest.mark.parametrize("n", [3, 12, 64, 256])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -511,6 +512,43 @@ def test_verify_degenerate_instance(tmp_path):
     assert section["pass"] is True
     assert section["pairing_count"] == 1
     assert section["angle_sweeps"] == []
+
+
+def _rotated_second(res):
+    second = res.aligned_second
+    return replace(res, aligned_second=replace(second, phase=second.phase + 1e-3))
+
+
+def _rescaled_last_radius(res):
+    radii = res.circles.radii
+    return replace(res, circles=replace(res.circles, radii=(*radii[:-1], radii[-1] * (1 + 1e-6))))
+
+
+def _moved_center(res):
+    center = res.center.translated(1e-3, 0.0)
+    return replace(res, center=center, circles=replace(res.circles, center=center))
+
+
+@pytest.mark.parametrize(
+    "doctor", [_rotated_second, _rescaled_last_radius, _moved_center],
+    ids=["rotated", "rescaled", "moved"],
+)
+def test_verify_fails_a_doctored_configuration(doctor, monkeypatch, tmp_path):
+    # verify reads each configuration pair_polygons returns back through the
+    # library, so a wrong first configuration fails the pair file.
+    inst = random_instance(5, 2)
+    path = write_polygon_pair(tmp_path / "pair.json", inst.polygon1, inst.polygon2)
+    assert run_cli("verify", "--input", path)[0] == 0
+    original = cli.pair_polygons
+
+    def doctored(*args, **kwargs):
+        first, *rest = original(*args, **kwargs)
+        return [doctor(first), *rest]
+
+    monkeypatch.setattr(cli, "pair_polygons", doctored)
+    code, out, _ = run_cli("verify", "--input", path, "--json")
+    assert code == 2
+    assert json.loads(out)["result"]["pass"] is False
 
 
 # ------------------------------------------------------------- determinism

@@ -31,8 +31,9 @@ from .moments import CircleFamily, RadiiPair, assess_feasibility, cyclic_average
 from .moments import leading_averages, recover_circumradii
 from .oracle import _draw_instance, _identity_residual, angle_sweep, power_identity_residual
 from .oracle import random_instance  # unused here; perfbench/tracing.py wraps cli.random_instance
-from .pairing import candidate_centers, pair_polygons
-from .reconstruct import reconstruct_polygons
+from .pairing import candidate_centers  # unused here; perfbench/tracing.py wraps it
+from .pairing import pair_polygons
+from .reconstruct import reconstruct_polygons, verify_reconstruction
 from .svg import render_configuration
 
 EXIT_OK = 0
@@ -322,17 +323,18 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
 
 
 def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
+    """The power-sum identity of both polygons at the first configuration's
+    point (the centers' midpoint when there is none), and each configuration
+    read back through the library: both polygons' vertex distances from its
+    point against its radii, and :func:`reconstruct_polygons` on its circles,
+    which must give back the input circumradii."""
     p1, p2 = doc.polygons
     try:
         results = pair_polygons(p1, p2, tol)
     except CoincidentAuxiliaryCircles:
         results = []
-    try:
-        candidates = candidate_centers(p1, p2, tol)
-    except CoincidentAuxiliaryCircles:
-        candidates = ()
-    if candidates:
-        probe = candidates[0]
+    if results:
+        probe = results[0].center
     else:
         probe = PlanePoint(
             (p1.center.x + p2.center.x) / 2.0, (p1.center.y + p2.center.y) / 2.0
@@ -343,31 +345,33 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
         for idx, poly in enumerate((p1, p2))
         for m in range(1, poly.n)
     ]
-    identity_ok = all(item["residual"] <= IDENTITY_TOLERANCE for item in identity)
-    sweeps = []
-    sweep_ok = True
-    if results:
-        target = results[0].circles.radii
-        point = results[0].center
-        # Gates relative to the largest distance, as the circles sweep is.
-        scale = target[-1]
-        for poly in (p1, p2):
-            arm = point.distance_to(poly.center)
-            if min(poly.circumradius, arm) > tol.relative_eps * scale:
-                sweep = angle_sweep(poly.circumradius, arm, poly.n, target)
-                sweeps.append(
-                    {"vertex_arm": poly.circumradius, "center_arm": arm,
-                     "best_phase": sweep.best_phase,
-                     "best_residual": sweep.best_residual}
-                )
-        sweep_ok = all(s["best_residual"] <= SWEEP_TOLERANCE * scale for s in sweeps)
+    ok = all(item["residual"] <= IDENTITY_TOLERANCE for item in identity)
+    gate = tol.multiset_gate().relative_eps
+    larger, smaller = sorted((p1.circumradius, p2.circumradius), reverse=True)
+    round_trips = []
+    for res in results:
+        gaps = [verify_reconstruction(res.circles, poly) for poly in (p1, res.aligned_second)]
+        try:
+            rec = reconstruct_polygons(res.circles, tol)
+        except InfeasibleFamily:
+            rec = None
+        circumradii = None if rec is None else [rec.circumradii.larger, rec.circumradii.smaller]
+        round_trips.append({"circumradii": circumradii, "gaps": gaps})
+        # A point polygon's recovered circumradius is the root of the
+        # discriminant's rounding, about sqrt(eps) of the larger: only the
+        # larger is then held to the gate.
+        ok = (
+            ok and rec is not None and max(gaps) <= gate * res.circles.radii[-1]
+            and abs(rec.circumradii.larger - larger) <= gate * larger
+            and (rec.point_polygon or abs(rec.circumradii.smaller - smaller) <= gate * larger)
+        )
     return {
         "kind": "polygon_pair",
         "probe_point": [probe.x, probe.y],
         "power_identity_residuals": identity,
         "pairing_count": len(results),
-        "angle_sweeps": sweeps,
-        "pass": identity_ok and sweep_ok,
+        "round_trips": round_trips,
+        "pass": ok,
     }
 
 

@@ -85,19 +85,13 @@ class CyclicAverages(LeadingAverages):
     ``2^exponent``.
 
     ``values[m-1]`` holds the order-2m average of the radii divided by
-    ``2^exponent``; :meth:`power` gives it in the family's units.
+    ``2^exponent``; ``ldexp(values[m-1], 2*m*exponent)`` is the average in
+    the family's units, where that fits a double.
     """
 
     def __post_init__(self):
         if len(self.values) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} averages, got {len(self.values)}")
-
-    def power(self, m: int) -> float:
-        """The average of the 2m-th powers, in the family's units
-        (OverflowError where that exceeds a double)."""
-        if not 1 <= m <= self.n - 1:
-            raise InvalidMomentOrder(f"order m={m} outside 1..{self.n - 1}")
-        return math.ldexp(self.values[m - 1], 2 * m * self.exponent)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ circles with two equilateral triangles and four circles with two squares.
 They reach through triangle areas the verdicts and circumradii the package
 reaches through power averages. Radii arguments are sorted ascending; every
 gate is the default ``relative_eps`` times a length of the configuration.
+``average_power`` reads a power average back in the family's units.
 """
 
 import math
@@ -171,3 +172,10 @@ def square_circle_radii(r1: float, r2: float, d1: float) -> tuple[float, float, 
     d3 = math.sqrt(square_sum + 4.0 * area)
     d4 = math.sqrt(max(2.0 * square_sum - d1 * d1, 0.0))
     return d2, d3, d4
+
+
+def average_power(av, m: int) -> float:
+    """The average of the 2m-th radius powers in the family's units, from
+    averages kept in units of ``2^exponent`` (OverflowError where it
+    exceeds a double)."""
+    return math.ldexp(av.values[m - 1], 2 * m * av.exponent)

@@ -504,14 +504,34 @@ def test_human_readable_output():
 
 
 def test_verify_degenerate_instance(tmp_path):
-    inst = random_instance(4, 11, zero_smaller_radius=True)
-    path = write_polygon_pair(tmp_path / "deg.json", inst.polygon1, inst.polygon2)
-    code, out, _ = run_cli("verify", "--input", path, "--json")
-    assert code == 0
-    section = json.loads(out)["result"]
-    assert section["pass"] is True
-    assert section["pairing_count"] == 1
-    assert section["angle_sweeps"] == []
+    # The second polygon is a point. Reconstruction gives back the larger
+    # circumradius; the smaller it recovers is the root of the
+    # discriminant's rounding, which at (5, 70) misses the multiset gate.
+    for n, seed, misses_the_gate in ((4, 11, False), (5, 70, True)):
+        inst = random_instance(n, seed, zero_smaller_radius=True)
+        path = write_polygon_pair(tmp_path / "deg.json", inst.polygon1, inst.polygon2)
+        code, out, _ = run_cli("verify", "--input", path, "--json")
+        assert code == 0
+        section = json.loads(out)["result"]
+        assert section["pass"] is True
+        assert section["pairing_count"] == 1
+        (trip,) = section["round_trips"]
+        larger = inst.polygon1.circumradius
+        assert trip["circumradii"][0] == pytest.approx(larger, rel=1e-8)
+        assert max(trip["gaps"]) <= 1e-8 * larger
+        assert (trip["circumradii"][1] > 1e-8 * larger) is misses_the_gate
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+def test_verify_passes_every_random_pair_file(n, point, tmp_path):
+    for seed in range(1, 41):
+        inst = random_instance(n, seed, zero_smaller_radius=point)
+        path = write_polygon_pair(tmp_path / "pair.json", inst.polygon1, inst.polygon2)
+        code, out, _ = run_cli("verify", "--input", path, "--json")
+        section = json.loads(out)["result"]
+        assert (code, section["pass"]) == (0, True), seed
+        assert len(section["round_trips"]) == section["pairing_count"] >= 1, seed
 
 
 def _rotated_second(res):
@@ -715,12 +735,17 @@ def test_verify_large_instances(n, tmp_path):
     inst = random_instance(n, 1)
     circles = write_circles(tmp_path / "circles.json", inst.family.radii)
     pair = write_polygon_pair(tmp_path / "pair.json", inst.polygon1, inst.polygon2)
-    for path in (circles, pair):
-        code, out, _ = run_cli("verify", "--input", path, "--json")
-        assert code == 0, path
-        sweeps = json.loads(out)["result"]["angle_sweeps"]
-        assert len(sweeps) == 2
-        assert all(s["best_residual"] <= 1e-13 * inst.family.radii[-1] for s in sweeps)
+    bound = 1e-13 * inst.family.radii[-1]
+    code, out, _ = run_cli("verify", "--input", circles, "--json")
+    assert code == 0
+    sweeps = json.loads(out)["result"]["angle_sweeps"]
+    assert len(sweeps) == 2
+    assert all(s["best_residual"] <= bound for s in sweeps)
+    code, out, _ = run_cli("verify", "--input", pair, "--json")
+    assert code == 0
+    trips = json.loads(out)["result"]["round_trips"]
+    assert len(trips) == 4
+    assert all(max(trip["gaps"]) <= bound for trip in trips)
     # One radius off by 1e-5 relative passes the moment tests at a loose
     # tolerance but no phase reproduces it.
     radii = list(inst.family.radii)

@@ -21,6 +21,7 @@ from concentric_gons import (
     two_radius_power_sum,
     vertices,
 )
+from concentric_gons.cli import IDENTITY_TOLERANCE
 
 SQRT3 = math.sqrt(3.0)
 
@@ -92,6 +93,19 @@ def test_identity_residual_is_the_same_in_every_unit(k):
             residual = power_identity_residual(poly, inst.point, m)
             assert residual <= 1e-12
             assert power_identity_residual(scaled, point, m) == residual
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+def test_identity_residual_survives_translation():
+    # Each vertex is placed at center + offset in absolute coordinates, so
+    # its rounding grows with the distance from the origin: this pentagon
+    # reads 3.3e-16 at the origin and 1.1e-8 a billion circumradii away.
+    # The same rounding fails pair-file verify from shifts of about 1e5 to
+    # 1e6 largest lengths on.
+    for cx in (0.0, 1e6):
+        poly = RegularPolygonSpec(5, PlanePoint(cx, 0.0), 1e-3, 0.3)
+        point = PlanePoint(cx + 1e-3, 2e-3)
+        assert power_identity_residual(poly, point, 4) <= IDENTITY_TOLERANCE, cx
 
 
 def _vertex_power_identity_residual(poly, point, m):

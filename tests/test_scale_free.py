@@ -318,7 +318,8 @@ def test_cli_pairs_and_verifies_a_tiny_pair_file(tmp_path):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["pairing_count"] == 4
-    assert len(result["angle_sweeps"]) == 2
+    assert len(result["round_trips"]) == 4
+    assert all(trip["circumradii"] is not None for trip in result["round_trips"])
     assert result["pass"] is True
 
 

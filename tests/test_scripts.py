@@ -65,7 +65,7 @@ def test_output_corpus_is_reproducible(tmp_path):
 # floats depend on the C library's trig, so the pin holds per platform. A
 # new digest is a change in output: re-pin only with a CHANGES.md entry that
 # names the commands whose output changed.
-CORPUS_SHA256 = "ed3a2654ac14a61d6f1f07aa4177543b9ce101c3f8d766d3346c7414464d16cf"
+CORPUS_SHA256 = "11a5396eaa94cd4f47e67d44faef9721430ede180f49448772b01440725031c7"
 
 
 def test_output_corpus_bytes_are_pinned(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
-from operator import sub
+from itertools import repeat
+from operator import ge, sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -394,6 +395,76 @@ def test_largest_gap_matches_the_four_written_out_gaps_bit_for_bit():
             got = largest_gap(first, second)
             assert got.hex() == max(abs(x - y) for x, y in zip(first, second)).hex()
             assert got.hex() == max(map(abs, map(sub, first, second))).hex()
+
+
+def map_chain_largest_gap(a, b):
+    """:func:`largest_gap` as a chain of maps, the form it had before it
+    became a loop."""
+    return max(map(abs, map(sub, a, b)))
+
+
+def map_chain_multiset_close(a, b, tol=DEFAULT_TOLERANCE):
+    """:func:`multiset_close` as a chain of maps, the form it had before it
+    became a loop."""
+    if len(a) != len(b):
+        return False
+    g = tol.relative_eps * max(a[-1], b[-1]) if a else 0.0
+    return all(map(ge, repeat(g), map(abs, map(sub, a, b))))
+
+
+def _outcome(kernel, *args):
+    """A kernel's result as exact text (``float.hex`` keeps NaN and signed
+    zeros apart), or the type of what it raised."""
+    try:
+        result = kernel(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return result.hex() if isinstance(result, float) else result
+
+
+def gate_kernel_cases():
+    """Sequence pairs for the gate kernels: random ascending lengths with
+    copies off by nothing, by a fraction of the gate or by more; specials
+    (NaN, +-0.0, +-inf, the smallest subnormal) in any position; pairs of
+    different lengths, empty ones included."""
+    rng = random.Random(18)
+    specials = (math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e300)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        a = sorted(rng.random() * 10.0 ** rng.randint(-5, 5) for _ in range(n))
+        slip = rng.choice((0.0, 1e-12, 5e-10, 2e-9, 1e-6))
+        b = [x + slip * rng.uniform(-1.0, 1.0) * a[-1] for x in a]
+        for seq in (a, b):
+            if rng.random() < 0.3:
+                seq[rng.randrange(n)] = rng.choice(specials)
+        if rng.random() < 0.1:
+            b = b[: rng.randrange(n)] if rng.random() < 0.5 else b + [a[-1]]
+        yield a, b
+    yield [], []
+    yield [1.0], []
+    yield [math.nan], [math.nan]
+    yield [0.0, -0.0], [-0.0, 0.0]
+    yield [math.inf], [math.inf]
+    yield [1.0, math.inf], [1.0, -math.inf]
+
+
+def test_gate_kernels_agree_with_their_map_chain_forms():
+    # The loops must keep every bit and every NaN verdict of the maps: a
+    # NaN gap fails the gate, and the largest gap is the first NaN or
+    # largest one, as max keeps it.
+    tolerances = (DEFAULT_TOLERANCE, Tolerance(1e-12), Tolerance(9e-4))
+    cases = 0
+    for a, b in gate_kernel_cases():
+        for first, second in ((a, b), (b, a), (tuple(a), b)):
+            assert _outcome(largest_gap, first, second) == _outcome(
+                map_chain_largest_gap, first, second
+            ), (first, second)
+            for tol in tolerances:
+                assert _outcome(multiset_close, first, second, tol) == _outcome(
+                    map_chain_multiset_close, first, second, tol
+                ), (first, second, tol)
+            cases += 1
+    assert cases == 9018
 
 
 def test_mirror_phase_squares_round_below_zero():

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import math
 import pickle
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -350,3 +352,54 @@ def test_infeasible_family_survives_pickling():
     copy = pickle.loads(pickle.dumps(exc))
     assert type(copy) is InfeasibleFamily
     assert str(copy) == str(exc)
+
+
+# ------------------------------------------------- bits of the circles path
+
+
+def circles_path_families():
+    """Families shaped like the circles benchmark: 50 for each n in {3, 4, 8,
+    16, 32, 64}, each scaled by a random mantissa times 2^k, k in [-1000,
+    1000], one in twelve a point polygon and one in four perturbed as the
+    benchmark perturbs them; then one family per n whose largest radius sits
+    near 2^-1020, so that its smaller radii are subnormal."""
+    rng = random.Random(18)
+    for n in (3, 4, 8, 16, 32, 64):
+        for i in range(51):
+            inst = random_instance(n, rng.getrandbits(63), zero_smaller_radius=i % 12 == 1)
+            k = -1030 if i == 50 else rng.randint(-1000, 1000)
+            scale = math.ldexp(1.0 + rng.random(), k)
+            radii = sorted(r * scale for r in inst.family.radii)
+            if i % 4 == 3:
+                if n == 3:
+                    radii[2] = 1.1 * (radii[0] + radii[1])
+                else:
+                    radii[rng.randrange(n)] *= 1.1
+                radii.sort()
+            center = PlanePoint(inst.point.x * scale, inst.point.y * scale)
+            yield CircleFamily(center, tuple(radii))
+
+
+def circles_path_record(family):
+    """The bits reconstruct_polygons gives a family, or its refusal."""
+    try:
+        rec = reconstruct_polygons(family)
+    except InfeasibleFamily as exc:
+        return f"infeasible: {exc}"
+    p1, p2 = rec.polygon1, rec.polygon2
+    values = (
+        p1.phase, p2.phase, p1.center.x, p1.center.y, p2.center.x, p2.center.y,
+        p1.circumradius, p2.circumradius,
+    )
+    return " ".join(value.hex() for value in values) + f" point={rec.point_polygon}"
+
+
+def test_circles_path_bits_are_pinned():
+    # Every phase, center, circumradius and refusal message, bit for bit: a
+    # change to how the decision scales or gates the radii must leave them.
+    records = [circles_path_record(family) for family in circles_path_families()]
+    assert len(records) == 306
+    assert sum(record.startswith("infeasible") for record in records) == 72
+    assert sum(record.endswith("point=True") for record in records) == 30
+    digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
+    assert digest == "3e14acb2cae76ac635c84247620b18ffb0a1bfabc1f7c1c80a14c0a4bdcdfab3"

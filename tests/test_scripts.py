@@ -119,3 +119,24 @@ def test_pairing_gates_through_its_multiset_close_attribute(monkeypatch):
     inst = oracle.random_instance(8, 7)
     assert pairing.pair_polygons(inst.polygon1, inst.polygon2)
     assert len(calls) >= 1
+
+
+def test_reconstruct_gates_through_its_module_attributes(monkeypatch):
+    # The circles benchmark reads reconstruct.phase_accept_ratio and
+    # moments.recover_circumradii.us_per_op from wrappers on these
+    # reconstruct attributes; a decision that stopped looking them up there
+    # would read as zero work.
+    reconstruct = importlib.import_module("concentric_gons.reconstruct")
+    oracle = importlib.import_module("concentric_gons.oracle")
+    calls = {}
+    for name in ("multiset_close", "recover_circumradii", "phase_candidates"):
+        original = getattr(reconstruct, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruct, name, counting)
+    rec = reconstruct.reconstruct_polygons(oracle.random_instance(8, 7).family)
+    assert not rec.point_polygon
+    assert set(calls) == {"multiset_close", "recover_circumradii", "phase_candidates"}

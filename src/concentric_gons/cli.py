@@ -28,7 +28,7 @@ from .instances import (
     polygon_record,
 )
 from .moments import CircleFamily, RadiiPair, assess_feasibility, cyclic_averages
-from .moments import leading_averages, recover_circumradii
+from .moments import _leading, leading_averages, recover_circumradii
 from .oracle import _draw_instance, _identity_residual, angle_sweep, power_identity_residual
 from .oracle import random_instance  # unused here; perfbench/tracing.py wraps cli.random_instance
 from .pairing import candidate_centers  # unused here; perfbench/tracing.py wraps it
@@ -300,12 +300,11 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
     if not rec.point_polygon:
         # Sweep in the units of the averages, as reconstruction searches:
         # the sweep decision and its gate are then relative to the family.
-        averages = leading_averages(family)
+        averages, radii = _leading(family)
         pair = rec.circumradii
         larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
         # The sweep is bit-symmetric in its arms (2.0*r*l doubles exactly,
         # addition commutes), so one sweep serves both arm orders.
-        radii = tuple(map(averages.scaled, family.radii))
         sweep = angle_sweep(larger, smaller, family.n, radii)
         residual = math.ldexp(sweep.best_residual, averages.exponent)
         sweeps = [

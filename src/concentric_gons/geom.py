@@ -15,9 +15,7 @@ to :data:`DEFAULT_TOLERANCE`.
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from math import cos, isfinite, sin, sqrt
-from operator import ge, sub
 
 from .errors import CoincidentCircles, DegenerateGeometry
 
@@ -260,7 +258,15 @@ def largest_gap(
     a: tuple[float, ...] | list[float], b: tuple[float, ...] | list[float]
 ) -> float:
     """``max |a_k - b_k|`` over the pairs of two nonempty sequences, in order."""
-    return max(map(abs, map(sub, a, b)))
+    if not (a and b):
+        raise ValueError("largest_gap needs two nonempty sequences")
+    # This and multiset_close are loops, not maps: 3.11 specializes float loops.
+    best = abs(a[0] - b[0])
+    for x, y in zip(a, b):
+        gap = abs(x - y)
+        if gap > best:  # as max does: a first NaN stays, a later one is passed
+            best = gap
+    return best
 
 
 def multiset_close(
@@ -273,4 +279,7 @@ def multiset_close(
     if len(a) != len(b):
         return False
     g = tol.relative_eps * max(a[-1], b[-1]) if a else 0.0
-    return all(map(ge, repeat(g), map(abs, map(sub, a, b))))
+    for x, y in zip(a, b):
+        if not abs(x - y) <= g:  # a NaN gap fails
+            return False
+    return True

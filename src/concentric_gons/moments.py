@@ -14,14 +14,16 @@ When both hold, the two circumradii follow from S(2) and S(4) alone.
 The library's verdict reads only S(2), S(4) (:func:`leading_averages`, O(n)):
 the recovery discriminant's gate is condition I's lower bound, and the
 placement built from the recovered circumradii must reproduce the radii
-(``reconstruct``). The O(n^2) table of every order (:func:`cyclic_averages`)
-and condition II feed the :class:`FeasibilityReport` alone.
+(``reconstruct``). Both read one copy of the radii divided by 2^e per call.
+The O(n^2) table of every order (:func:`cyclic_averages`) and condition II
+feed the :class:`FeasibilityReport` alone.
 """
 
 import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 
 from .errors import InfeasibleMoments, InvalidMomentOrder
 from .geom import DEFAULT_TOLERANCE, PlanePoint, Tolerance
@@ -121,26 +123,27 @@ class FeasibilityReport:
         return self.condition1_ok and self.condition2_ok
 
 
-def _scaled_squares(family: CircleFamily) -> tuple[list[float], int]:
-    """The squared radii divided by ``4^e``, ``e = math.frexp(largest
-    radius)[1]``, and ``e``. The division is exact, so every power of them
-    is at most 1 and every decision on them depends on shape alone. More
-    than ``MAX_VERTEX_COUNT`` radii raise ValueError."""
+def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...]]:
+    """:func:`leading_averages` and the radii in its units: divided by
+    ``2^e``, ``e = math.frexp(largest radius)[1]``, once. The division is
+    exact, so every power of them is at most 1 and every decision on them
+    depends on shape alone. More than ``MAX_VERTEX_COUNT`` radii raise
+    ValueError."""
     if family.n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {family.n} exceeds {MAX_VERTEX_COUNT}")
     exponent = math.frexp(family.radii[-1])[1]
-    radii = [math.ldexp(r, -exponent) for r in family.radii]
-    return [r * r for r in radii], exponent
+    radii = tuple(map(math.ldexp, family.radii, repeat(-exponent)))
+    squares = [r * r for r in radii]
+    n = family.n
+    values = (math.fsum(squares) / n, math.fsum([q ** 2 for q in squares]) / n)
+    return LeadingAverages(n=n, values=values, exponent=exponent), radii
 
 
 def leading_averages(family: CircleFamily) -> LeadingAverages:
     """S(2) and S(4) of the radii divided by ``2^e`` (see
-    :func:`_scaled_squares`), as compensated sums (``math.fsum``): the
+    :func:`_leading`), as compensated sums (``math.fsum``): the
     circumradii are recovered from them alone. O(n)."""
-    squares, exponent = _scaled_squares(family)
-    n = family.n
-    values = (math.fsum(squares) / n, math.fsum([q ** 2 for q in squares]) / n)
-    return LeadingAverages(n=n, values=values, exponent=exponent)
+    return _leading(family)[0]
 
 
 def cyclic_averages(family: CircleFamily) -> CyclicAverages:
@@ -156,14 +159,14 @@ def cyclic_averages(family: CircleFamily) -> CyclicAverages:
     condition-II gate). O(n^2): only the report reads it. More than
     ``MAX_VERTEX_COUNT`` radii raise ValueError.
     """
-    squares, exponent = _scaled_squares(family)
-    n = family.n
+    leading, radii = _leading(family)
+    squares = [r * r for r in radii]
     powers = [q ** 2 for q in squares]
-    values = [math.fsum(squares) / n, math.fsum(powers) / n]
-    for _ in range(3, n):
+    values = list(leading.values)
+    for _ in range(3, family.n):
         powers = list(map(operator.mul, powers, squares))
-        values.append(reduce(operator.add, powers) / n)
-    return CyclicAverages(n=n, values=tuple(values), exponent=exponent)
+        values.append(reduce(operator.add, powers) / family.n)
+    return CyclicAverages(n=family.n, values=tuple(values), exponent=leading.exponent)
 
 
 def _power_averages(a: float, h: float, top: int) -> list[float]:

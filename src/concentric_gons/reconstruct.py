@@ -5,16 +5,16 @@ The verdict. A family is realizable when the recovery discriminant passes
 its gate (condition I's lower bound) and the polygons placed from the
 recovered circumradii reproduce the radii within
 :meth:`Tolerance.multiset_gate` times the largest radius. The decision reads
-S(2) and S(4) alone (:func:`moments.leading_averages`) and one placement, so
-it costs O(n log n). A placement that misses the gate by less than
-``sqrt(relative_eps)`` of the largest radius is polished by Gauss-Newton
-first: a discriminant inside its gate leaves the circumradii uncertain by
-about that much. The paper's conditions I and II take no part: their report,
-``assess_feasibility(cyclic_averages(family), tol)``, costs an O(n^2) power
-table and is built by whoever prints it. :attr:`Reconstruction.residuals` is
-measured when first read: the polygons are placed in Cartesian coordinates
-and their vertex distances compared with the radii, independently of the
-law-of-cosines gate that decided the family.
+S(2), S(4) and one placement, all from the radii divided by 2^e once per call
+(``moments._leading``), so it costs O(n log n). A placement that misses the
+gate by less than ``sqrt(relative_eps)`` of the largest radius is polished
+by Gauss-Newton first: a discriminant inside its gate leaves the circumradii
+uncertain by about that much. The paper's conditions I and II take no part:
+their report, ``assess_feasibility(cyclic_averages(family), tol)``, costs an
+O(n^2) power table and is built by whoever prints it.
+:attr:`Reconstruction.residuals` is measured when first read: the polygons
+are placed in Cartesian coordinates and their vertex distances compared with
+the radii, independently of the law-of-cosines gate that decided the family.
 
 Placement convention: with M the family center, both polygon centers go on
 the +x axis from M, the first at distance ``smaller`` with circumradius
@@ -50,7 +50,7 @@ from .geom import (
     normalize_angle,
     phase_candidates,
 )
-from .moments import CircleFamily, RadiiPair, leading_averages, recover_circumradii
+from .moments import CircleFamily, RadiiPair, _leading, recover_circumradii
 # Unused here; perfbench/tracing.py wraps reconstruct.assess_feasibility and
 # reconstruct.cyclic_averages.
 from .moments import assess_feasibility, cyclic_averages
@@ -235,10 +235,9 @@ def reconstruct_polygons(
     family reproduces the radii, the second polygon degenerates to a point
     at distance ``larger`` from the center and the phase search is skipped.
     """
-    averages = leading_averages(family)
     # Decisions and the phase search run in the units of the averages,
     # where every gate is relative and no square under- or overflows.
-    radii = tuple(map(averages.scaled, family.radii))
+    averages, radii = _leading(family)
     try:
         pair = recover_circumradii(averages, tol)
     except InfeasibleMoments as exc:

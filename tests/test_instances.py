@@ -1,9 +1,19 @@
 """The instance-file boundary: numbers must arrive as JSON numbers of the
-right kind, and a rejection names the field at fault."""
+right kind, and a rejection names the field at fault. Canonical output is
+pinned byte for byte against a test-side copy of the recursive writer."""
+
+import json
+import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from concentric_gons.instances import InstanceFormatError, parse_instance
+from concentric_gons.instances import (
+    InstanceFormatError,
+    canonical_json,
+    dump_canonical,
+    parse_instance,
+)
 
 
 def circles(radii, center=(0.0, 0.0)):
@@ -59,3 +69,114 @@ def test_polygons_with_different_vertex_counts_are_rejected():
     first = {"n": 4, "center": [0.0, 0.0], "circumradius": 1.0}
     with pytest.raises(InstanceFormatError, match="different vertex counts: 4 vs 3"):
         parse_instance(polygon_pair(first))
+
+
+def recursive_canonical_json(value, indent=0):
+    """The reference for the one-pass writer: the recursive form with one
+    ``json.dumps`` per key and per bool, None or str, whose bytes and error
+    messages the writer must keep."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(k))}: {recursive_canonical_json(v, indent + 1)}"
+            for k, v in sorted(value.items())
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [f"{inner}{recursive_canonical_json(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value}")
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# Subclasses that tag their text, so a writer that bypassed str() on an int
+# or a key, format() on a float, or that called str() on a str value, shows.
+class TaggedInt(int):
+    def __str__(self):
+        return "int:" + int.__repr__(self)
+
+
+class TaggedFloat(float):
+    def __format__(self, spec):
+        return "float:" + float.__format__(self, spec)
+
+
+class TaggedStr(str):
+    def __str__(self):
+        return "str:" + str.__str__(self)
+
+
+ANY_TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=6)
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1]),
+)
+KEYS = st.one_of(
+    ANY_TEXT,
+    st.sampled_from(["", "a", "\u00e9", "\u2028", '"', "\\", "\x00", "\x1f", "\x7f", "\ud800"]),
+    st.builds(TaggedStr, ANY_TEXT),
+)
+SCALARS = st.one_of(
+    FINITE,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.none(),
+    ANY_TEXT,
+    st.builds(TaggedInt, st.integers()),
+    st.builds(TaggedFloat, FINITE),
+    st.builds(TaggedStr, ANY_TEXT),
+)
+UNWRITABLE = st.sampled_from(
+    [math.inf, -math.inf, math.nan, TaggedFloat("-inf"), object(), {1}, b"x", 1j]
+)
+
+
+def documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(KEYS, inner, max_size=4),
+            st.dictionaries(st.integers(), inner, max_size=3),
+        ),
+        max_leaves=30,
+    )
+
+
+def outcome(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(documents(SCALARS))
+def test_canonical_json_matches_the_recursive_writer(value):
+    expected = recursive_canonical_json(value)
+    assert canonical_json(value) == expected
+    assert dump_canonical(value) == expected + "\n"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(documents(st.one_of(UNWRITABLE, SCALARS)))
+def test_canonical_json_refuses_as_the_recursive_writer(value):
+    expected = outcome(recursive_canonical_json, value)
+    assume(isinstance(expected, tuple))
+    assert outcome(dump_canonical, value) == expected

@@ -140,3 +140,21 @@ def test_reconstruct_gates_through_its_module_attributes(monkeypatch):
     rec = reconstruct.reconstruct_polygons(oracle.random_instance(8, 7).family)
     assert not rec.point_polygon
     assert set(calls) == {"multiset_close", "recover_circumradii", "phase_candidates"}
+
+
+def test_cli_emits_through_its_dump_canonical_attribute(monkeypatch, capsys):
+    # The cli benchmark reads instances.dump_canonical.us_per_op and
+    # json_bytes_per_op from a wrapper on cli.dump_canonical; an emitter that
+    # stopped looking the name up there would read as zero work.
+    cli = importlib.import_module("concentric_gons.cli")
+    calls = []
+    original = cli.dump_canonical
+
+    def counting(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(cli, "dump_canonical", counting)
+    assert cli.main(["check", "--radii", "1,1,2", "--json"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["command"] == "check"

@@ -133,13 +133,13 @@ def _write_svg(path: str, text: str) -> None:
 
 
 def _decide(family: CircleFamily, tol: Tolerance):
-    """The paper's report on the family (conditions I and II, O(n^2)) and its
-    reconstruction, or None in its place when the family is infeasible."""
+    """The paper's report on the family (conditions I and II, O(n^2)), its
+    reconstruction and None, or None and the refusal's message."""
     try:
-        rec = reconstruct_polygons(family, tol)
-    except InfeasibleFamily:
-        rec = None
-    return assess_feasibility(cyclic_averages(family), tol), rec
+        rec, reason = reconstruct_polygons(family, tol), None
+    except InfeasibleFamily as exc:
+        rec, reason = None, str(exc)
+    return assess_feasibility(cyclic_averages(family), tol), rec, reason
 
 
 def cmd_check(args) -> int:
@@ -147,7 +147,7 @@ def cmd_check(args) -> int:
     family = _family_from_args(args)
     # The verdict is reconstruction's, so check says feasible exactly when
     # reconstruct succeeds; the report and the circumradii are printed.
-    report, rec = _decide(family, tol)
+    report, rec, reason = _decide(family, tol)
     feasible = rec is not None
     if feasible:
         pair = rec.circumradii
@@ -166,7 +166,7 @@ def cmd_check(args) -> int:
     }
     lines = [
         f"n = {family.n}",
-        f"feasible: {'yes' if feasible else 'no'}",
+        "feasible: yes" if feasible else f"feasible: no\nreason: {reason}",
         f"condition 1 ratio: {report.condition1_ratio!r} (ok: {report.condition1_ok})",
         f"condition 2 ok: {report.condition2_ok}",
     ]
@@ -195,7 +195,7 @@ def _reconstruction_svg(family: CircleFamily, rec) -> str:
 def cmd_reconstruct(args) -> int:
     tol = _tolerance_from_args(args)
     family = _family_from_args(args)
-    report, rec = _decide(family, tol)
+    report, rec, reason = _decide(family, tol)
     if rec is None:
         payload = {
             "n": family.n,
@@ -203,7 +203,7 @@ def cmd_reconstruct(args) -> int:
             "feasible": False,
             "report": _report_record(report),
         }
-        _emit(args, payload, ["feasible: no"])
+        _emit(args, payload, ["feasible: no", f"reason: {reason}"])
         return EXIT_INFEASIBLE
     payload = {
         "n": family.n,
@@ -291,7 +291,7 @@ def cmd_pair(args) -> int:
 
 def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
     family = doc.circles
-    report, rec = _decide(family, tol)
+    report, rec, _ = _decide(family, tol)
     if rec is None:
         return {"kind": "circles", "report": _report_record(report),
                 "angle_sweeps": [], "pass": False}

@@ -3,13 +3,15 @@
 An instance file is UTF-8 JSON with ``"format": "concentric-gons/1"`` and a
 ``kind`` of either ``"circles"`` (a center and radii) or ``"polygon_pair"``
 (two regular polygon records). Unknown fields are ignored on read and never
-written. All emitted JSON uses sorted keys and fixed 17-significant-digit
-float formatting, so identical inputs give byte-identical output.
+written. Emitted JSON comes from one pass over the document: 2-space
+indent, sorted keys, ``.17g`` floats, ASCII-escaped strings and a trailing
+newline, so identical inputs give byte-identical output.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .geom import PlanePoint, RegularPolygonSpec
 from .moments import CircleFamily
@@ -154,38 +156,50 @@ def instance_record(doc: InstanceDocument) -> dict:
     return record
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite float {value}")
-    return format(value, ".17g")
-
-
-def canonical_json(value: object, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {canonical_json(v, indent + 1)}"
-            for k, v in sorted(value.items())
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{canonical_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+def _scalar(value) -> str:
     if isinstance(value, bool) or value is None:
-        return json.dumps(value)
+        return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value}")
+        return format(value, ".17g")
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _write(value, out: list, pad: str) -> None:
+    """Append a dict, list or tuple's text to ``out``, recursing only into these."""
+    is_dict = isinstance(value, dict)
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = pad + "  "
+    sep = ("{\n" if is_dict else "[\n") + inner
+    for item in sorted(value.items()) if is_dict else value:
+        out.append(sep)
+        if is_dict:
+            key, item = item
+            out.append(f"{encode_basestring_ascii(str(key))}: ")
+        if type(item) is float and math.isfinite(item):
+            out.append(format(item, ".17g"))
+        elif isinstance(item, (dict, list, tuple)):
+            _write(item, out, inner)
+        else:
+            out.append(_scalar(item))
+        sep = ",\n" + inner
+    out.append(f"\n{pad}{'}' if is_dict else ']'}")
+
+
+def canonical_json(value: object) -> str:
+    """Deterministic JSON: sorted keys, fixed float formatting."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _scalar(value)
+    out: list[str] = []
+    _write(value, out, "")
+    return "".join(out)
 
 
 def dump_canonical(value: object) -> str:

@@ -291,6 +291,25 @@ def test_reconstruct_infeasible_exit():
     assert json.loads(out)["feasible"] is False
 
 
+def test_refusal_reason_is_printed_only_on_the_human_path():
+    radii = list(random_instance(8, 1).family.radii)
+    radii[3] *= 1.001
+    arg = ",".join(map(repr, radii))
+    reason = (
+        "reason: no placement reproduces the radii: best relative gap 0.00531 "
+        "against the gate 1e-08, too far to polish"
+    )
+    for command in ("check", "reconstruct"):
+        code, out, _ = run_cli(command, "--radii", arg)
+        assert code == 2
+        assert out.splitlines()[out.splitlines().index("feasible: no") + 1] == reason
+        code, out, _ = run_cli(command, "--radii", arg, "--json")
+        assert code == 2
+        assert "reason" not in out and json.loads(out)["feasible"] is False
+    code, out, _ = run_cli("check", "--radii", "1,1,2")
+    assert code == 0 and "reason" not in out
+
+
 def test_reconstruct_tolerance_at_the_gate_clamp():
     # 10 x 5e-4 exceeds the tolerance ceiling, so the phase search's gate
     # runs clamped at 9.9e-4.

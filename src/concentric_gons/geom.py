@@ -7,23 +7,56 @@ and the largest gap between two sequences (:func:`largest_gap`) are written
 out here and nowhere else; the ``float_`` kernels take plain floats, so
 that a caller can run them in units of its own choosing.
 
-Everything here is a pure function over immutable values. Tolerances are
-explicit and relative: comparisons accept a :class:`Tolerance` and default
-to :data:`DEFAULT_TOLERANCE`.
+Everything here is a pure function over immutable values: :class:`_Value`
+subclasses, frozen dataclasses without ``dataclasses``, whose fields are
+the ``__init__`` parameters, checked there and stored with ``_set``.
+Tolerances are explicit and relative: comparisons accept a
+:class:`Tolerance` and default to :data:`DEFAULT_TOLERANCE`.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 from math import cos, isfinite, sin, sqrt
 
 from .errors import CoincidentCircles, DegenerateGeometry
 
 TWO_PI = 2.0 * math.pi
+_set = object.__setattr__  # stores a field past the frozen __setattr__
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Value:
+    """Compared and hashed as the field tuple, within one class; shown as
+    ``Name(field=value, ...)`` without the ``_hidden`` fields."""
+
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = [name for name in self._fields if name not in self._hidden]
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tolerance(_Value):
     """Relative comparison slack.
 
     A gate on lengths is ``relative_eps`` times a length of the same
@@ -32,11 +65,10 @@ class Tolerance:
     not units.
     """
 
-    relative_eps: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.relative_eps < 1e-3:
-            raise ValueError(f"relative_eps must lie in (0, 1e-3), got {self.relative_eps}")
+    def __init__(self, relative_eps: float = 1e-9):
+        if not 0.0 < relative_eps < 1e-3:
+            raise ValueError(f"relative_eps must lie in (0, 1e-3), got {relative_eps}")
+        _set(self, "relative_eps", relative_eps)
 
     def multiset_gate(self) -> "Tolerance":
         """The 10x looser gate for comparing whole distance multisets.
@@ -57,16 +89,14 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(_Value):
     """A Cartesian point in the Euclidean plane."""
 
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (isfinite(x) and isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def distance_to(self, other: "PlanePoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -85,8 +115,7 @@ def normalize_angle(angle: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
-class RegularPolygonSpec:
+class RegularPolygonSpec(_Value):
     """A regular n-gon given by vertex count, center, circumradius and phase.
 
     Vertex k sits at ``center + circumradius * (cos(phase + 2*pi*k/n),
@@ -94,19 +123,17 @@ class RegularPolygonSpec:
     construction.
     """
 
-    n: int
-    center: PlanePoint
-    circumradius: float
-    phase: float
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise ValueError(f"vertex count must be an integer >= 3, got {self.n}")
-        if not (math.isfinite(self.circumradius) and self.circumradius >= 0.0):
-            raise ValueError(f"circumradius must be finite and >= 0, got {self.circumradius}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        object.__setattr__(self, "phase", normalize_angle(self.phase))
+    def __init__(self, n: int, center: PlanePoint, circumradius: float, phase: float):
+        if not isinstance(n, int) or n < 3:
+            raise ValueError(f"vertex count must be an integer >= 3, got {n}")
+        if not (isfinite(circumradius) and circumradius >= 0.0):
+            raise ValueError(f"circumradius must be finite and >= 0, got {circumradius}")
+        if not isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
+        _set(self, "n", n)
+        _set(self, "center", center)
+        _set(self, "circumradius", circumradius)
+        _set(self, "phase", normalize_angle(phase))
 
 
 def vertex_offsets(

@@ -10,10 +10,9 @@ newline, so identical inputs give byte-identical output.
 
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .geom import PlanePoint, RegularPolygonSpec
+from .geom import PlanePoint, RegularPolygonSpec, _set, _Value
 from .moments import CircleFamily
 
 FORMAT_NAME = "concentric-gons/1"
@@ -23,15 +22,22 @@ class InstanceFormatError(ValueError):
     """The document is not a valid instance file."""
 
 
-@dataclass(frozen=True)
-class InstanceDocument:
+class InstanceDocument(_Value):
     """Parsed instance file: exactly one of the two payloads is present."""
 
-    kind: str  # "circles" or "polygon_pair"
-    circles: CircleFamily | None = None
-    polygons: tuple[RegularPolygonSpec, RegularPolygonSpec] | None = None
-    metadata: dict[str, str] = field(default_factory=dict)
-    load_warnings: tuple[str, ...] = ()
+    def __init__(
+        self,
+        kind: str,  # "circles" or "polygon_pair"
+        circles: CircleFamily | None = None,
+        polygons: tuple[RegularPolygonSpec, RegularPolygonSpec] | None = None,
+        metadata: dict[str, str] | None = None,
+        load_warnings: tuple[str, ...] = (),
+    ):
+        _set(self, "kind", kind)
+        _set(self, "circles", circles)
+        _set(self, "polygons", polygons)
+        _set(self, "metadata", {} if metadata is None else metadata)
+        _set(self, "load_warnings", load_warnings)
 
 
 def _is_number(raw) -> bool:

@@ -21,12 +21,11 @@ feed the :class:`FeasibilityReport` alone.
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 
 from .errors import InfeasibleMoments, InvalidMomentOrder
-from .geom import DEFAULT_TOLERANCE, PlanePoint, Tolerance
+from .geom import DEFAULT_TOLERANCE, PlanePoint, Tolerance, _set, _Value
 
 # A realizable family has max d^2 <= 2 S(2): the largest distance is
 # R + r <= sqrt(2 (R^2 + r^2)). With the largest radius rescaled into
@@ -35,16 +34,11 @@ from .geom import DEFAULT_TOLERANCE, PlanePoint, Tolerance
 MAX_VERTEX_COUNT = 256
 
 
-@dataclass(frozen=True)
-class CircleFamily:
+class CircleFamily(_Value):
     """Concentric circles: a common center and ascending radii."""
 
-    center: PlanePoint
-    radii: tuple[float, ...]
-
-    def __post_init__(self):
-        radii = tuple(map(float, self.radii))
-        object.__setattr__(self, "radii", radii)
+    def __init__(self, center: PlanePoint, radii: tuple[float, ...]):
+        radii = tuple(map(float, radii))
         if len(radii) < 3:
             raise ValueError(f"need at least 3 radii, got {len(radii)}")
         if not all(map(math.isfinite, radii)) or min(radii) < 0.0:
@@ -52,14 +46,15 @@ class CircleFamily:
             raise ValueError(f"radii must be finite and >= 0, got {bad}")
         if not all(map(operator.le, radii, radii[1:])):
             raise ValueError("radii must be sorted ascending")
+        _set(self, "center", center)
+        _set(self, "radii", radii)
 
     @property
     def n(self) -> int:
         return len(self.radii)
 
 
-@dataclass(frozen=True)
-class LeadingAverages:
+class LeadingAverages(_Value):
     """The averages S(2) and S(4) of n radii, in units of ``2^exponent``:
     all that the verdict and circumradius recovery read.
 
@@ -68,20 +63,18 @@ class LeadingAverages:
     orders.
     """
 
-    n: int
-    values: tuple[float, ...]
-    exponent: int = 0
-
-    def __post_init__(self):
-        if len(self.values) != 2:
-            raise ValueError(f"expected 2 averages, got {len(self.values)}")
+    def __init__(self, n: int, values: tuple[float, ...], exponent: int = 0):
+        if len(values) != 2:
+            raise ValueError(f"expected 2 averages, got {len(values)}")
+        _set(self, "n", n)
+        _set(self, "values", values)
+        _set(self, "exponent", exponent)
 
     def scaled(self, length: float) -> float:
         """A length of the family in the units of ``values``."""
         return math.ldexp(length, -self.exponent)
 
 
-@dataclass(frozen=True)
 class CyclicAverages(LeadingAverages):
     """Averages of the 2m-th radius powers for m = 1..n-1, in units of
     ``2^exponent``.
@@ -91,32 +84,40 @@ class CyclicAverages(LeadingAverages):
     the family's units, where that fits a double.
     """
 
-    def __post_init__(self):
-        if len(self.values) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} averages, got {len(self.values)}")
+    def __init__(self, n: int, values: tuple[float, ...], exponent: int = 0):
+        if len(values) != n - 1:
+            raise ValueError(f"expected {n - 1} averages, got {len(values)}")
+        _set(self, "n", n)
+        _set(self, "values", values)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class RadiiPair:
+class RadiiPair(_Value):
     """Recovered circumradii, larger first."""
 
-    larger: float
-    smaller: float
+    def __init__(self, larger: float, smaller: float):
+        if not larger >= smaller >= 0.0:
+            raise ValueError(f"need larger >= smaller >= 0, got ({larger}, {smaller})")
+        _set(self, "larger", larger)
+        _set(self, "smaller", smaller)
 
-    def __post_init__(self):
-        if not self.larger >= self.smaller >= 0.0:
-            raise ValueError(f"need larger >= smaller >= 0, got ({self.larger}, {self.smaller})")
 
-
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(_Value):
     """Outcome of both feasibility conditions for a radii family."""
 
-    condition1_ok: bool
-    condition1_ratio: float
-    condition2_ok: bool
-    condition2_residuals: tuple[float, ...]
-    degenerate_single_polygon: bool
+    def __init__(
+        self,
+        condition1_ok: bool,
+        condition1_ratio: float,
+        condition2_ok: bool,
+        condition2_residuals: tuple[float, ...],
+        degenerate_single_polygon: bool,
+    ):
+        _set(self, "condition1_ok", condition1_ok)
+        _set(self, "condition1_ratio", condition1_ratio)
+        _set(self, "condition2_ok", condition2_ok)
+        _set(self, "condition2_residuals", condition2_residuals)
+        _set(self, "degenerate_single_polygon", degenerate_single_polygon)
 
     @property
     def feasible(self) -> bool:

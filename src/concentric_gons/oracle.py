@@ -13,9 +13,9 @@ instances reproduce bit-for-bit anywhere.
 
 import functools
 import math
+from collections import namedtuple
 from itertools import repeat
 from math import cos, isfinite, ldexp, sin
-from typing import NamedTuple
 
 from .geom import TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle
 from .geom import float_vertex_offsets, largest_gap, law_of_cosines_distances, opening_cosines
@@ -113,9 +113,7 @@ def _scaled_squares(
     return e, arm, tuple([ldexp(dx, e) ** 2 + ldexp(dy, e) ** 2 for dx, dy in zip(dxs, dys)])
 
 
-class SweepResult(NamedTuple):
-    best_phase: float
-    best_residual: float
+SweepResult = namedtuple("SweepResult", ["best_phase", "best_residual"])
 
 
 def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepResult:
@@ -174,16 +172,14 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
     )
 
 
-class RandomInstance(NamedTuple):
+class RandomInstance(namedtuple("RandomInstance", ["polygon1", "polygon2", "point"])):
     """Two regular polygons and a point whose vertex distances coincide.
 
     ``family``, the circles through the point's distances to the first
     polygon's vertices, is computed when read.
     """
 
-    polygon1: RegularPolygonSpec
-    polygon2: RegularPolygonSpec
-    point: PlanePoint
+    __slots__ = ()
 
     @property
     def family(self) -> CircleFamily:

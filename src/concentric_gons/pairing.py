@@ -20,7 +20,6 @@ once, for accepted results only, in the caller's units.
 """
 
 import warnings
-from dataclasses import dataclass
 from math import atan2, fmod, frexp, hypot, isfinite, ldexp
 
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     MismatchedOrder,
     NotACandidateCenter,
 )
+from .geom import _set, _Value
 from .geom import (
     DEFAULT_TOLERANCE,
     TWO_PI,
@@ -49,8 +49,7 @@ from .geom import distance_multiset, vertices
 from .moments import CircleFamily
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(_Value):
     """One common-distance configuration.
 
     ``center`` carries the concentric circles whose radii are the shared
@@ -60,10 +59,17 @@ class PairingResult:
     at that distance (always vertex 0 by construction).
     """
 
-    center: PlanePoint
-    aligned_second: RegularPolygonSpec
-    circles: CircleFamily
-    matched_vertex_pair: tuple[int, int]
+    def __init__(
+        self,
+        center: PlanePoint,
+        aligned_second: RegularPolygonSpec,
+        circles: CircleFamily,
+        matched_vertex_pair: tuple[int, int],
+    ):
+        _set(self, "center", center)
+        _set(self, "aligned_second", aligned_second)
+        _set(self, "circles", circles)
+        _set(self, "matched_vertex_pair", matched_vertex_pair)
 
 
 def _require_same_order(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> None:

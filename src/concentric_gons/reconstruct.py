@@ -33,10 +33,10 @@ rotation does, and :func:`geom.law_of_cosines_distances` evaluates it.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InfeasibleFamily, InfeasibleMoments
+from .geom import _set, _Value
 from .geom import (
     DEFAULT_TOLERANCE,
     PlanePoint,
@@ -59,18 +59,27 @@ from .moments import assess_feasibility, cyclic_averages
 POLISH_STEPS = 4
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(_Value):
     """Two polygon placements realizing a radii family, with diagnostics.
 
     ``residuals`` is derived from ``family`` and the polygons, computed on
     first read and cached; it takes no part in ``repr`` or ``==``."""
 
-    polygon1: RegularPolygonSpec
-    polygon2: RegularPolygonSpec
-    circumradii: RadiiPair
-    point_polygon: bool  # second polygon collapsed to a point
-    family: CircleFamily = field(repr=False)
+    _hidden = ("family",)
+
+    def __init__(
+        self,
+        polygon1: RegularPolygonSpec,
+        polygon2: RegularPolygonSpec,
+        circumradii: RadiiPair,
+        point_polygon: bool,  # second polygon collapsed to a point
+        family: CircleFamily,
+    ):
+        _set(self, "polygon1", polygon1)
+        _set(self, "polygon2", polygon2)
+        _set(self, "circumradii", circumradii)
+        _set(self, "point_polygon", point_polygon)
+        _set(self, "family", family)
 
     @cached_property
     def residuals(self) -> tuple[float, float]:

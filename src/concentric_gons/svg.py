@@ -8,7 +8,6 @@ bytes.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .geom import PlanePoint, RegularPolygonSpec, vertices
 
@@ -23,7 +22,6 @@ def _num(value: float) -> str:
     return format(value, ".9g")
 
 
-@dataclass
 class SvgScene:
     """Collects primitives, then renders one standalone SVG document.
 
@@ -32,9 +30,10 @@ class SvgScene:
     ``{dot}`` and ``{dash}`` fields that :meth:`to_svg` fills in.
     """
 
-    elements: list[str] = field(default_factory=list)
-    _extent: float = 0.0
-    _anchor: PlanePoint | None = None
+    def __init__(self):
+        self.elements: list[str] = []
+        self._extent = 0.0
+        self._anchor: PlanePoint | None = None
 
     def _track(self, x: float, y: float, pad: float = 0.0) -> None:
         if self._anchor is None:

@@ -7,13 +7,20 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from concentric_gons import PlanePoint, RegularPolygonSpec, cli, random_instance, reconstruct
+from concentric_gons import (
+    CircleFamily,
+    PairingResult,
+    PlanePoint,
+    RegularPolygonSpec,
+    cli,
+    random_instance,
+    reconstruct,
+)
 from concentric_gons.cli import build_parser, main
 from concentric_gons.instances import (
     InstanceFormatError,
@@ -555,17 +562,20 @@ def test_verify_passes_every_random_pair_file(n, point, tmp_path):
 
 def _rotated_second(res):
     second = res.aligned_second
-    return replace(res, aligned_second=replace(second, phase=second.phase + 1e-3))
+    rotated = RegularPolygonSpec(second.n, second.center, second.circumradius, second.phase + 1e-3)
+    return PairingResult(res.center, rotated, res.circles, res.matched_vertex_pair)
 
 
 def _rescaled_last_radius(res):
     radii = res.circles.radii
-    return replace(res, circles=replace(res.circles, radii=(*radii[:-1], radii[-1] * (1 + 1e-6))))
+    circles = CircleFamily(res.circles.center, (*radii[:-1], radii[-1] * (1 + 1e-6)))
+    return PairingResult(res.center, res.aligned_second, circles, res.matched_vertex_pair)
 
 
 def _moved_center(res):
     center = res.center.translated(1e-3, 0.0)
-    return replace(res, center=center, circles=replace(res.circles, center=center))
+    circles = CircleFamily(center, res.circles.radii)
+    return PairingResult(center, res.aligned_second, circles, res.matched_vertex_pair)
 
 
 @pytest.mark.parametrize(

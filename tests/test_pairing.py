@@ -367,13 +367,13 @@ def test_pairing_builds_validated_objects_only_for_its_results(monkeypatch):
     p1, p2 = inst.polygon1, inst.polygon2
     built = {PlanePoint: 0, RegularPolygonSpec: 0, CircleFamily: 0}
     for cls in built:
-        original = cls.__post_init__
+        original = cls.__init__
 
-        def counting(self, cls=cls, original=original):
+        def counting(self, *args, cls=cls, original=original, **kwargs):
             built[cls] += 1
-            original(self)
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     results = pair_polygons(p1, p2)
     assert len(results) == 4
     points = len({id(result.center) for result in results})

@@ -144,6 +144,31 @@ def test_metadata_round_trip(tmp_path):
         parse_instance({**payload, "metadata": {"bad": 7}})
 
 
+@pytest.mark.parametrize("command", ["check", "reconstruct", "pair", "render", "verify"])
+def test_deeply_nested_instance_file_is_an_error_not_a_traceback(command, tmp_path):
+    # The decoder recurses once per level; an ignored field is deep enough.
+    depth = 10 * sys.getrecursionlimit()
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"format": "concentric-gons/1", "kind": "circles",'
+        ' "circles": {"center": [0, 0], "radii": [1, 1, 2]},'
+        f' "metadata": {{"x": {"[" * depth}{"]" * depth}}}}}',
+        encoding="utf-8",
+    )
+    svg = ["--svg", str(tmp_path / "out.svg")] if command == "render" else []
+    assert run_cli(command, "--input", str(path), *svg, "--json") == (
+        1, "", f"error: {path} is not valid JSON: nested too deeply\n"
+    )
+
+
+def test_non_utf8_instance_file_error_names_the_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"kind": "circles"}'.encode("utf-16-le"))
+    code, out, err = run_cli("check", "--input", str(path), "--json")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} is not UTF-8 text: invalid start byte 0xff at offset 0\n"
+
+
 def test_canonical_json_formatting():
     text = canonical_json({"b": 0.1, "a": [1, True, None, "x"]})
     assert '"a"' in text and '"b"' in text

@@ -134,8 +134,15 @@ def load_instance(path: str) -> InstanceDocument:
             raw = json.load(handle)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"{path} is not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}"
+            f" at offset {exc.start}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InstanceFormatError(f"{path} is not valid JSON: nested too deeply") from None
     return parse_instance(raw)
 
 

@@ -9,102 +9,47 @@ polygons placed from them reproduce its radii (``moments``,
 ``reconstruct``), triangles and squares included; the paper's two
 algebraic conditions are reported alongside, with brute-force
 cross-checks (``oracle``).
+
+Each public name is loaded from its submodule on first use (PEP 562), so
+a call loads only the submodules it needs: ``reconstruct_polygons`` never
+loads ``oracle`` or ``pairing``.
 """
 
-from .errors import (
-    CoincidentAuxiliaryCircles,
-    CoincidentCircles,
-    DegenerateGeometry,
-    GeometryError,
-    InfeasibleFamily,
-    InfeasibleMoments,
-    InvalidMomentOrder,
-    MismatchedOrder,
-    NotACandidateCenter,
-)
-from .geom import (
-    DEFAULT_TOLERANCE,
-    PlanePoint,
-    RegularPolygonSpec,
-    Tolerance,
-    distance_multiset,
-    multiset_close,
-    normalize_angle,
-    phase_candidates,
-    vertices,
-)
-from .moments import (
-    CircleFamily,
-    CyclicAverages,
-    FeasibilityReport,
-    RadiiPair,
-    assess_feasibility,
-    condition_one,
-    condition_two,
-    cyclic_averages,
-    recover_circumradii,
-    two_radius_power_sum,
-)
-from .oracle import (
-    RandomInstance,
-    SplitMix64,
-    angle_sweep,
-    power_identity_residual,
-    random_instance,
-)
-from .pairing import (
-    PairingResult,
-    align_second_polygon,
-    candidate_centers,
-    pair_polygons,
-)
-from .reconstruct import (
-    Reconstruction,
-    reconstruct_polygons,
-    verify_reconstruction,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CircleFamily",
-    "CoincidentAuxiliaryCircles",
-    "CoincidentCircles",
-    "CyclicAverages",
-    "DEFAULT_TOLERANCE",
-    "DegenerateGeometry",
-    "FeasibilityReport",
-    "GeometryError",
-    "InfeasibleFamily",
-    "InfeasibleMoments",
-    "InvalidMomentOrder",
-    "MismatchedOrder",
-    "NotACandidateCenter",
-    "PairingResult",
-    "PlanePoint",
-    "RadiiPair",
-    "RandomInstance",
-    "Reconstruction",
-    "RegularPolygonSpec",
-    "SplitMix64",
-    "Tolerance",
-    "align_second_polygon",
-    "angle_sweep",
-    "assess_feasibility",
-    "candidate_centers",
-    "condition_one",
-    "condition_two",
-    "cyclic_averages",
-    "distance_multiset",
-    "multiset_close",
-    "normalize_angle",
-    "pair_polygons",
-    "phase_candidates",
-    "power_identity_residual",
-    "random_instance",
-    "reconstruct_polygons",
-    "recover_circumradii",
-    "two_radius_power_sum",
-    "verify_reconstruction",
-    "vertices",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "errors": """CoincidentAuxiliaryCircles CoincidentCircles DegenerateGeometry
+        GeometryError InfeasibleFamily InfeasibleMoments InvalidMomentOrder
+        MismatchedOrder NotACandidateCenter""",
+    "geom": """DEFAULT_TOLERANCE PlanePoint RegularPolygonSpec Tolerance
+        distance_multiset multiset_close normalize_angle phase_candidates vertices""",
+    "moments": """CircleFamily CyclicAverages FeasibilityReport RadiiPair
+        assess_feasibility condition_one condition_two cyclic_averages
+        recover_circumradii two_radius_power_sum""",
+    "oracle": "RandomInstance SplitMix64 angle_sweep power_identity_residual random_instance",
+    "pairing": "PairingResult align_second_polygon candidate_centers pair_polygons",
+    "reconstruct": "Reconstruction reconstruct_polygons verify_reconstruction",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import the submodule behind ``name``, or the submodule ``name``
+    itself, and bind the result here so that later lookups skip this."""
+    module = _HOME.get(name, name)
+    if module not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

@@ -4,17 +4,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import concentric_gons
+
+SRC = str(Path(concentric_gons.__file__).resolve().parent.parent)
+SUBMODULES = ("errors", "geom", "moments", "oracle", "pairing", "reconstruct")
+
+
+def modules_after(code):
+    """The modules loaded once ``code`` has run in a fresh interpreter. -S
+    skips site, so only the code adds modules."""
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{code}\nprint(*sys.modules)"
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+
+
+def library_modules(loaded):
+    return {name.partition(".")[2] for name in loaded if name.startswith("concentric_gons.")}
 
 
 def test_import_loads_only_the_standard_library_and_exports_resolve():
-    # -S skips site: only the import adds modules. closed_forms, pytest and hypothesis are foreign.
-    # dataclasses, inspect and typing cost milliseconds of import in every CLI call.
-    src = str(Path(concentric_gons.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import concentric_gons.cli; print(*sys.modules)"
-    loaded = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-    ).stdout.split()
+    # closed_forms, pytest and hypothesis are foreign. dataclasses, inspect
+    # and typing cost milliseconds of import in every CLI call.
+    loaded = modules_after("import concentric_gons.cli")
     tops = {name.split(".")[0] for name in loaded}
     assert tops - set(sys.stdlib_module_names) == {"concentric_gons", "__main__"}
     assert "concentric_gons.cli" in loaded
@@ -22,6 +36,55 @@ def test_import_loads_only_the_standard_library_and_exports_resolve():
     names = concentric_gons.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(concentric_gons, name)] == []
+
+
+def test_bare_import_loads_no_submodule():
+    assert library_modules(modules_after("import concentric_gons")) == set()
+
+
+def test_first_reconstruction_loads_only_the_circles_route():
+    loaded = modules_after(
+        "import concentric_gons as c\n"
+        "c.reconstruct_polygons(c.CircleFamily(c.PlanePoint(0.0, 0.0), (1.0, 1.0, 2.0)))"
+    )
+    assert library_modules(loaded) == {"errors", "geom", "moments", "reconstruct"}
+
+
+def test_first_pairing_loads_none_of_the_other_routes():
+    loaded = modules_after(
+        "import concentric_gons as c\n"
+        "c.pair_polygons(c.RegularPolygonSpec(3, c.PlanePoint(0.0, 0.0), 1.0, 0.0),\n"
+        "                c.RegularPolygonSpec(3, c.PlanePoint(1.5, 0.0), 1.0, 0.3))"
+    )
+    assert "pairing" in library_modules(loaded)
+    assert {"oracle", "reconstruct", "svg", "instances", "cli"} & library_modules(loaded) == set()
+
+
+def test_star_import_binds_each_name_to_the_object_its_submodule_defines():
+    loaded = modules_after(
+        "from concentric_gons import *\n"
+        "import concentric_gons\n"
+        "for name in concentric_gons.__all__:\n"
+        "    value = globals()[name]\n"
+        "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+        "print(len(concentric_gons.__all__), 'names')"
+    )
+    assert loaded[:2] == ["40", "names"]
+    assert set(SUBMODULES) <= library_modules(loaded)
+
+
+def test_submodules_resolve_as_attributes_after_a_bare_import():
+    loaded = modules_after(
+        "import concentric_gons\n"
+        f"print(*(getattr(concentric_gons, name).__name__ for name in {SUBMODULES!r}))"
+    )
+    assert loaded[: len(SUBMODULES)] == [f"concentric_gons.{name}" for name in SUBMODULES]
+
+
+def test_unknown_attribute_raises_and_dir_covers_the_exports():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        concentric_gons.no_such_name
+    assert set(concentric_gons.__all__) <= set(dir(concentric_gons))
 
 
 def test_public_names_are_pinned():

@@ -158,3 +158,73 @@ def test_cli_emits_through_its_dump_canonical_attribute(monkeypatch, capsys):
     assert cli.main(["check", "--radii", "1,1,2", "--json"]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["command"] == "check"
+
+
+def load_ab():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_alternates_which_side_runs_first():
+    assert load_ab().run_order(3) == [
+        (1, "change"), (1, "base"), (2, "base"), (2, "change"), (3, "change"), (3, "base"),
+    ]
+
+
+def test_ab_clears_bytecode_under_src_only(tmp_path):
+    for where in ("src/pkg/__pycache__", "src/__pycache__", "perfbench/__pycache__"):
+        (tmp_path / where).mkdir(parents=True)
+        (tmp_path / where / "m.cpython.pyc").write_bytes(b"")
+    load_ab().clear_bytecode([tmp_path])
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("__pycache__")] == [
+        "perfbench/__pycache__"
+    ]
+
+
+def test_ab_statistics_on_canned_runs():
+    spec = {"end_to_end": [
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "op_p50_us", "unit": "us", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    ]}
+    values = {
+        "base": {
+            "setup_s": [10, 12, 11, 13, 14], "ops_per_s": [100] * 5,
+            "op_p50_us": [5] * 5, "peak_rss_mb": [10] * 5,
+        },
+        "change": {
+            "setup_s": [6, 7, 12, 5, 8], "ops_per_s": [110, 100, 120, 130, 140],
+            "op_p50_us": [4] * 5, "peak_rss_mb": [12] * 5,
+        },
+    }
+    runs = [
+        {
+            "pair": pair + 1, "side": side, "workload": "circles",
+            "result": {
+                "correct": (side, pair) != ("change", 2),
+                "metrics": {name: {"value": v[pair]} for name, v in values[side].items()},
+            },
+        }
+        for pair in reversed(range(5)) for side in ("change", "base")
+    ]
+    unpaired = {**runs[0], "pair": 6, "side": "base"}
+    report = load_ab().summarize(spec, runs + [unpaired])["circles"]
+    assert report["pairs"] == 5
+    assert report["all_correct"] == {"base": True, "change": False}
+    setup = report["metrics"]["setup_s"]
+    assert setup["base"] == {"median": 12, "q1": 11, "q3": 13, "values": [10, 12, 11, 13, 14]}
+    assert (setup["change"]["median"], setup["change"]["q1"], setup["change"]["q3"]) == (7, 6, 8)
+    # Four wins of five is below nine tenths, however large the gap.
+    assert (setup["change_wins"], setup["base_wins"], setup["gain"]) == (4, 1, False)
+    assert setup["within_bound"]
+    # A tie counts for neither side.
+    ops = report["metrics"]["ops_per_s"]
+    assert (ops["change_wins"], ops["base_wins"], ops["gain"]) == (4, 0, False)
+    p50 = report["metrics"]["op_p50_us"]
+    assert (p50["change_wins"], p50["gain"], p50["within_bound"]) == (5, True, True)
+    # 20% worse against a bound of 10%.
+    rss = report["metrics"]["peak_rss_mb"]
+    assert (rss["base_wins"], rss["gain"], rss["within_bound"]) == (5, False, False)

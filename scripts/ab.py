@@ -99,7 +99,7 @@ def summarize(spec: dict, runs: list[dict]) -> dict:
         for run in runs:
             if run["workload"] == workload:
                 by_side[run["side"]][run["pair"]] = run["result"]
-        pairs = sorted(by_side["base"].keys() & by_side["change"].keys())
+        pairs = sorted(by_side["base"])
         results = {side: [by_side[side][pair] for pair in pairs] for side in SIDES}
         report[workload] = {
             "pairs": len(pairs),
@@ -131,12 +131,11 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, help="run length (BENCHMARK.json's by default)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--workload", action="append", help="repeatable; all by default")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     command = [sys.executable, *spec["command"][1:]]
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")

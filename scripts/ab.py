@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A/B runs of the benchmark: a base commit against this checkout.
 
-    python3 scripts/ab.py --label pr22 --base f1ea0b8 --pairs 10
+    python3 scripts/ab.py --label lazy-import --base HEAD~1 --pairs 10
 
 The base commit is checked out with ``git worktree`` into a temporary
 directory, removed again when the script ends. The change is this checkout

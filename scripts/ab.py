@@ -6,8 +6,8 @@
 The base commit is checked out with ``git worktree`` into a temporary
 directory, removed again when the script ends. The change is this checkout
 as it stands, uncommitted edits included. Both sides run the benchmark
-command of this checkout's ``BENCHMARK.json`` (``perfbench/run.py``, not
-edited here) with ``--trace 0``, from their own root, one run at a time.
+command of this checkout's ``BENCHMARK.json`` (``perfbench/run.py``, run
+as it is) with ``--trace 0``, from their own root, one run at a time.
 Pair k runs every workload on both sides with seed ``--seed + k - 1``; odd
 pairs run the change first, even pairs the base. Before every run each
 ``__pycache__`` under both ``src/`` trees is deleted, and the run gets

@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """A/B runs of the benchmark: a base commit against this checkout.
 
-    python3 scripts/ab.py --label lazy-import --base HEAD~1 --pairs 10
+    python3 scripts/ab.py --label lazy-import --base HEAD~1
 
 The base commit is checked out with ``git worktree`` into a temporary
 directory, removed again when the script ends. The change is this checkout
 as it stands, uncommitted edits included. Both sides run the benchmark
 command of this checkout's ``BENCHMARK.json`` (``perfbench/run.py``, run
-as it is) with ``--trace 0``, from their own root, one run at a time.
-Pair k runs every workload on both sides with seed ``--seed + k - 1``; odd
-pairs run the change first, even pairs the base. Before every run each
-``__pycache__`` under both ``src/`` trees is deleted, and the run gets
-``PYTHONDONTWRITEBYTECODE=1``, so that both sides compile the library from
-source in every fresh interpreter: a stray bytecode cache on one side would
-fake or hide a difference in ``setup_s``.
+as it is) with ``--trace 0`` and its ``run_seconds``, from their own root,
+one run at a time. There are always ten pairs, the count the gain rule is
+stated for. Pair k runs every workload on both sides with seed
+``--seed + k - 1``; odd pairs run the change first, even pairs the base.
+Before every run each ``__pycache__`` under both ``src/`` trees is deleted,
+and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so that both sides compile
+the library from source in every fresh interpreter: a stray bytecode cache
+on one side would fake or hide a difference in ``setup_s``.
 
 Writes ``BENCH_<label>.json`` into this checkout: per workload and metric
 the values of every run, each side's median and quartiles, the pairs each
@@ -37,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+PAIRS = 10
 
 
 def run_order(pairs: int) -> list[tuple[int, str]]:
@@ -128,15 +130,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (BENCHMARK.json's by default)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     command = [sys.executable, *spec["command"][1:]]
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     runs = []
@@ -145,7 +143,7 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", str(base_tree), base_commit)
         try:
             trees = {"base": base_tree, "change": ROOT}
-            for pair, side in run_order(args.pairs):
+            for pair, side in run_order(PAIRS):
                 for workload in workloads:
                     clear_bytecode(trees.values())
                     seed = args.seed + pair - 1
@@ -162,7 +160,7 @@ def main(argv=None) -> int:
         "host": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "seconds": seconds,
-        "seeds": list(range(args.seed, args.seed + args.pairs)),
+        "seeds": list(range(args.seed, args.seed + PAIRS)),
         "workloads": summarize(spec, runs),
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -82,10 +82,6 @@ class CyclicAverages(LeadingAverages):
     ``values[m-1]`` holds the order-2m average of the radii divided by
     ``2^exponent``; ``ldexp(values[m-1], 2*m*exponent)`` is the average in
     the family's units, where that fits a double.
-
-    ``squares``, None unless :func:`cyclic_averages` sets it, holds the
-    squared radii in the units of ``values``, for :func:`condition_two`; it
-    is no part of ``==``, ``hash`` or ``repr``.
     """
 
     def __init__(self, n: int, values: tuple[float, ...], exponent: int = 0):
@@ -94,7 +90,6 @@ class CyclicAverages(LeadingAverages):
         _set(self, "n", n)
         _set(self, "values", values)
         _set(self, "exponent", exponent)
-        _set(self, "squares", None)
 
 
 class RadiiPair(_Value):
@@ -167,20 +162,12 @@ def cyclic_averages(family: CircleFamily) -> CyclicAverages:
     """
     leading, radii = _leading(family)
     squares = [r * r for r in radii]
-    values = leading.values + _folded_averages([q ** 2 for q in squares], squares, family.n - 3)
-    averages = CyclicAverages(n=family.n, values=values, exponent=leading.exponent)
-    _set(averages, "squares", tuple(squares))
-    return averages
-
-
-def _folded_averages(powers: list[float], factors: list[float], count: int) -> tuple:
-    """Averages of ``powers * factors^j``, j = 1..count, elementwise, each
-    summed in a fixed left-to-right fold."""
-    averages = []
-    for _ in range(count):
-        powers = list(map(operator.mul, powers, factors))
-        averages.append(reduce(operator.add, powers) / len(powers))
-    return tuple(averages)
+    powers = [q ** 2 for q in squares]
+    values = list(leading.values)
+    for _ in range(3, family.n):
+        powers = list(map(operator.mul, powers, squares))
+        values.append(reduce(operator.add, powers) / family.n)
+    return CyclicAverages(n=family.n, values=tuple(values), exponent=leading.exponent)
 
 
 def _power_averages(a: float, h: float, top: int) -> list[float]:
@@ -271,47 +258,13 @@ def condition_two(
     Residuals are relative: ``|S(2m) - predicted| / S(2m)`` (0 for all-zero
     radii), the same in every unit. For n = 3 the range is empty and the
     test passes vacuously.
-
-    Radii a spread b apart that miss every placement by g b move S(2m) by
-    about ``g (b / S(2))^3`` of itself, under the gate for small b; so
-    averages from :func:`cyclic_averages` must pass :func:`_spread_residuals`.
     """
     predictions = _predicted_averages(av.values[0], av.values[1], av.n - 1)
     residuals = tuple(
         abs(actual - predicted) / (actual or 1.0)
         for actual, predicted in zip(av.values[2:], predictions[2:])
     )
-    ok = all(r <= tol.relative_eps for r in residuals)
-    if ok and av.squares is not None:
-        ok = all(r <= tol.relative_eps for r in _spread_residuals(av))
-    return ok, residuals
-
-
-def _spread_residuals(av: CyclicAverages) -> tuple[float, ...]:
-    """Condition II on ``e_k = d_k^2 - S(2)``, D the largest ``|e_k|``:
-    ``|mean(e^m) - predicted| / (m D^(m-1) S(2))``, m = 3..n-1. Realizable,
-    ``e_k = -b cos(t + 2 pi k / n)``, ``b^2 = 2 mean(e^2)``, and for m < n
-    the mean of ``cos^m`` is ``C(m, m/2) / 2^m`` for even m, else 0. The
-    divisor is about what moving every d_k^2 by S(2) shifts ``mean(e^m)``
-    by, so the residual reads the distance to a realizable family in units
-    of S(2) at any spread; rounding of e_k enters it at a few ulps. O(n^2).
-    """
-    deviations = [q - av.values[0] for q in av.squares]
-    largest = max(map(abs, deviations))
-    if largest == 0.0:
-        return ()
-    unit = [e / largest for e in deviations]
-    moments = _folded_averages(unit, unit, av.n - 2)
-    square = 2.0 * moments[0]  # (b / D)^2
-    even = 0.5  # mean of cos^m over a period, for the last even m
-    residuals = []
-    for m in range(3, av.n):
-        predicted = 0.0
-        if m % 2 == 0:
-            even *= (m - 1) / m
-            predicted = even * square ** (m // 2)
-        residuals.append(abs(moments[m - 2] - predicted) * largest / (m * av.values[0]))
-    return tuple(residuals)
+    return all(r <= tol.relative_eps for r in residuals), residuals
 
 
 def _discriminant(av: LeadingAverages, tol: Tolerance) -> tuple[float, float]:

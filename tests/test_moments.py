@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from concentric_gons import (
     CircleFamily,
-    InfeasibleFamily,
     InfeasibleMoments,
     InvalidMomentOrder,
     PlanePoint,
@@ -286,32 +285,6 @@ def test_condition_two_rejects_arithmetic_progression():
     ok, residuals = condition_two(cyclic_averages(family(1, 2, 3, 4)))
     assert not ok
     assert residuals[0] == pytest.approx(75.0 / 1222.5, abs=1e-12)
-
-
-@pytest.mark.parametrize("spread", [1e-4, 1e-5, 1e-7])
-@pytest.mark.parametrize("shape", [(0, 0, 0, 1), (0, 1, 1, 1), (0, 0, 0, 0, 1), (0, 0, 0, 1, 1, 1)])
-def test_condition_two_rejects_unplaceable_families_near_one_polygon(shape, spread):
-    # Radii a fraction `spread` apart in a pattern no two regular polygons
-    # make: S(2m) misses its prediction by about spread^3 of itself, inside
-    # the relative gate, so the centered moments must reject the family.
-    fam = family(*(3.0 * (1.0 + spread * s) for s in shape))
-    with pytest.raises(InfeasibleFamily):
-        reconstruct_polygons(fam)
-    ok, residuals = condition_two(cyclic_averages(fam))
-    assert max(residuals) < 1e-9
-    assert not ok
-
-
-@pytest.mark.parametrize("arm", [0.0, 1e-12, 1e-7, 1e-3])
-def test_condition_two_passes_a_polygon_seen_from_near_its_center(arm):
-    # The radii differ only by about `arm`, or by rounding: the centered
-    # moments scale with that spread and must not reject the family.
-    for n in (4, 7, 64):
-        poly = RegularPolygonSpec(n, PlanePoint(0, 0), 2.5, 0.3)
-        point = PlanePoint(arm * math.cos(1.1), arm * math.sin(1.1))
-        av = cyclic_averages(CircleFamily(point, distance_multiset(poly, point)))
-        assert condition_two(av)[0]
-        assert av == type(av)(av.n, av.values, av.exponent)
 
 
 def higher_average_prediction(s2: float, s4: float, m: int) -> float:

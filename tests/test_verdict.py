@@ -171,15 +171,12 @@ def edge(perturbed, accepts):
 # Measured edges: (condition I and II, the verdict). Between them the
 # paper's conditions refuse what the placement reproduces within its gate;
 # outside, both agree. On (1, 1, 2(1 + x)) both gate the same discriminant.
-# On the square family condition II's centered residual decides: the same
-# numerator as S(6)'s over 3 D^2 S(2) = 180, not S(6) = 245, so it refuses
-# from 9.649e-9 * 180 / 245 = 7.089e-9.
 BAND = {
     "triangle": (lambda x: (1.0, 1.0, 2.0 * (1.0 + x)), 5.625e-10, 5.625e-10),
     "square_above": (lambda x: SQUARE_FAMILY[:3] + (SQUARE_FAMILY[3] * math.sqrt(1.0 + x),),
-                     7.089e-9, 4.726e-8),
+                     9.649e-9, 4.726e-8),
     "square_below": (lambda x: SQUARE_FAMILY[:3] + (SQUARE_FAMILY[3] * math.sqrt(1.0 - x),),
-                     7.089e-9, 4.726e-8),
+                     9.649e-9, 4.726e-8),
     "noise_n8": (noisy(8), 1.803e-9, 1.168e-8),
     "noise_n64": (noisy(64), 3.398e-10, 1.339e-8),
 }

@@ -9,8 +9,9 @@ as it stands, uncommitted edits included. Both sides run the benchmark
 command of this checkout's ``BENCHMARK.json`` (``perfbench/run.py``, run
 as it is) with ``--trace 0`` and its ``run_seconds``, from their own root,
 one run at a time. There are always ten pairs, the count the gain rule is
-stated for. Pair k runs every workload on both sides with seed
-``--seed + k - 1``; odd pairs run the change first, even pairs the base.
+stated for. Pair k runs every workload on both sides with seed k, so every
+A/B measures the same inputs; odd pairs run the change first, even pairs
+the base.
 Before every run each ``__pycache__`` under both ``src/`` trees is deleted,
 and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so that both sides compile
 the library from source in every fresh interpreter: a stray bytecode cache
@@ -130,7 +131,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--base", default="HEAD~1", help="commit to compare against")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
@@ -146,11 +146,10 @@ def main(argv=None) -> int:
             for pair, side in run_order(PAIRS):
                 for workload in workloads:
                     clear_bytecode(trees.values())
-                    seed = args.seed + pair - 1
-                    print(f"pair {pair} {side} {workload} seed {seed}", file=sys.stderr)
-                    result = run_benchmark(command, trees[side], workload, seed, seconds)
+                    print(f"pair {pair} {side} {workload}", file=sys.stderr)
+                    result = run_benchmark(command, trees[side], workload, pair, seconds)
                     runs.append({"pair": pair, "side": side, "workload": workload,
-                                 "seed": seed, "result": result})
+                                 "result": result})
         finally:
             git("worktree", "remove", "--force", str(base_tree))
     document = {
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
         "host": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "seconds": seconds,
-        "seeds": list(range(args.seed, args.seed + PAIRS)),
+        "seeds": list(range(1, PAIRS + 1)),
         "workloads": summarize(spec, runs),
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -4,10 +4,14 @@ Exit codes are strict: 0 for success/feasible, 2 for mathematically
 infeasible or empty results, 1 for usage or parse errors. With ``--json``
 the machine-readable document goes to stdout; otherwise a short human
 summary is printed. JSON and SVG output are byte-deterministic.
+
+The names taken from ``oracle``, ``pairing`` and ``svg`` are bound into
+this module on first use, so ``check`` loads none of the three.
 """
 
 import argparse
 import functools
+import importlib
 import math
 import re
 import sys
@@ -29,12 +33,7 @@ from .instances import (
 )
 from .moments import CircleFamily, RadiiPair, assess_feasibility, cyclic_averages
 from .moments import _leading, leading_averages, recover_circumradii
-from .oracle import _draw_instance, _identity_residual, angle_sweep, power_identity_residual
-from .oracle import random_instance  # unused here; perfbench/tracing.py wraps cli.random_instance
-from .pairing import candidate_centers  # unused here; perfbench/tracing.py wraps it
-from .pairing import pair_polygons
 from .reconstruct import reconstruct_polygons, verify_reconstruction
-from .svg import render_configuration
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,6 +43,35 @@ IDENTITY_TOLERANCE = 1e-10
 SWEEP_TOLERANCE = 1e-6
 CERTIFICATION_SAMPLES = 200
 CERTIFICATION_ORDERS = range(3, 13)
+CERTIFICATION_SEED = 1
+
+# The names this module takes from the modules that only some commands run.
+# They are globals only once bound, so a function that calls one binds first.
+_LAZY = {
+    "oracle": ("_draw_instance", "_identity_residual", "angle_sweep",
+               "power_identity_residual", "random_instance"),
+    "pairing": ("candidate_centers", "pair_polygons"),
+    "svg": ("render_configuration",),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind each of its names in ``_LAZY`` that is not
+    bound here yet: a name replaced at ``cli.<name>`` stays replaced."""
+    scope = globals()
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            if name not in scope:
+                scope[name] = getattr(source, name)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,6 +211,7 @@ def cmd_check(args) -> int:
 
 def _reconstruction_svg(family: CircleFamily, rec) -> str:
     """The family's circles with both polygons, or alone when ``rec`` is None."""
+    _bind("svg")
     polygons = [rec.polygon1, rec.polygon2] if rec is not None else []
     return render_configuration(
         circles=[(family.center, r) for r in family.radii],
@@ -233,6 +262,7 @@ def cmd_reconstruct(args) -> int:
 def _pairing_svg(p1, p2, results) -> str:
     """The first configuration found, or both polygons with their auxiliary
     circles when there is none."""
+    _bind("svg")
     if not results:
         return render_configuration(
             circles=[(p1.center, p2.circumradius), (p2.center, p1.circumradius)],
@@ -252,6 +282,7 @@ def _pairing_svg(p1, p2, results) -> str:
 def cmd_pair(args) -> int:
     tol = _tolerance_from_args(args)
     p1, p2 = _load(args.input, "polygon_pair").polygons
+    _bind("pairing")
     payload = {
         "n": p1.n,
         "polygons": [polygon_record(p1), polygon_record(p2)],
@@ -290,6 +321,7 @@ def cmd_pair(args) -> int:
 
 
 def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
+    _bind("oracle")
     family = doc.circles
     report, rec, _ = _decide(family, tol)
     if rec is None:
@@ -327,6 +359,7 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
     read back through the library: both polygons' vertex distances from its
     point against its radii, and :func:`reconstruct_polygons` on its circles,
     which must give back the input circumradii."""
+    _bind("oracle", "pairing")
     p1, p2 = doc.polygons
     try:
         results = pair_polygons(p1, p2, tol)
@@ -378,6 +411,7 @@ def _verify_certification(seed: int) -> dict:
     """The worst power-identity residual of each vertex count's random
     instances, on the numbers and kernel behind :func:`random_instance` and
     :func:`power_identity_residual`, with no points or polygons built."""
+    _bind("oracle")
     rows = []
     ok = True
     for n in CERTIFICATION_ORDERS:
@@ -401,7 +435,9 @@ def cmd_verify(args) -> int:
         else:
             section = _verify_polygon_pair(doc, tol)
     else:
-        section = _verify_certification(args.seed)
+        section = _verify_certification(
+            CERTIFICATION_SEED if args.seed is None else args.seed
+        )
     ok = section["pass"]
     payload = {"result": section}
     lines = [f"verify kind: {section['kind']}", f"pass: {'yes' if ok else 'no'}"]
@@ -419,6 +455,7 @@ def cmd_render(args) -> int:
             rec = None
         text = _reconstruction_svg(doc.circles, rec)
     else:
+        _bind("pairing")
         p1, p2 = doc.polygons
         try:
             results = pair_polygons(p1, p2, tol)
@@ -439,8 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, radii=False, input_file=False, svg=False, seed=False, required=()):
-        # With --radii, exactly one of --radii and --input is given.
-        sources = p.add_mutually_exclusive_group(required=True) if radii else p
+        # With --radii, exactly one of --radii and --input is given; with
+        # --seed, at most one of --input and --seed.
+        sources = p.add_mutually_exclusive_group(required=radii) if radii or seed else p
         if radii:
             sources.add_argument("--radii", help="comma-separated circle radii")
         if input_file:
@@ -450,7 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--svg", required="--svg" in required,
                            help="write an SVG drawing to this path")
         if seed:
-            p.add_argument("--seed", type=int, default=1, help="certification seed")
+            # No default here: argparse lets an option whose value is its
+            # default's object (the cached small int 1) past the exclusion.
+            sources.add_argument("--seed", type=int,
+                                 help=f"certification seed (default {CERTIFICATION_SEED})")
         p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -519,6 +519,23 @@ def test_verify_corrupted_radii_identifies_failing_order(tmp_path):
     assert 3 in failing
 
 
+def test_verify_input_and_seed_together_are_a_usage_error(tmp_path):
+    # A seed drives only certification, so with an instance file it would be
+    # ignored; --seed 1 is the default's value and still refused.
+    path = write_circles(tmp_path / "c.json", [1.0, 1.0, 2.0])
+    for seed in ("1", "7"):
+        code, out, err = run_cli("verify", "--input", path, "--seed", seed, "--json")
+        assert (code, out) == (1, "")
+        assert "not allowed with argument --input" in err
+
+
+def test_verify_with_no_source_certifies_seed_one():
+    code, out, _ = run_cli("verify", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["seed"] == 1
+    assert run_cli("verify", "--seed", "1", "--json") == (code, out, "")
+
+
 def test_verify_certification_mode():
     code, out, _ = run_cli("verify", "--seed", "5", "--json")
     assert code == 0

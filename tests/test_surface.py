@@ -60,6 +60,77 @@ def test_first_pairing_loads_none_of_the_other_routes():
     assert {"oracle", "reconstruct", "svg", "instances", "cli"} & library_modules(loaded) == set()
 
 
+CLI_BASE = {"cli", "errors", "geom", "instances", "moments", "reconstruct"}
+
+
+def cli_modules_after(*argv):
+    """The library modules loaded once ``cli.main(argv)`` has run in a fresh
+    interpreter, its output discarded."""
+    return library_modules(modules_after(
+        "import contextlib, io\n"
+        "from concentric_gons.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({list(argv)!r})"
+    ))
+
+
+def test_cli_import_loads_no_oracle_pairing_or_svg():
+    assert library_modules(modules_after("import concentric_gons.cli")) == CLI_BASE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--radii", "1,1,2", "--json"), ("reconstruct", "--radii", "1,1,2", "--json")],
+)
+def test_check_and_undrawn_reconstruct_load_only_the_circles_route(argv):
+    assert cli_modules_after(*argv) == CLI_BASE
+
+
+def test_pair_loads_pairing_but_not_oracle(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(
+        '{"format": "concentric-gons/1", "kind": "polygon_pair", "polygons": ['
+        '{"n": 3, "center": [0, 0], "circumradius": 1, "phase": 0}, '
+        '{"n": 3, "center": [1.5, 0], "circumradius": 1, "phase": 0.3}]}',
+        encoding="utf-8",
+    )
+    loaded = cli_modules_after("pair", "--input", str(path), "--json")
+    assert "pairing" in loaded
+    assert "oracle" not in loaded
+
+
+def test_certification_loads_oracle():
+    assert "oracle" in cli_modules_after("verify", "--seed", "1", "--json")
+
+
+def test_cli_calls_a_name_replaced_before_its_first_use(tmp_path):
+    # perfbench/tracing.py and monkeypatching tests replace cli.<name>; the
+    # command that binds the name on first use must keep the replacement.
+    out = modules_after(
+        "import contextlib, io\n"
+        "from concentric_gons import cli\n"
+        "calls = []\n"
+        "def counting(*args, **kwargs):\n"
+        "    calls.append(1)\n"
+        "    return sys.modules['concentric_gons.svg'].render_configuration(*args, **kwargs)\n"
+        "cli.render_configuration = counting\n"
+        f"path = {str(tmp_path / 'c.svg')!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['reconstruct', '--radii', '1,1,2', '--svg', path]) == 0\n"
+        "assert calls == [1] and cli.render_configuration is counting\n"
+        "for module, names in cli._LAZY.items():\n"
+        "    for name in set(names) - {'render_configuration'}:\n"
+        "        value = getattr(cli, name)\n"
+        "        assert value is getattr(sys.modules[f'concentric_gons.{module}'], name), name\n"
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert " ".join(out[:6]) == "module 'concentric_gons.cli' has no attribute 'no_such_name'"
+    assert "<svg " in (tmp_path / "c.svg").read_text(encoding="utf-8")
+
+
 def test_star_import_binds_each_name_to_the_object_its_submodule_defines():
     loaded = modules_after(
         "from concentric_gons import *\n"

@@ -127,7 +127,7 @@ def test_cli_calls_a_name_replaced_before_its_first_use(tmp_path):
         "except AttributeError as exc:\n"
         "    print(exc)\n"
     )
-    assert " ".join(out[:6]) == "module 'concentric_gons.cli' has no attribute 'no_such_name'"
+    assert "module 'concentric_gons.cli' has no attribute 'no_such_name'" in " ".join(out)
     assert "<svg " in (tmp_path / "c.svg").read_text(encoding="utf-8")
 
 

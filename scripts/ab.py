@@ -5,10 +5,12 @@
 
 The base commit is checked out with ``git worktree`` into a temporary
 directory, removed again when the script ends. The change is this checkout
-as it stands, uncommitted edits included. Both sides run the benchmark
-command of this checkout's ``BENCHMARK.json`` (``perfbench/run.py``, run
-as it is) with ``--trace 0`` and its ``run_seconds``, from their own root,
-one run at a time. There are always ten pairs, the count the gain rule is
+as it stands, uncommitted edits included: the tracked paths that ``git
+status --porcelain`` lists as changed are recorded as ``change_dirty``, and
+a warning names them, since ``change`` records HEAD. Both sides run the
+benchmark command of this checkout's ``BENCHMARK.json``
+(``perfbench/run.py``, run as it is) with ``--trace 0`` and its
+``run_seconds``, from their own root, one run at a time. There are always ten pairs, the count the gain rule is
 stated for. Pair k runs every workload on both sides with seed k, so every
 A/B measures the same inputs; odd pairs run the change first, even pairs
 the base.
@@ -121,10 +123,21 @@ def summarize(spec: dict, runs: list[dict]) -> dict:
     return report
 
 
+def dirty_paths(porcelain: str) -> list[str]:
+    """The tracked paths in ``git status --porcelain`` output, each line
+    ``XY path`` or ``XY old -> new``; untracked files (``??``) are left out."""
+    return [
+        line[3:].split(" -> ")[-1]
+        for line in porcelain.splitlines()
+        if line and not line.startswith("??")
+    ]
+
+
 def git(*args: str) -> str:
+    # Only trailing newlines go: a porcelain line may begin with a space.
     return subprocess.run(
         ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
-    ).stdout.strip()
+    ).stdout.rstrip("\n")
 
 
 def main(argv=None) -> int:
@@ -137,6 +150,10 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     command = [sys.executable, *spec["command"][1:]]
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    dirty = dirty_paths(git("status", "--porcelain"))
+    if dirty:
+        print(f"warning: measuring uncommitted edits to {', '.join(dirty)}, "
+              "not HEAD as recorded", file=sys.stderr)
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
         base_tree = Path(scratch) / "base"
@@ -156,6 +173,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "base": base_commit,
         "change": git("rev-parse", "HEAD"),
+        "change_dirty": dirty,
         "host": {"platform": platform.platform(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "seconds": seconds,

@@ -32,7 +32,7 @@ from .instances import (
     polygon_record,
 )
 from .moments import CircleFamily, RadiiPair, assess_feasibility, cyclic_averages
-from .moments import _leading, leading_averages, recover_circumradii
+from .moments import _leading, recover_circumradii
 from .reconstruct import reconstruct_polygons, verify_reconstruction
 
 EXIT_OK = 0
@@ -162,12 +162,14 @@ def _write_svg(path: str, text: str) -> None:
 
 def _decide(family: CircleFamily, tol: Tolerance):
     """The paper's report on the family (conditions I and II, O(n^2)), its
-    reconstruction and None, or None and the refusal's message."""
+    reconstruction and None, or None and the refusal's message; then the
+    averages the report was built from."""
     try:
         rec, reason = reconstruct_polygons(family, tol), None
     except InfeasibleFamily as exc:
         rec, reason = None, str(exc)
-    return assess_feasibility(cyclic_averages(family), tol), rec, reason
+    averages = cyclic_averages(family)
+    return assess_feasibility(averages, tol), rec, reason, averages
 
 
 def cmd_check(args) -> int:
@@ -175,13 +177,14 @@ def cmd_check(args) -> int:
     family = _family_from_args(args)
     # The verdict is reconstruction's, so check says feasible exactly when
     # reconstruct succeeds; the report and the circumradii are printed.
-    report, rec, reason = _decide(family, tol)
+    report, rec, reason, averages = _decide(family, tol)
     feasible = rec is not None
     if feasible:
         pair = rec.circumradii
     else:
         try:
-            pair = recover_circumradii(leading_averages(family), tol)
+            # S(2), S(4) and the exponent are those leading_averages gives.
+            pair = recover_circumradii(averages, tol)
         except InfeasibleMoments:
             pair = None
     recovered = None if pair is None else _pair_record(pair, report)
@@ -224,7 +227,7 @@ def _reconstruction_svg(family: CircleFamily, rec) -> str:
 def cmd_reconstruct(args) -> int:
     tol = _tolerance_from_args(args)
     family = _family_from_args(args)
-    report, rec, reason = _decide(family, tol)
+    report, rec, reason, _ = _decide(family, tol)
     if rec is None:
         payload = {
             "n": family.n,
@@ -323,7 +326,7 @@ def cmd_pair(args) -> int:
 def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
     _bind("oracle")
     family = doc.circles
-    report, rec, _ = _decide(family, tol)
+    report, rec, _, _ = _decide(family, tol)
     if rec is None:
         return {"kind": "circles", "report": _report_record(report),
                 "angle_sweeps": [], "pass": False}

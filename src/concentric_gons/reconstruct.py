@@ -9,7 +9,10 @@ S(2), S(4) and one placement, all from the radii divided by 2^e once per call
 (``moments._leading``), so it costs O(n log n). A placement that misses the
 gate by less than ``sqrt(relative_eps)`` of the largest radius is polished
 by Gauss-Newton first: a discriminant inside its gate leaves the circumradii
-uncertain by about that much. The paper's conditions I and II take no part:
+uncertain by about that much. The mirror of the placement's opening angle
+places the same distances up to rounding, so it is tried only within that
+band, where the polish may start from either; a far-off family is refused
+after one placement. The paper's conditions I and II take no part:
 their report, ``assess_feasibility(cyclic_averages(family), tol)``, costs an
 O(n^2) power table and is built by whoever prints it.
 :attr:`Reconstruction.residuals` is measured when first read: the polygons
@@ -197,8 +200,10 @@ def _find_phase(
 
     Tries the largest radius's phase candidates with the arms as given, +
     branch before -; a largest radius out of the arms' reach puts a vertex at
-    the far (t = pi) or near (t = 0) point instead. When these miss, the
-    best one is polished
+    the far (t = pi) or near (t = 0) point instead. The - branch mirrors the
+    +, so it places the same distances up to rounding and is tried only when
+    the + misses by at most ``sqrt(relative_eps)`` plus that rounding: a far
+    refusal costs one placement. When these miss, the best one is polished
     (:func:`_polish`) if it misses by at most ``sqrt(relative_eps)``: acos
     loses half the digits of an angle near 0 or pi, and a discriminant inside
     its gate leaves the arms uncertain by about that much. Otherwise, or when
@@ -206,6 +211,7 @@ def _find_phase(
     relative gap seen and whether the polish ran.
     """
     accept = tol.multiset_gate()
+    band = math.sqrt(tol.relative_eps)
     a, b = r * r + l * l, 2.0 * r * l
     larger, smaller = max(r, l), min(r, l)
     candidates = phase_candidates(r, l, radii[-1], tol) if smaller > 0.0 else ()
@@ -217,8 +223,20 @@ def _find_phase(
         gap = _relative_gap(distances, radii)
         if best is None or gap < best[0]:
             best = (gap, t)
+        # The mirror -t places the same distances up to rounding. Its
+        # arguments -t + 2*pi*(n-k)/n and t + 2*pi*k/n, both under 3*pi,
+        # each sit within about 28u of exact (u = 2^-53), so with b <= a
+        # each square a - b cos differs by at most about 66u*a, each root
+        # by at most sqrt(66u*a), and the relative gap, whose largest
+        # length is at least sqrt(a) for n >= 3, by at most 2*sqrt(66u),
+        # about 1.7e-7. A + placement missing by more than the band plus
+        # 2^-20 leaves the mirror beyond the band: it can neither pass the
+        # gate nor be polished, so it is not evaluated, and the refusal
+        # names the + gap, the mirror's to within that rounding.
+        if gap > band + 2.0 ** -20:
+            break
     gap = best[0]
-    polished = gap <= math.sqrt(tol.relative_eps)
+    polished = gap <= band
     if polished:
         polished_gap, t, larger, smaller = _polish(n, larger, smaller, best[1], radii, tol)
         a, b = larger * larger + smaller * smaller, 2.0 * larger * smaller

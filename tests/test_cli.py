@@ -206,6 +206,32 @@ def test_check_infeasible_progression():
     assert residuals[0]["residual"] == pytest.approx(75.0 / 1222.5, abs=1e-12)
 
 
+def test_a_refused_check_recovers_from_the_report_averages(monkeypatch):
+    # A refusal's circumradii come from the averages the report was built
+    # from, not from another pass over the radii, and keep their bits.
+    from concentric_gons.moments import cyclic_averages, leading_averages
+
+    radii = sorted(random_instance(8, 3).family.radii)
+    radii[-1] *= 1.1
+    family = CircleFamily(PlanePoint(0.0, 0.0), tuple(radii))
+    seen = []
+    recover = cli.recover_circumradii
+
+    def recorded(av, tol):
+        seen.append(av)
+        return recover(av, tol)
+
+    monkeypatch.setattr(cli, "recover_circumradii", recorded)
+    code, out, _ = run_cli("check", "--radii", ",".join(map(repr, radii)), "--json")
+    payload = json.loads(out)
+    assert code == 2 and payload["feasible"] is False
+    assert seen == [cyclic_averages(family)]
+    pair = recover(leading_averages(family))
+    assert (payload["recovered"]["larger"], payload["recovered"]["smaller"]) == (
+        pair.larger, pair.smaller
+    )
+
+
 def test_check_all_equal_family():
     code, out, _ = run_cli("check", "--radii", "1,1,1,1", "--json")
     assert code == 0

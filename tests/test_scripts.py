@@ -227,3 +227,17 @@ def test_ab_statistics_on_canned_runs():
     # 20% worse against a bound of 10%.
     rss = report["metrics"]["peak_rss_mb"]
     assert (rss["base_wins"], rss["gain"], rss["within_bound"]) == (5, False, False)
+
+
+def test_ab_lists_the_tracked_paths_of_a_dirty_checkout():
+    porcelain = (
+        " M src/concentric_gons/reconstruct.py\n"
+        "M  README.md\n"
+        "R  scripts/old.py -> scripts/new.py\n"
+        "?? BENCH_label.json\n"
+    )
+    assert load_ab().dirty_paths(porcelain) == [
+        "src/concentric_gons/reconstruct.py", "README.md", "scripts/new.py"
+    ]
+    assert load_ab().dirty_paths("?? BENCH_label.json\n") == []
+    assert load_ab().dirty_paths("") == []

@@ -56,8 +56,17 @@ def test_first_pairing_loads_none_of_the_other_routes():
         "c.pair_polygons(c.RegularPolygonSpec(3, c.PlanePoint(0.0, 0.0), 1.0, 0.0),\n"
         "                c.RegularPolygonSpec(3, c.PlanePoint(1.5, 0.0), 1.0, 0.3))"
     )
-    assert "pairing" in library_modules(loaded)
-    assert {"oracle", "reconstruct", "svg", "instances", "cli"} & library_modules(loaded) == set()
+    assert library_modules(loaded) == {"errors", "geom", "pairing"}
+
+
+def test_instance_parsing_loads_no_moment_algebra():
+    assert "moments" not in library_modules(modules_after("import concentric_gons.instances"))
+
+
+def test_circle_family_has_one_home():
+    from concentric_gons import geom, moments
+
+    assert concentric_gons.CircleFamily is geom.CircleFamily is moments.CircleFamily
 
 
 CLI_BASE = {"cli", "errors", "geom", "instances", "moments", "reconstruct"}

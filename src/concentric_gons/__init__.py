@@ -12,7 +12,9 @@ cross-checks (``oracle``).
 
 Each public name is loaded from its submodule on first use (PEP 562), so
 a call loads only the submodules it needs: ``reconstruct_polygons`` never
-loads ``oracle`` or ``pairing``.
+loads ``oracle`` or ``pairing``, and ``pair_polygons`` loads neither
+``moments`` nor ``reconstruct``. ``CircleFamily``, the value both
+directions share, lives in ``geom``.
 """
 
 import importlib
@@ -24,9 +26,9 @@ _EXPORTS = {
     "errors": """CoincidentAuxiliaryCircles CoincidentCircles DegenerateGeometry
         GeometryError InfeasibleFamily InfeasibleMoments InvalidMomentOrder
         MismatchedOrder NotACandidateCenter""",
-    "geom": """DEFAULT_TOLERANCE PlanePoint RegularPolygonSpec Tolerance
+    "geom": """CircleFamily DEFAULT_TOLERANCE PlanePoint RegularPolygonSpec Tolerance
         distance_multiset multiset_close normalize_angle phase_candidates vertices""",
-    "moments": """CircleFamily CyclicAverages FeasibilityReport RadiiPair
+    "moments": """CyclicAverages FeasibilityReport RadiiPair
         assess_feasibility condition_one condition_two cyclic_averages
         recover_circumradii two_radius_power_sum""",
     "oracle": "RandomInstance SplitMix64 angle_sweep power_identity_residual random_instance",

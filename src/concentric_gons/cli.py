@@ -22,7 +22,7 @@ from .errors import (
     InfeasibleFamily,
     InfeasibleMoments,
 )
-from .geom import PlanePoint, Tolerance
+from .geom import CircleFamily, PlanePoint, Tolerance
 from .instances import (
     FORMAT_NAME,
     InstanceDocument,
@@ -31,7 +31,7 @@ from .instances import (
     load_instance,
     polygon_record,
 )
-from .moments import CircleFamily, RadiiPair, assess_feasibility, cyclic_averages
+from .moments import RadiiPair, assess_feasibility, cyclic_averages
 from .moments import _leading, recover_circumradii
 from .reconstruct import reconstruct_polygons, verify_reconstruction
 

@@ -1,5 +1,6 @@
-"""Plane primitives: points, regular polygons, distances, circle
-intersection, the law of cosines in both directions, and tolerance-aware
+"""Plane primitives: points, regular polygons, concentric circle families
+(:class:`CircleFamily`, the value both directions of the correspondence
+share), distances, circle intersection, the law of cosines in both directions, and tolerance-aware
 multiset comparison. Vertex placement (:func:`float_vertex_offsets`), the
 circle intersection (:func:`float_circle_intersection`), the law of cosines
 (:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
@@ -16,6 +17,7 @@ Tolerances are explicit and relative: comparisons accept a
 
 import functools
 import math
+import operator
 from math import cos, isfinite, sin, sqrt
 
 from .errors import CoincidentCircles, DegenerateGeometry
@@ -134,6 +136,26 @@ class RegularPolygonSpec(_Value):
         _set(self, "center", center)
         _set(self, "circumradius", circumradius)
         _set(self, "phase", normalize_angle(phase))
+
+
+class CircleFamily(_Value):
+    """Concentric circles: a common center and ascending radii."""
+
+    def __init__(self, center: PlanePoint, radii: tuple[float, ...]):
+        radii = tuple(map(float, radii))
+        if len(radii) < 3:
+            raise ValueError(f"need at least 3 radii, got {len(radii)}")
+        if not all(map(math.isfinite, radii)) or min(radii) < 0.0:
+            bad = next(r for r in radii if not (math.isfinite(r) and r >= 0.0))
+            raise ValueError(f"radii must be finite and >= 0, got {bad}")
+        if not all(map(operator.le, radii, radii[1:])):
+            raise ValueError("radii must be sorted ascending")
+        _set(self, "center", center)
+        _set(self, "radii", radii)
+
+    @property
+    def n(self) -> int:
+        return len(self.radii)
 
 
 def vertex_offsets(

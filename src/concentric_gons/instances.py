@@ -12,8 +12,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 
-from .geom import PlanePoint, RegularPolygonSpec, _set, _Value
-from .moments import CircleFamily
+from .geom import CircleFamily, PlanePoint, RegularPolygonSpec, _set, _Value
 
 FORMAT_NAME = "concentric-gons/1"
 

@@ -11,6 +11,9 @@ point if and only if
 
 When both hold, the two circumradii follow from S(2) and S(4) alone.
 
+The families themselves (:class:`CircleFamily`) are plane values and live
+in ``geom``, so that pairing, which builds them, never loads this algebra.
+
 The library's verdict reads only S(2), S(4) (:func:`leading_averages`, O(n)):
 the recovery discriminant's gate is condition I's lower bound, and the
 placement built from the recovered circumradii must reproduce the radii
@@ -25,33 +28,13 @@ from functools import reduce
 from itertools import repeat
 
 from .errors import InfeasibleMoments, InvalidMomentOrder
-from .geom import DEFAULT_TOLERANCE, PlanePoint, Tolerance, _set, _Value
+from .geom import DEFAULT_TOLERANCE, CircleFamily, Tolerance, _set, _Value
 
 # A realizable family has max d^2 <= 2 S(2): the largest distance is
 # R + r <= sqrt(2 (R^2 + r^2)). With the largest radius rescaled into
 # [1/2, 1), S(2) >= 1/8, so each rescaled average and prediction of order 2m
 # is at least 8^-m, a normal double for every m <= 340.
 MAX_VERTEX_COUNT = 256
-
-
-class CircleFamily(_Value):
-    """Concentric circles: a common center and ascending radii."""
-
-    def __init__(self, center: PlanePoint, radii: tuple[float, ...]):
-        radii = tuple(map(float, radii))
-        if len(radii) < 3:
-            raise ValueError(f"need at least 3 radii, got {len(radii)}")
-        if not all(map(math.isfinite, radii)) or min(radii) < 0.0:
-            bad = next(r for r in radii if not (math.isfinite(r) and r >= 0.0))
-            raise ValueError(f"radii must be finite and >= 0, got {bad}")
-        if not all(map(operator.le, radii, radii[1:])):
-            raise ValueError("radii must be sorted ascending")
-        _set(self, "center", center)
-        _set(self, "radii", radii)
-
-    @property
-    def n(self) -> int:
-        return len(self.radii)
 
 
 class LeadingAverages(_Value):

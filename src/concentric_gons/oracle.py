@@ -17,10 +17,11 @@ from collections import namedtuple
 from itertools import repeat
 from math import cos, isfinite, ldexp, sin
 
-from .geom import TWO_PI, PlanePoint, RegularPolygonSpec, distance_multiset, normalize_angle
+from .geom import TWO_PI, CircleFamily, PlanePoint, RegularPolygonSpec, distance_multiset
+from .geom import normalize_angle
 from .geom import float_vertex_offsets, largest_gap, law_of_cosines_distances, opening_cosines
 from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.vertices
-from .moments import MAX_VERTEX_COUNT, CircleFamily, two_radius_power_sum
+from .moments import MAX_VERTEX_COUNT, two_radius_power_sum
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -32,6 +32,7 @@ from .geom import _set, _Value
 from .geom import (
     DEFAULT_TOLERANCE,
     TWO_PI,
+    CircleFamily,
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
@@ -46,7 +47,6 @@ from .geom import (
 # Unused here; perfbench/tracing.py wraps pairing.distance_multiset and
 # pairing.vertices.
 from .geom import distance_multiset, vertices
-from .moments import CircleFamily
 
 
 class PairingResult(_Value):

@@ -42,6 +42,7 @@ from .errors import InfeasibleFamily, InfeasibleMoments
 from .geom import _set, _Value
 from .geom import (
     DEFAULT_TOLERANCE,
+    CircleFamily,
     PlanePoint,
     RegularPolygonSpec,
     Tolerance,
@@ -53,7 +54,7 @@ from .geom import (
     normalize_angle,
     phase_candidates,
 )
-from .moments import CircleFamily, RadiiPair, _leading, recover_circumradii
+from .moments import RadiiPair, _leading, recover_circumradii
 # Unused here; perfbench/tracing.py wraps reconstruct.assess_feasibility and
 # reconstruct.cyclic_averages.
 from .moments import assess_feasibility, cyclic_averages

@@ -1,7 +1,7 @@
 """Plane primitives: points, regular polygons, concentric circle families
 (:class:`CircleFamily`, the value both directions of the correspondence
-share), distances, circle intersection, the law of cosines in both directions, and tolerance-aware
-multiset comparison. Vertex placement (:func:`float_vertex_offsets`), the
+share), distances, circle intersection, the law of cosines in both
+directions, and tolerance-aware multiset comparison. Vertex placement (:func:`float_vertex_offsets`), the
 circle intersection (:func:`float_circle_intersection`), the law of cosines
 (:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
 and the largest gap between two sequences (:func:`largest_gap`) are written

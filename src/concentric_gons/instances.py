@@ -71,6 +71,8 @@ def _as_polygon(raw, where: str) -> RegularPolygonSpec:
         )
     except KeyError as exc:
         raise InstanceFormatError(f"{where} is missing field {exc}") from None
+    except InstanceFormatError:  # already names its field
+        raise
     except ValueError as exc:
         raise InstanceFormatError(f"{where} is invalid: {exc}") from None
 
@@ -100,11 +102,9 @@ def parse_instance(raw: object) -> InstanceDocument:
         if sorted(radii) != radii:
             warnings.append("radii were not sorted ascending; sorted them")
             radii = sorted(radii)
+        center = _as_point(payload.get("center", [0.0, 0.0]), "circles.center")
         try:
-            family = CircleFamily(
-                center=_as_point(payload.get("center", [0.0, 0.0]), "circles.center"),
-                radii=tuple(radii),
-            )
+            family = CircleFamily(center=center, radii=tuple(radii))
         except ValueError as exc:
             raise InstanceFormatError(f"circles payload invalid: {exc}") from None
         return InstanceDocument(

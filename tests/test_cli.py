@@ -169,6 +169,29 @@ def test_non_utf8_instance_file_error_names_the_file(tmp_path):
     assert err == f"error: {path} is not UTF-8 text: invalid start byte 0xff at offset 0\n"
 
 
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        (
+            "pair",
+            '{"kind": "polygon_pair", "polygons": [{"n": 4.0, "center": [0, 0], '
+            '"circumradius": 1}, {"n": 4, "center": [1, 0], "circumradius": 1}]}',
+            "polygons[0].n must be an integer, got 4.0",
+        ),
+        (
+            "check",
+            '{"kind": "circles", "circles": {"center": [0], "radii": [1, 1, 2]}}',
+            "circles.center must be a [x, y] pair, got [0]",
+        ),
+    ],
+    ids=["pair", "check"],
+)
+def test_an_instance_field_error_names_the_field_once(command, document, message, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(document, encoding="utf-8")
+    assert run_cli(command, "--input", str(path), "--json") == (1, "", f"error: {message}\n")
+
+
 def test_canonical_json_formatting():
     text = canonical_json({"b": 0.1, "a": [1, True, None, "x"]})
     assert '"a"' in text and '"b"' in text

@@ -57,6 +57,47 @@ def test_string_circumradius_is_rejected():
         parse_instance(polygon_pair(first))
 
 
+GOOD_POLYGON = {"n": 3, "center": [0.0, 0.0], "circumradius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (polygon_pair({**GOOD_POLYGON, "n": 4.0}), "polygons[0].n must be an integer, got 4.0"),
+        (
+            polygon_pair({**GOOD_POLYGON, "circumradius": "2.5"}),
+            "polygons[0].circumradius must be a number, got '2.5'",
+        ),
+        (
+            polygon_pair({**GOOD_POLYGON, "center": [True, 0.0]}),
+            "polygons[0].center must be a [x, y] pair, got [True, 0.0]",
+        ),
+        (polygon_pair({"n": 3, "circumradius": 1.0}), "polygons[0] is missing field 'center'"),
+        (circles([1.0, 1.0, 2.0], center=(0.0,)), "circles.center must be a [x, y] pair, got [0.0]"),
+        (circles([1.0, True, 2.0]), "circles.radii[1] must be a number, got True"),
+        # A library ValueError keeps the prefix that names its location.
+        (
+            polygon_pair({**GOOD_POLYGON, "n": 2}),
+            "polygons[0] is invalid: vertex count must be an integer >= 3, got 2",
+        ),
+        (
+            polygon_pair({**GOOD_POLYGON, "circumradius": -1.0}),
+            "polygons[0] is invalid: circumradius must be finite and >= 0, got -1.0",
+        ),
+        (circles([1.0, 2.0]), "circles payload invalid: need at least 3 radii, got 2"),
+    ],
+    ids=[
+        "float-n", "string-circumradius", "boolean-center", "missing-center",
+        "short-circles-center", "boolean-radius", "two-vertices", "negative-circumradius",
+        "two-radii",
+    ],
+)
+def test_a_rejection_names_its_location_once(document, message):
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(document)
+    assert str(info.value) == message
+
+
 def test_integer_json_numbers_still_parse():
     second = {"n": 4, "center": [1.0, 0.0], "circumradius": 1.0}
     doc = parse_instance(polygon_pair({"n": 4, "center": [0, 1], "circumradius": 2}, second))

@@ -384,12 +384,16 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
     gate = tol.multiset_gate().relative_eps
     larger, smaller = sorted((p1.circumradius, p2.circumradius), reverse=True)
     round_trips = []
+    by_family = {}  # the two rotations at one meeting point share their circles
     for res in results:
-        gaps = [verify_reconstruction(res.circles, poly) for poly in (p1, res.aligned_second)]
-        try:
-            rec = reconstruct_polygons(res.circles, tol)
-        except InfeasibleFamily:
-            rec = None
+        if res.circles not in by_family:
+            try:
+                rec = reconstruct_polygons(res.circles, tol)
+            except InfeasibleFamily:
+                rec = None
+            by_family[res.circles] = verify_reconstruction(res.circles, p1), rec
+        first_gap, rec = by_family[res.circles]
+        gaps = [first_gap, verify_reconstruction(res.circles, res.aligned_second)]
         circumradii = None if rec is None else [rec.circumradii.larger, rec.circumradii.smaller]
         round_trips.append({"circumradii": circumradii, "gaps": gaps})
         # A point polygon's recovered circumradius is the root of the

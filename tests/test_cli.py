@@ -691,6 +691,24 @@ def test_verify_fails_a_doctored_configuration(doctor, monkeypatch, tmp_path):
     assert json.loads(out)["result"]["pass"] is False
 
 
+def test_verify_reconstructs_each_distinct_family_once(monkeypatch, tmp_path):
+    # The two rotations at one meeting point share one circle family.
+    inst = random_instance(5, 2)
+    path = write_polygon_pair(tmp_path / "pair.json", inst.polygon1, inst.polygon2)
+    before = run_cli("verify", "--input", path, "--json")
+    calls = []
+    original = cli.reconstruct_polygons
+
+    def counting(family, *args, **kwargs):
+        calls.append(family)
+        return original(family, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "reconstruct_polygons", counting)
+    assert run_cli("verify", "--input", path, "--json") == before
+    assert json.loads(before[1])["result"]["pairing_count"] == 4
+    assert len(calls) == len(set(calls)) == 2
+
+
 # ------------------------------------------------------------- determinism
 
 

@@ -3,17 +3,19 @@
 
     python3 scripts/ab.py --label lazy-import --base HEAD~1
 
-The base commit is checked out with ``git worktree`` into a temporary
-directory, removed again when the script ends. The change is this checkout
-as it stands, uncommitted edits included: the tracked paths that ``git
-status --porcelain`` lists as changed are recorded as ``change_dirty``, and
-a warning names them, since ``change`` records HEAD. Both sides run the
-benchmark command of this checkout's ``BENCHMARK.json``
-(``perfbench/run.py``, run as it is) with ``--trace 0`` and its
-``run_seconds``, from their own root, one run at a time. There are always ten pairs, the count the gain rule is
-stated for. Pair k runs every workload on both sides with seed k, so every
-A/B measures the same inputs; odd pairs run the change first, even pairs
-the base.
+The base commit's files are unpacked with ``git archive`` into a
+temporary directory, removed again when the script ends; nothing is
+registered in the repository, so an interrupted run leaves no worktree
+behind. The change is this checkout as it stands, uncommitted edits
+included: the tracked paths that ``git status --porcelain`` lists as
+changed are recorded as ``change_dirty``, and a warning names them, since
+``change`` records HEAD. Both sides run the benchmark command of this
+checkout's ``BENCHMARK.json`` (``perfbench/run.py``, run as it is) with
+``--trace 0`` and its ``run_seconds``, from their own root, one run at a
+time. There are always ten pairs, the count the gain rule is stated for.
+Pair k runs every workload on both sides with seed k, so every A/B
+measures the same inputs; odd pairs run the change first, even pairs the
+base.
 Before every run each ``__pycache__`` under both ``src/`` trees is deleted,
 and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so that both sides compile
 the library from source in every fresh interpreter: a stray bytecode cache
@@ -23,19 +25,24 @@ Writes ``BENCH_<label>.json`` into this checkout: per workload and metric
 the values of every run, each side's median and quartiles, the pairs each
 side won (ties count for neither), whether the change is a gain (it wins at
 least nine tenths of the pairs, and its median beats the base's by more
-than the base's interquartile range) and whether its median stays within
-the metric's bound; plus the host, the Python version, the commits and the
-seeds.
+than the base's interquartile range), whether its median stays within
+the metric's bound, and whether the metric is unresolved (the wider of the
+two sides' interquartile ranges, relative to the base median, exceeds the
+bound while some change run fails to beat some base run); plus the host,
+the Python version, the commits and the seeds.
 """
 
 import argparse
+import io
 import json
+import math
 import os
 import platform
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -74,12 +81,20 @@ def spread(values: list[float]) -> dict:
 
 
 def compare(metric: dict, base: list[float], change: list[float]) -> dict:
-    """One metric over paired runs: ``base[i]`` and ``change[i]`` share pair i."""
+    """One metric over paired runs: ``base[i]`` and ``change[i]`` share pair i.
+
+    The metric is unresolved when the wider of the two sides' interquartile
+    ranges, relative to the base median, exceeds the bound, unless every
+    change run beats every base run: the bound cannot then tell a change
+    from noise."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     diffs = [sign * (c - b) for b, c in zip(base, change)]
     b, c = spread(base), spread(change)
     wins = sum(d > 0.0 for d in diffs)
     worse_by = -sign * (c["median"] - b["median"]) / b["median"] if b["median"] else 0.0
+    width = max(b["q3"] - b["q1"], c["q3"] - c["q1"])
+    relative_spread = width / abs(b["median"]) if b["median"] else (math.inf if width else 0.0)
+    separated = min(sign * v for v in change) > max(sign * v for v in base)
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -91,7 +106,18 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
         "gain": wins >= 0.9 * len(diffs)
         and sign * (c["median"] - b["median"]) > b["q3"] - b["q1"],
         "within_bound": worse_by <= metric["bound"],
+        "relative_spread": relative_spread,
+        "unresolved": relative_spread > metric["bound"] and not separated,
     }
+
+
+def summary_line(workload: str, name: str, m: dict, pairs: int) -> str:
+    return (
+        f"{workload:9} {name:12} {m['base']['median']:.6g} -> {m['change']['median']:.6g}"
+        f"  wins {m['change_wins']}/{pairs}"
+        f"{'  gain' if m['gain'] else ''}{'' if m['within_bound'] else '  BEYOND BOUND'}"
+        f"{'  UNRESOLVED' if m['unresolved'] else ''}"
+    )
 
 
 def summarize(spec: dict, runs: list[dict]) -> dict:
@@ -140,6 +166,16 @@ def git(*args: str) -> str:
     ).stdout.rstrip("\n")
 
 
+def unpack(commit: str, tree: Path) -> None:
+    """Write the files of ``commit`` into the directory ``tree``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+        capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -157,18 +193,15 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
         base_tree = Path(scratch) / "base"
-        git("worktree", "add", "--detach", str(base_tree), base_commit)
-        try:
-            trees = {"base": base_tree, "change": ROOT}
-            for pair, side in run_order(PAIRS):
-                for workload in workloads:
-                    clear_bytecode(trees.values())
-                    print(f"pair {pair} {side} {workload}", file=sys.stderr)
-                    result = run_benchmark(command, trees[side], workload, pair, seconds)
-                    runs.append({"pair": pair, "side": side, "workload": workload,
-                                 "result": result})
-        finally:
-            git("worktree", "remove", "--force", str(base_tree))
+        unpack(base_commit, base_tree)
+        trees = {"base": base_tree, "change": ROOT}
+        for pair, side in run_order(PAIRS):
+            for workload in workloads:
+                clear_bytecode(trees.values())
+                print(f"pair {pair} {side} {workload}", file=sys.stderr)
+                result = run_benchmark(command, trees[side], workload, pair, seconds)
+                runs.append({"pair": pair, "side": side, "workload": workload,
+                             "result": result})
     document = {
         "label": args.label,
         "base": base_commit,
@@ -184,11 +217,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     for workload, report in document["workloads"].items():
         for name, m in report["metrics"].items():
-            print(
-                f"{workload:9} {name:12} {m['base']['median']:.6g} -> {m['change']['median']:.6g}"
-                f"  wins {m['change_wins']}/{report['pairs']}"
-                f"{'  gain' if m['gain'] else ''}{'' if m['within_bound'] else '  BEYOND BOUND'}"
-            )
+            print(summary_line(workload, name, m, report["pairs"]))
     print(f"wrote {out.name}")
     return 0
 

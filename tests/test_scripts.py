@@ -229,6 +229,30 @@ def test_ab_statistics_on_canned_runs():
     assert (rss["base_wins"], rss["gain"], rss["within_bound"]) == (5, False, False)
 
 
+def test_ab_marks_a_metric_whose_spread_exceeds_its_bound_unresolved():
+    metric = {"unit": "us", "better": "lower", "bound": 0.25}
+    compare = load_ab().compare
+    # The base runs spread by half their median; the medians agree.
+    wide = compare(metric, [10, 20, 30, 40, 50], [50, 40, 30, 20, 10])
+    assert (wide["relative_spread"], wide["within_bound"], wide["unresolved"]) == (2 / 3, True, True)
+    # The spread of the change side counts as well.
+    noisy = compare(metric, [10] * 5, [5, 10, 15, 20, 25])
+    assert (noisy["relative_spread"], noisy["unresolved"]) == (1.0, True)
+    # Every change run beats every base run: resolved, however wide.
+    apart = compare(metric, [100, 150, 200, 250, 300], [40, 50, 60, 70, 80])
+    assert (apart["relative_spread"], apart["gain"], apart["unresolved"]) == (0.5, True, False)
+    # Within the bound on both sides.
+    tight = compare(metric, [10, 11, 12, 13, 14], [12, 11, 13, 10, 14])
+    assert (tight["relative_spread"], tight["unresolved"]) == (1 / 6, False)
+    summary = load_ab().summary_line
+    assert summary("circles", "op_tail_us", wide, 5) == (
+        "circles   op_tail_us   30 -> 30  wins 2/5  UNRESOLVED"
+    )
+    assert summary("circles", "op_tail_us", apart, 5) == (
+        "circles   op_tail_us   200 -> 60  wins 5/5  gain"
+    )
+
+
 def test_ab_lists_the_tracked_paths_of_a_dirty_checkout():
     porcelain = (
         " M src/concentric_gons/reconstruct.py\n"

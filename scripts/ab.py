@@ -35,7 +35,6 @@ the Python version, the commits and the seeds.
 import argparse
 import io
 import json
-import math
 import os
 import platform
 import shutil
@@ -93,7 +92,7 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
     wins = sum(d > 0.0 for d in diffs)
     worse_by = -sign * (c["median"] - b["median"]) / b["median"] if b["median"] else 0.0
     width = max(b["q3"] - b["q1"], c["q3"] - c["q1"])
-    relative_spread = width / abs(b["median"]) if b["median"] else (math.inf if width else 0.0)
+    relative_spread = width / abs(b["median"]) if b["median"] else 0.0
     separated = min(sign * v for v in change) > max(sign * v for v in base)
     return {
         "unit": metric["unit"],

@@ -1,8 +1,9 @@
 """Plane primitives: points, regular polygons, concentric circle families
 (:class:`CircleFamily`, the value both directions of the correspondence
 share), distances, circle intersection, the law of cosines in both
-directions, and tolerance-aware multiset comparison. Vertex placement (:func:`float_vertex_offsets`), the
-circle intersection (:func:`float_circle_intersection`), the law of cosines
+directions, and tolerance-aware multiset comparison. Vertex placement
+(:func:`float_vertex_offsets`), the circle intersection
+(:func:`float_circle_intersection`), the law of cosines
 (:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
 and the largest gap between two sequences (:func:`largest_gap`) are written
 out here and nowhere else; the ``float_`` kernels take plain floats, so

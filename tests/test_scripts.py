@@ -232,7 +232,7 @@ def test_ab_statistics_on_canned_runs():
 def test_ab_marks_a_metric_whose_spread_exceeds_its_bound_unresolved():
     metric = {"unit": "us", "better": "lower", "bound": 0.25}
     compare = load_ab().compare
-    # The base runs spread by half their median; the medians agree.
+    # The base runs spread by two thirds of their median; the medians agree.
     wide = compare(metric, [10, 20, 30, 40, 50], [50, 40, 30, 20, 10])
     assert (wide["relative_spread"], wide["within_bound"], wide["unresolved"]) == (2 / 3, True, True)
     # The spread of the change side counts as well.

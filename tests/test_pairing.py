@@ -228,6 +228,24 @@ def test_pair_matched_vertex_distances_agree():
         assert d1 == pytest.approx(d2, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 12, 32, 64])
+def test_matched_vertex_survives_a_shift_of_1e9_largest_lengths(n):
+    # At even n, vertices k and k + n/2 tie exactly in |cos|, so rounding,
+    # which the shift changes, must not decide the reported reference.
+    for seed in range(1, 21):
+        inst = random_instance(n, seed)
+        p1, p2 = inst.polygon1, inst.polygon2
+        shift = 1e9 * max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
+        moved = pair_polygons(
+            *(
+                RegularPolygonSpec(n, p.center.translated(shift, 0.0), p.circumradius, p.phase)
+                for p in (p1, p2)
+            )
+        )
+        expected = [res.matched_vertex_pair for res in pair_polygons(p1, p2)]
+        assert [res.matched_vertex_pair for res in moved] == expected, seed
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=3, max_value=8),

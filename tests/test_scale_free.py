@@ -19,7 +19,6 @@ from concentric_gons import (
     DEFAULT_TOLERANCE,
     CircleFamily,
     InfeasibleFamily,
-    NotACandidateCenter,
     PairingResult,
     PlanePoint,
     RadiiPair,
@@ -267,11 +266,9 @@ def test_pairing_survives_translation(n, scale):
             assert multiset_close(a.circles.radii, b.circles.radii, gate), shift
 
 
-@pytest.mark.xfail(strict=True, raises=NotACandidateCenter)
 def test_pairing_count_survives_a_shift_of_1e9_largest_lengths():
-    # The arm check runs on the meeting point in absolute coordinates, whose
-    # rounding grows with the distance from the origin; on random_instance
-    # pairs it fails from shifts of about 1e7 largest lengths on.
+    # Pairing runs in the first center's frame, so a shift reaches it only
+    # through the rounding of the shifted centers.
     for n in PAIR_SIZES:
         for seed in PAIR_SEEDS:
             inst = random_instance(n, seed)
@@ -280,6 +277,110 @@ def test_pairing_count_survives_a_shift_of_1e9_largest_lengths():
             shift = (1e9 * largest, 0.0)
             moved = pair_polygons(*(moved_polygon(p, 1.0, shift) for p in (p1, p2)))
             assert len(moved) == len(pair_polygons(p1, p2)), (n, seed)
+
+
+def largest_length(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> float:
+    return max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
+
+
+def snapped(p1: RegularPolygonSpec, p2: RegularPolygonSpec, shift: float):
+    """The pair with its centers moved to where adding ``shift`` to x is
+    exact. A point polygon's partner takes the moved center distance as its
+    circumradius, so that the pair still meets."""
+    c1, c2 = (PlanePoint((p.center.x + shift) - shift, p.center.y) for p in (p1, p2))
+    r1 = c1.distance_to(c2) if p2.circumradius == 0.0 else p1.circumradius
+    return (
+        RegularPolygonSpec(p1.n, c1, r1, p1.phase),
+        RegularPolygonSpec(p2.n, c2, p2.circumradius, p2.phase),
+    )
+
+
+def motion(name: str, largest: float):
+    """The motion ``name`` as (point map, length factor, phase map, vertex
+    map, positional slack of the mapped centers). The reference vertex is
+    searched among k < n/2 at even n, so a reflection, which sends vertex k
+    to -k, names -k modulo n/2 there."""
+    if name.startswith("shift"):
+        shift = float(name[len("shift"):]) * largest
+        return (lambda x, y: (x + shift, y)), 1.0, (lambda t: t), (lambda k, n: k), 4 * math.ulp(shift)
+    if name == "rotation":
+        c, s = math.cos(0.7), math.sin(0.7)
+        return (lambda x, y: (c * x - s * y, s * x + c * y)), 1.0, (lambda t: t + 0.7), (lambda k, n: k), 0.0
+    if name == "reflection":
+        return (lambda x, y: (x, -y)), 1.0, (lambda t: -t), (lambda k, n: -k % (n // 2 if n % 2 == 0 else n)), 0.0
+    return (lambda x, y: (0.37 * x, 0.37 * y)), 0.37, (lambda t: t), (lambda k, n: k), 0.0
+
+
+def moved_by(poly: RegularPolygonSpec, point_map, factor, phase_map) -> RegularPolygonSpec:
+    center = PlanePoint(*point_map(poly.center.x, poly.center.y))
+    return RegularPolygonSpec(poly.n, center, poly.circumradius * factor, phase_map(poly.phase))
+
+
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+@pytest.mark.parametrize(
+    "name", ["shift1e7", "shift1e9", "shift1e12", "rotation", "reflection", "scale"]
+)
+def test_pairing_follows_a_rigid_motion_or_a_scaling(name, n, point):
+    # Each configuration of the moved pair is the motion of one of the
+    # pair's own, with the same reference vertex (up to the motion's
+    # relabelling). A shift is made exact by moving the pair first to where
+    # its centers' x plus the shift are floats.
+    for seed in PAIR_SEEDS:
+        inst = random_instance(n, seed, zero_smaller_radius=point)
+        p1, p2 = inst.polygon1, inst.polygon2
+        largest = largest_length(p1, p2)
+        point_map, factor, phase_map, vertex_map, slack = motion(name, largest)
+        if name.startswith("shift"):
+            p1, p2 = snapped(p1, p2, point_map(0.0, 0.0)[0])
+        base = pair_polygons(p1, p2)
+        moved = pair_polygons(*(moved_by(p, point_map, factor, phase_map) for p in (p1, p2)))
+        assert len(moved) == len(base) >= 1, seed
+        gap = 1e-12 * largest * factor
+        for res in base:
+            cx, cy = point_map(res.center.x, res.center.y)
+            phase = phase_map(res.aligned_second.phase)
+            (hit,) = [
+                other
+                for other in moved
+                if math.hypot(other.center.x - cx, other.center.y - cy) <= gap + slack
+                and abs(math.remainder(other.aligned_second.phase - phase, 2 * math.pi / n)) <= 1e-9
+            ]
+            assert max(abs(a - factor * b) for a, b in zip(hit.circles.radii, res.circles.radii)) <= gap
+            assert hit.matched_vertex_pair == (vertex_map(res.matched_vertex_pair[0], n), 0), seed
+
+
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_swapping_the_polygons_keeps_the_count_and_the_circles(n, point):
+    # With the polygons swapped the first polygon's multiset gives the
+    # circles, so a configuration comes back with its aligned polygon held
+    # and the other one rotated: to the original first polygon, up to a
+    # rotation by 2 pi/n. The matched vertex then names a vertex of the
+    # other polygon and has no counterpart.
+    for seed in PAIR_SEEDS:
+        inst = random_instance(n, seed, zero_smaller_radius=point)
+        p1, p2 = inst.polygon1, inst.polygon2
+        gap = 1e-12 * largest_length(p1, p2)
+        base = pair_polygons(p1, p2)
+        assert len(pair_polygons(p2, p1)) == len(base) >= 1, seed
+        for res in base:
+            swapped = pair_polygons(res.aligned_second, p1)
+            assert len(swapped) == len(base), seed
+            (hit,) = [
+                other
+                for other in swapped
+                if other.center.distance_to(res.center) <= gap
+                and abs(math.remainder(other.aligned_second.phase - p1.phase, 2 * math.pi / n)) <= 1e-9
+            ]
+            assert max(abs(a - b) for a, b in zip(hit.circles.radii, res.circles.radii)) <= gap
+
+
+def test_a_tiny_pair_far_from_the_origin_keeps_its_four_configurations():
+    # A pair of largest length about 1e-11 shifted by 1e5 in x.
+    inst = random_instance(5, 2)
+    p1, p2 = (moved_polygon(p, 1e-12, (1e5, 0.0)) for p in (inst.polygon1, inst.polygon2))
+    assert len(pair_polygons(p1, p2)) == 4
 
 
 def test_pair_far_from_the_origin_stays_finite_in_units_of_its_largest_length():

@@ -1,26 +1,27 @@
 """Polygons-to-circles direction: find the points from which two regular
 n-gons show identical vertex-distance multisets, and the circles they share.
 
-The working point must sit at distance R2 from the first center and R1 from
-the second (the circumradii swap roles), so candidates are intersections of
-the two auxiliary circles. Rotating the second polygon until one distance
-pair agrees then forces the whole multisets to agree; both rotation branches
-are produced and each result is re-verified against the full multiset. The
-rotation's opening angle solves the law of cosines with
-:func:`geom.phase_candidates`, the solve reconstruction uses too.
+The working point P must sit at distance R2 from the first center and R1
+from the second (the circumradii swap roles), so candidates are
+intersections of the two auxiliary circles. From P both polygons then show
+vertex k at the distance sqrt(R1^2 + R2^2 - 2 R1 R2 cos(phase_i + 2 pi k/n
+- alpha_i)), alpha_i the angle of P - c_i. Rotating the second polygon
+until its vertex 0 agrees with the first polygon's reference vertex ref
+therefore has the closed form phase2 = alpha2 +/- (phase1 + 2 pi ref/n -
+alpha1), and it forces the whole multisets to agree; both branches are
+produced and each is re-verified against the full multiset.
 
-Pairing runs on plain floats in units of 2^e, e the binary exponent of the
-largest length L = max(R1, R2, |c1c2|): every length is then below 2 and
-every gate is relative, so a pair and its scaling by a power of two take
-the same decisions on the same bits; a square underflows only for a length
-below about 2^-511 L. The geom float kernels place the vertices and
-intersect the circles; the first polygon is measured once per candidate
-point, for its multiset and reference vertex. Validated objects are built
-once, for accepted results only, in the caller's units.
+Pairing runs on plain floats in the first center's frame, in units of 2^e,
+e the binary exponent of the largest length L = max(R1, R2, |c1c2|): every
+length is then below 2 and every gate is relative, so a pair and its
+scaling by a power of two take the same decisions on the same bits, a
+translation reaches pairing only through the rounding of c2 - c1, and a
+square underflows only for a length below about 2^-511 L. Validated objects
+are built once, for accepted results only, in the caller's units.
 """
 
 import warnings
-from math import atan2, fmod, frexp, hypot, isfinite, ldexp
+from math import atan2, fmod, frexp, hypot, isfinite, ldexp, remainder
 
 from .errors import (
     CoincidentAuxiliaryCircles,
@@ -39,6 +40,7 @@ from .geom import (
     float_circle_intersection,
     float_vertex_offsets,
     largest_gap,
+    law_of_cosines_distances,
     multiset_close,
     normalize_angle,
     opening_cosines,
@@ -92,31 +94,28 @@ def _largest_length(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> float:
 
 
 def _in_units(
-    p1: RegularPolygonSpec, p2: RegularPolygonSpec, largest: float, *coordinates: float
-) -> tuple[int, float, float, float, float, float, float]:
-    """The binary exponent e of the largest length, then both centers and
-    circumradii divided by 2^e: (e, x1, y1, r1, x2, y2, r2).
-
-    The centers' coordinates, and any others given, must stay finite in
-    those units; where one exceeds 2^(e + 1020), e rises to match. Such a
-    pair has lost its shape to rounding in the caller's units already."""
+    p1: RegularPolygonSpec, p2: RegularPolygonSpec, largest: float
+) -> tuple[int, float, float, float, float]:
+    """The binary exponent e of the largest length, then the second center
+    relative to the first and both circumradii, each divided by 2^e:
+    (e, dx, dy, r1, r2)."""
     c1, c2 = p1.center, p2.center
-    far = max(abs(c1.x), abs(c1.y), abs(c2.x), abs(c2.y), *map(abs, coordinates))
-    e = max(frexp(largest)[1], frexp(far)[1] - 1020)
+    e = frexp(largest)[1]
     return (
         e,
-        ldexp(c1.x, -e), ldexp(c1.y, -e), ldexp(p1.circumradius, -e),
-        ldexp(c2.x, -e), ldexp(c2.y, -e), ldexp(p2.circumradius, -e),
+        ldexp(c2.x - c1.x, -e), ldexp(c2.y - c1.y, -e),
+        ldexp(p1.circumradius, -e), ldexp(p2.circumradius, -e),
     )
 
 
 def _meeting_points(
-    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float, eps: float
+    dx: float, dy: float, r1: float, r2: float, eps: float
 ) -> tuple[tuple[float, ...], ...]:
-    """The auxiliary circles' intersections: each center (x1, y1), (x2, y2)
-    with the other polygon's circumradius."""
+    """The auxiliary circles' intersections, relative to the first center:
+    each center, the first at the origin and the second at (dx, dy), with
+    the other polygon's circumradius."""
     try:
-        return float_circle_intersection(x1, y1, r2, x2, y2, r1, eps)
+        return float_circle_intersection(0.0, 0.0, r2, dx, dy, r1, eps)
     except CoincidentCircles as exc:
         raise CoincidentAuxiliaryCircles(
             "auxiliary circles coincide; every point on them qualifies"
@@ -129,44 +128,11 @@ def candidate_centers(
     """Intersection points of the auxiliary circles (0, 1, or 2 points)."""
     _require_same_order(p1, p2)
     e, *units = _in_units(p1, p2, _largest_length(p1, p2))
+    c1 = p1.center
     return tuple(
-        PlanePoint(ldexp(x, e), ldexp(y, e))
+        PlanePoint(c1.x + ldexp(x, e), c1.y + ldexp(y, e))
         for x, y in _meeting_points(*units, tol.relative_eps)
     )
-
-
-def _second_phases(
-    p2: RegularPolygonSpec, units: tuple, px: float, py: float, reference: float, tol: Tolerance
-) -> tuple[float, ...]:
-    """The phases of the second polygon rotated about its center so that its
-    vertex 0 sits ``reference`` from the point (px, py). ``units`` is what
-    :func:`_in_units` returns; lengths are in its units, and errors report
-    them in the caller's.
-
-    The opening angle comes from the law of cosines; its mirror gives a
-    second solution unless the reference distance is extremal.
-    """
-    e, _, _, r1, x2, y2, r2 = units
-    arm = hypot(px - x2, py - y2)
-    scale = max(r1, r2)
-    if abs(arm - r1) > tol.relative_eps * scale:
-        raise NotACandidateCenter(
-            f"point sits {ldexp(arm, e)} from the second center, expected {ldexp(r1, e)}"
-        )
-    if min(r1, r2) <= tol.relative_eps * scale:
-        # One polygon is a point: every vertex of the second already sits at
-        # the only achievable distance, so no rotation is needed.
-        return (p2.phase,)
-    openings = phase_candidates(r1, r2, reference, tol)
-    if not openings:
-        raise NotACandidateCenter(
-            f"reference distance {ldexp(reference, e)} is unreachable from the second polygon"
-        )
-    toward_point = atan2(py - y2, px - x2)
-    plus = normalize_angle(toward_point + openings[0])
-    if len(openings) == 1:
-        return (plus,)
-    return (plus, normalize_angle(toward_point + openings[1]))
 
 
 def align_second_polygon(
@@ -182,14 +148,34 @@ def align_second_polygon(
 
     The opening angle comes from the law of cosines; its mirror gives a
     second solution unless the reference distance is extremal. The rotated
-    polygon always presents vertex 0 at the matched distance.
+    polygon always presents vertex 0 at the matched distance. A point off
+    the auxiliary circles, or an unreachable distance, raises
+    NotACandidateCenter.
     """
     _require_same_order(p1, p2)
-    units = _in_units(p1, p2, _largest_length(p1, p2), point.x, point.y)
-    e, x1, y1, r1 = units[:4]
-    px, py = ldexp(point.x, -e), ldexp(point.y, -e)
-    (dx,), (dy,) = float_vertex_offsets(x1, y1, r1, p1.phase, p1.n, px, py, (ref_vertex,))
-    phases = _second_phases(p2, units, px, py, hypot(dx, dy), tol)
+    e, dx, dy, r1, r2 = _in_units(p1, p2, _largest_length(p1, p2))
+    c1 = p1.center
+    px, py = ldexp(point.x - c1.x, -e), ldexp(point.y - c1.y, -e)
+    (ox,), (oy,) = float_vertex_offsets(0.0, 0.0, r1, p1.phase, p1.n, px, py, (ref_vertex,))
+    reference = hypot(ox, oy)
+    arm = hypot(px - dx, py - dy)
+    scale = max(r1, r2)
+    if abs(arm - r1) > tol.relative_eps * scale:
+        raise NotACandidateCenter(
+            f"point sits {ldexp(arm, e)} from the second center, expected {ldexp(r1, e)}"
+        )
+    if min(r1, r2) <= tol.relative_eps * scale:
+        # One polygon is a point: every vertex of the second already sits at
+        # the only achievable distance, so no rotation is needed.
+        phases = (p2.phase,)
+    else:
+        openings = phase_candidates(r1, r2, reference, tol)
+        if not openings:
+            raise NotACandidateCenter(
+                f"reference distance {ldexp(reference, e)} is unreachable from the second polygon"
+            )
+        toward_point = atan2(py - dy, px - dx)
+        phases = tuple(normalize_angle(toward_point + t) for t in openings)
     return tuple(RegularPolygonSpec(p2.n, p2.center, p2.circumradius, t) for t in phases)
 
 
@@ -198,14 +184,16 @@ def _best_conditioned_vertex(a: float, b: float, distances: list[float]) -> int:
     distances of the first polygon's vertices in vertex order, with
     a = r1^2 + r2^2 and b = 2 r1 r2.
 
-    The rotation angle is recovered through an arccos whose error grows as
-    1/sin(angle); a reference distance near either extreme (for example the
-    nearest vertex when the point sits close to the center line) loses up
-    to half the working precision. Vertex angles are spaced 2*pi/n, so a
-    mid-range cosine always exists.
+    Every vertex gives the same configurations; the choice fixes the vertex
+    that ``matched_vertex_pair`` names, and with it the aligned phase. At
+    even n vertex k + n/2 is the antipode of vertex k, its opening cosine
+    negated: the two tie, and rounding, which moves with the frame, would
+    pick one. So only k < n/2 is searched there.
     """
     if b <= 0.0:
         return 0
+    if len(distances) % 2 == 0:
+        distances = distances[: len(distances) // 2]
     cosines = list(map(abs, opening_cosines(a, b, distances)))
     return cosines.index(min(cosines))
 
@@ -237,10 +225,12 @@ def pair_polygons(
 ) -> list[PairingResult]:
     """All concentric-circle configurations shared by the two polygons.
 
-    For each auxiliary intersection point and each rotation branch the full
-    distance multisets are compared; matching one reference pair is known to
-    force full agreement, so a verification failure is reported as a
-    numerical diagnostic rather than silently dropped. Identical concentric
+    At each auxiliary intersection point the second polygon takes both
+    closed-form phases (a point polygon keeps its own), and the first
+    polygon's distances are the radii. The second polygon's, from the law
+    of cosines, must match them within the multiset gate; the closed form
+    forces that, so a miss is reported as a numerical diagnostic (a
+    RuntimeWarning) rather than silently dropped. Identical concentric
     polygons admit a continuum of valid points and raise
     CoincidentAuxiliaryCircles instead of picking one arbitrarily. A largest
     length outside ``[2^-511, 2^510)`` raises ValueError.
@@ -261,27 +251,33 @@ def pair_polygons(
             "concentric polygons with equal circumradius: every point at that "
             "distance from the shared center works"
         )
-    units = _in_units(p1, p2, largest)
-    e, x1, y1, r1, x2, y2, r2 = units
-    n, phase1 = p1.n, p1.phase
+    e, dx, dy, r1, r2 = _in_units(p1, p2, largest)
+    n, phase1, c1 = p1.n, p1.phase, p1.center
     a, b = r1 * r1 + r2 * r2, 2.0 * r1 * r2
+    # A point polygon sees every vertex of the other at one distance.
+    rotates = min(r1, r2) > tol.relative_eps * max(r1, r2)
     gate = tol.multiset_gate()
     results: list[PairingResult] = []
     kept: list[tuple] = []  # (px, py, first, phase) of each result, in units
-    for px, py in _meeting_points(x1, y1, r1, x2, y2, r2, tol.relative_eps):
-        offsets = float_vertex_offsets(x1, y1, r1, phase1, n, px, py, range(n))
+    for px, py in _meeting_points(dx, dy, r1, r2, tol.relative_eps):
+        offsets = float_vertex_offsets(0.0, 0.0, r1, phase1, n, px, py, range(n))
         distances = list(map(hypot, *offsets))
         first = sorted(distances)
         ref_vertex = _best_conditioned_vertex(a, b, distances)
+        toward_point, arm = atan2(py - dy, px - dx), hypot(px - dx, py - dy)
+        t = abs(remainder(phase1 + TWO_PI / n * ref_vertex - atan2(py, px), TWO_PI))
+        phases = (toward_point + t, toward_point - t) if rotates else (p2.phase,)
+        x, y = c1.x + ldexp(px, e), c1.y + ldexp(py, e)
         circles = None
-        for phase in _second_phases(p2, units, px, py, distances[ref_vertex], tol):
-            offsets = float_vertex_offsets(x2, y2, r2, phase, n, px, py, range(n))
-            second = sorted(map(hypot, *offsets))
+        for phase in map(normalize_angle, phases):
+            second = law_of_cosines_distances(
+                r2 * r2 + arm * arm, 2.0 * r2 * arm, n, phase - toward_point
+            )
             if not multiset_close(first, second, gate):
                 gap = largest_gap(first, second)
                 warnings.warn(
                     "aligned distance pair did not propagate to the full multiset at "
-                    f"{PlanePoint(ldexp(px, e), ldexp(py, e))}; largest gap {ldexp(gap, e)}",
+                    f"{PlanePoint(x, y)}; largest gap {ldexp(gap, e)}",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -291,7 +287,7 @@ def pair_polygons(
                 continue
             kept.append(found)
             if circles is None:
-                center = PlanePoint(ldexp(px, e), ldexp(py, e))
+                center = PlanePoint(x, y)
                 circles = CircleFamily(center=center, radii=[ldexp(d, e) for d in first])
             aligned = RegularPolygonSpec(n, p2.center, p2.circumradius, phase)
             results.append(PairingResult(center, aligned, circles, (ref_vertex, 0)))

@@ -623,8 +623,9 @@ def test_human_readable_output():
 def test_verify_degenerate_instance(tmp_path):
     # The second polygon is a point. Reconstruction gives back the larger
     # circumradius; the smaller it recovers is the root of the
-    # discriminant's rounding, which at (5, 70) misses the multiset gate.
-    for n, seed, misses_the_gate in ((4, 11, False), (5, 70, True)):
+    # discriminant's rounding, which at (4, 11) stays within the multiset
+    # gate and at (5, 46) misses it.
+    for n, seed, misses_the_gate in ((4, 11, False), (5, 46, True)):
         inst = random_instance(n, seed, zero_smaller_radius=True)
         path = write_polygon_pair(tmp_path / "deg.json", inst.polygon1, inst.polygon2)
         code, out, _ = run_cli("verify", "--input", path, "--json")

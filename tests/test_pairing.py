@@ -350,20 +350,25 @@ def test_shared_vertex_always_pairs(n, r1, r2, phase1, direction):
 
 
 def test_alignment_builds_only_the_reference_vertex(monkeypatch):
-    # The reference distance uses the expressions of geom.vertices and
-    # PlanePoint.distance_to, so the rotations are bit-identical to those
-    # from the built vertex.
+    # Alignment measures in the first center's frame, in units of 2^e, e the
+    # largest length's binary exponent. The reference distance uses the
+    # expressions of geom.vertices and PlanePoint.distance_to there, so the
+    # rotations are bit-identical to those from the built vertex.
     inst = random_instance(8, 7)
     p1, p2, point = inst.polygon1, inst.polygon2, inst.point
-    toward = math.atan2(point.y - p2.center.y, point.x - p2.center.x)
+    c1, c2 = p1.center, p2.center
+    e = math.frexp(max(p1.circumradius, p2.circumradius, c1.distance_to(c2)))[1]
+    r1, r2 = math.ldexp(p1.circumradius, -e), math.ldexp(p2.circumradius, -e)
+    px, py = math.ldexp(point.x - c1.x, -e), math.ldexp(point.y - c1.y, -e)
+    dx, dy = math.ldexp(c2.x - c1.x, -e), math.ldexp(c2.y - c1.y, -e)
+    toward = math.atan2(py - dy, px - dx)
+    at_origin = RegularPolygonSpec(p1.n, PlanePoint(0.0, 0.0), r1, p1.phase)
     expected = [
         tuple(
             normalize_angle(toward + t)
-            for t in phase_candidates(
-                p1.circumradius, p2.circumradius, point.distance_to(vertices(p1)[k])
-            )
+            for t in phase_candidates(r1, r2, PlanePoint(px, py).distance_to(vertex))
         )
-        for k in range(p1.n)
+        for vertex in vertices(at_origin)
     ]
 
     def no_vertices(poly):

@@ -153,30 +153,30 @@ def align_second_polygon(
     NotACandidateCenter.
     """
     _require_same_order(p1, p2)
+    # Checked in the caller's units: a point far off would overflow in units.
+    arm, scale = point.distance_to(p2.center), max(p1.circumradius, p2.circumradius)
+    if abs(arm - p1.circumradius) > tol.relative_eps * scale:
+        raise NotACandidateCenter(
+            f"point sits {arm} from the second center, expected {p1.circumradius}"
+        )
+    if min(p1.circumradius, p2.circumradius) <= tol.relative_eps * scale:
+        # One polygon is a point: every vertex of the second already sits at
+        # the only achievable distance, so no rotation is needed.
+        return (p2,)
     e, dx, dy, r1, r2 = _in_units(p1, p2, _largest_length(p1, p2))
     c1 = p1.center
     px, py = ldexp(point.x - c1.x, -e), ldexp(point.y - c1.y, -e)
     (ox,), (oy,) = float_vertex_offsets(0.0, 0.0, r1, p1.phase, p1.n, px, py, (ref_vertex,))
     reference = hypot(ox, oy)
-    arm = hypot(px - dx, py - dy)
-    scale = max(r1, r2)
-    if abs(arm - r1) > tol.relative_eps * scale:
+    openings = phase_candidates(r1, r2, reference, tol)
+    if not openings:
         raise NotACandidateCenter(
-            f"point sits {ldexp(arm, e)} from the second center, expected {ldexp(r1, e)}"
+            f"reference distance {ldexp(reference, e)} is unreachable from the second polygon"
         )
-    if min(r1, r2) <= tol.relative_eps * scale:
-        # One polygon is a point: every vertex of the second already sits at
-        # the only achievable distance, so no rotation is needed.
-        phases = (p2.phase,)
-    else:
-        openings = phase_candidates(r1, r2, reference, tol)
-        if not openings:
-            raise NotACandidateCenter(
-                f"reference distance {ldexp(reference, e)} is unreachable from the second polygon"
-            )
-        toward_point = atan2(py - dy, px - dx)
-        phases = tuple(normalize_angle(toward_point + t) for t in openings)
-    return tuple(RegularPolygonSpec(p2.n, p2.center, p2.circumradius, t) for t in phases)
+    toward_point = atan2(py - dy, px - dx)
+    return tuple(
+        RegularPolygonSpec(p2.n, p2.center, p2.circumradius, toward_point + t) for t in openings
+    )
 
 
 def _best_conditioned_vertex(a: float, b: float, distances: list[float]) -> int:

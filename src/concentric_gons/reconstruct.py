@@ -31,8 +31,9 @@ two arms, and so is its floating-point evaluation (``2.0 * r * l`` doubles
 exactly and addition commutes): the angle found with arms (larger,
 smaller) is the one a search with (smaller, larger) would find, bit for
 bit. The search therefore runs once. ``geom`` holds both directions of the
-law: :func:`geom.phase_candidates` solves it for the angle, as pairing's
-rotation does, and :func:`geom.law_of_cosines_distances` evaluates it.
+law: :func:`geom.phase_candidates` solves it for the angle, as
+``align_second_polygon`` does, and :func:`geom.law_of_cosines_distances`
+evaluates it, as pairing's gate does.
 """
 
 import math

@@ -156,6 +156,15 @@ def test_alignment_errors_report_lengths_in_the_callers_units():
         align_second_polygon(p1, p2, PlanePoint(math.ldexp(8.0, k), 0), 0)
 
 
+def test_alignment_rejects_a_point_too_far_off_for_the_units():
+    # In units of the largest length 1e300 overflows; the message does not.
+    p1 = triangle(0, 0, 2e-300)
+    p2 = triangle(2e-300, 0, 1e-300)
+    expected = f"point sits {1e300} from the second center, expected {2e-300}"
+    with pytest.raises(NotACandidateCenter, match=re.escape(expected)):
+        align_second_polygon(p1, p2, PlanePoint(1e300, 0), 0)
+
+
 # ---------------------------------------------------------------- pairing
 
 

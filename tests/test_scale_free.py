@@ -300,15 +300,22 @@ def motion(name: str, largest: float):
     map, positional slack of the mapped centers). The reference vertex is
     searched among k < n/2 at even n, so a reflection, which sends vertex k
     to -k, names -k modulo n/2 there."""
+    same_phase, same_vertex = (lambda t: t), (lambda k, n: k)
     if name.startswith("shift"):
         shift = float(name[len("shift"):]) * largest
-        return (lambda x, y: (x + shift, y)), 1.0, (lambda t: t), (lambda k, n: k), 4 * math.ulp(shift)
+        return (lambda x, y: (x + shift, y)), 1.0, same_phase, same_vertex, 4 * math.ulp(shift)
     if name == "rotation":
         c, s = math.cos(0.7), math.sin(0.7)
-        return (lambda x, y: (c * x - s * y, s * x + c * y)), 1.0, (lambda t: t + 0.7), (lambda k, n: k), 0.0
+        rotated = lambda x, y: (c * x - s * y, s * x + c * y)  # noqa: E731
+        return rotated, 1.0, (lambda t: t + 0.7), same_vertex, 0.0
     if name == "reflection":
-        return (lambda x, y: (x, -y)), 1.0, (lambda t: -t), (lambda k, n: -k % (n // 2 if n % 2 == 0 else n)), 0.0
-    return (lambda x, y: (0.37 * x, 0.37 * y)), 0.37, (lambda t: t), (lambda k, n: k), 0.0
+        mirrored = lambda k, n: -k % (n // 2 if n % 2 == 0 else n)  # noqa: E731
+        return (lambda x, y: (x, -y)), 1.0, (lambda t: -t), mirrored, 0.0
+    return (lambda x, y: (0.37 * x, 0.37 * y)), 0.37, same_phase, same_vertex, 0.0
+
+
+def same_polygon_phase(a: float, b: float, n: int) -> bool:
+    return abs(math.remainder(a - b, 2 * math.pi / n)) <= 1e-9
 
 
 def moved_by(poly: RegularPolygonSpec, point_map, factor, phase_map) -> RegularPolygonSpec:
@@ -344,9 +351,10 @@ def test_pairing_follows_a_rigid_motion_or_a_scaling(name, n, point):
                 other
                 for other in moved
                 if math.hypot(other.center.x - cx, other.center.y - cy) <= gap + slack
-                and abs(math.remainder(other.aligned_second.phase - phase, 2 * math.pi / n)) <= 1e-9
+                and same_polygon_phase(other.aligned_second.phase, phase, n)
             ]
-            assert max(abs(a - factor * b) for a, b in zip(hit.circles.radii, res.circles.radii)) <= gap
+            radii = zip(hit.circles.radii, res.circles.radii)
+            assert max(abs(a - factor * b) for a, b in radii) <= gap
             assert hit.matched_vertex_pair == (vertex_map(res.matched_vertex_pair[0], n), 0), seed
 
 
@@ -371,7 +379,7 @@ def test_swapping_the_polygons_keeps_the_count_and_the_circles(n, point):
                 other
                 for other in swapped
                 if other.center.distance_to(res.center) <= gap
-                and abs(math.remainder(other.aligned_second.phase - p1.phase, 2 * math.pi / n)) <= 1e-9
+                and same_polygon_phase(other.aligned_second.phase, p1.phase, n)
             ]
             assert max(abs(a - b) for a, b in zip(hit.circles.radii, res.circles.radii)) <= gap
 

@@ -432,6 +432,22 @@ def test_cli_pairs_and_verifies_a_tiny_pair_file(tmp_path):
     assert result["pass"] is True
 
 
+@pytest.mark.parametrize("n, seed", [(5, 2), (8, 3), (3, 7)])
+def test_cli_verifies_a_pair_file_shifted_by_1e7_largest_lengths(tmp_path, n, seed):
+    # The identity residual depends only on lengths seen from the point, so
+    # an exact shift must leave every verify row within its gate. Past about
+    # 1e8 largest lengths the rounding of the returned center dominates.
+    inst = random_instance(n, seed)
+    shift = 1e7 * largest_length(inst.polygon1, inst.polygon2)
+    p1, p2 = snapped(inst.polygon1, inst.polygon2, shift)
+    path = write_pair_file(
+        tmp_path / "shifted.json", *(moved_polygon(p, 1.0, (shift, 0.0)) for p in (p1, p2))
+    )
+    code, out, _ = run_cli("verify", "--input", path, "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["pass"] is True
+
+
 @pytest.mark.parametrize("k", [-900, -600, 600, 900])
 def test_lengths_out_of_range_are_usage_errors(tmp_path, k):
     inst = random_instance(5, 2)

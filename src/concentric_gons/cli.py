@@ -183,7 +183,6 @@ def cmd_check(args) -> int:
         pair = rec.circumradii
     else:
         try:
-            # S(2), S(4) and the exponent are those leading_averages gives.
             pair = recover_circumradii(averages, tol)
         except InfeasibleMoments:
             pair = None

@@ -14,7 +14,7 @@ When both hold, the two circumradii follow from S(2) and S(4) alone.
 The families themselves (:class:`CircleFamily`) are plane values and live
 in ``geom``, so that pairing, which builds them, never loads this algebra.
 
-The library's verdict reads only S(2), S(4) (:func:`leading_averages`, O(n)):
+The library's verdict reads only S(2), S(4) (:func:`_leading`, O(n)):
 the recovery discriminant's gate is condition I's lower bound, and the
 placement built from the recovered circumradii must reproduce the radii
 (``reconstruct``). Both read one copy of the radii divided by 2^e per call.
@@ -108,11 +108,12 @@ class FeasibilityReport(_Value):
 
 
 def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...]]:
-    """:func:`leading_averages` and the radii in its units: divided by
-    ``2^e``, ``e = math.frexp(largest radius)[1]``, once. The division is
-    exact, so every power of them is at most 1 and every decision on them
-    depends on shape alone. More than ``MAX_VERTEX_COUNT`` radii raise
-    ValueError."""
+    """S(2) and S(4) as compensated sums (``math.fsum``), from which the
+    circumradii are recovered alone, and the radii in their units: divided
+    by ``2^e``, ``e = math.frexp(largest radius)[1]``, once. The division
+    is exact, so every power of them is at most 1 and every decision on
+    them depends on shape alone. O(n). More than ``MAX_VERTEX_COUNT`` radii
+    raise ValueError."""
     if family.n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {family.n} exceeds {MAX_VERTEX_COUNT}")
     exponent = math.frexp(family.radii[-1])[1]
@@ -123,19 +124,12 @@ def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...]]:
     return LeadingAverages(n=n, values=values, exponent=exponent), radii
 
 
-def leading_averages(family: CircleFamily) -> LeadingAverages:
-    """S(2) and S(4) of the radii divided by ``2^e`` (see
-    :func:`_leading`), as compensated sums (``math.fsum``): the
-    circumradii are recovered from them alone. O(n)."""
-    return _leading(family)[0]
-
-
 def cyclic_averages(family: CircleFamily) -> CyclicAverages:
     """Averages of the 2m-th radius powers, m = 1..n-1, of the radii divided
     by ``2^e``, ``e = math.frexp(largest radius)[1]``: exactly, so every
     power is at most 1 and every decision on them depends on shape alone.
 
-    S(2) and S(4) are those of :func:`leading_averages`. Orders m >= 3 carry
+    S(2) and S(4) are those of :func:`_leading`. Orders m >= 3 carry
     a running product of the squared radii and add it up in a fixed
     left-to-right fold (``sum`` of floats compensates from Python 3.12 on,
     so its bits would depend on the interpreter), each within a relative

@@ -15,7 +15,7 @@ import functools
 import math
 from collections import namedtuple
 from itertools import repeat
-from math import cos, isfinite, ldexp, sin
+from math import cos, ldexp, sin
 
 from .geom import TWO_PI, CircleFamily, PlanePoint, RegularPolygonSpec, distance_multiset
 from .geom import normalize_angle
@@ -62,14 +62,15 @@ def power_identity_residual(
 
     The closed form is the library's own :func:`two_radius_power_sum`, the
     recurrence condition II runs on; the direct side sums Cartesian vertex
-    coordinates. Both run on lengths divided by 2^e (e from the larger arm,
-    exactly), so no power overflows and the residual is unit-free. This is
-    an identity for every regular polygon, point, and m in 1..n-1 (other
-    orders raise InvalidMomentOrder); the residual certifies the
-    arithmetic, not the input. More than ``MAX_VERTEX_COUNT`` vertices
-    raise ValueError. The squared vertex distances are kept for the last
-    polygon and point, keyed on their seven numbers, so the orders of one
-    polygon share one pass of trig.
+    offsets from the point. Both run on lengths divided by 2^e (e from the
+    larger arm, exactly), so no power overflows and the residual is
+    unit-free; a translation reaches it only through the rounding of the
+    center minus the point. This is an identity for every regular polygon,
+    point, and m in 1..n-1 (other orders raise InvalidMomentOrder); the
+    residual certifies the arithmetic, not the input. More than
+    ``MAX_VERTEX_COUNT`` vertices raise ValueError. The squared vertex
+    distances are kept for the last polygon and point, keyed on their
+    seven numbers, so the orders of one polygon share one pass of trig.
     """
     if poly.n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {poly.n} exceeds {MAX_VERTEX_COUNT}")
@@ -93,25 +94,22 @@ def _scaled_squares(
 ) -> tuple[int, float, tuple[float, ...]]:
     """The exponent e = -frexp(larger arm), the distance from the point to
     the polygon center, and the squared distances from the point to every
-    vertex, each coordinate difference divided by 2^e.
+    vertex, divided by 2^(2e).
 
-    The vertices are placed in one pass from lengths already divided by
-    2^e, exactly in the normal range; a polygon reaching past the float
-    range before or after the division is placed as given and divided
-    after, so a vertex past it raises the ValueError of
-    :func:`geom.float_vertex_offsets`. A key equal up to the sign of a zero
-    gives the same squares.
+    The polygon is moved so that the point is the origin, then divided by
+    2^e, exactly in the normal range, and placed in one pass: its offsets
+    stay within the arm plus the circumradius, so a translation changes
+    only the rounding of the center minus the point. A difference past the
+    float range raises the ValueError of :func:`geom.float_vertex_offsets`.
+    A key equal up to the sign of a zero gives the same squares.
     """
-    arm = math.hypot(px - cx, py - cy)
+    dx, dy = cx - px, cy - py
+    arm = math.hypot(dx, dy)
     e = -math.frexp(max(r, arm))[1]
-    reach = max(abs(cx), abs(cy)) + r
-    if isfinite(reach) and math.frexp(reach)[1] + e < 1024:
-        dxs, dys = float_vertex_offsets(
-            ldexp(cx, e), ldexp(cy, e), ldexp(r, e), phase, n, ldexp(px, e), ldexp(py, e), range(n)
-        )
-        return e, arm, tuple([dx * dx + dy * dy for dx, dy in zip(dxs, dys)])
-    dxs, dys = float_vertex_offsets(cx, cy, r, phase, n, px, py, range(n))
-    return e, arm, tuple([ldexp(dx, e) ** 2 + ldexp(dy, e) ** 2 for dx, dy in zip(dxs, dys)])
+    dxs, dys = float_vertex_offsets(
+        ldexp(dx, e), ldexp(dy, e), ldexp(r, e), phase, n, 0.0, 0.0, range(n)
+    )
+    return e, arm, tuple([x * x + y * y for x, y in zip(dxs, dys)])
 
 
 SweepResult = namedtuple("SweepResult", ["best_phase", "best_residual"])

@@ -95,13 +95,9 @@ def test_identity_residual_is_the_same_in_every_unit(k):
             assert power_identity_residual(scaled, point, m) == residual
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError)
 def test_identity_residual_survives_translation():
-    # Each vertex is placed at center + offset in absolute coordinates, so
-    # its rounding grows with the distance from the origin: this pentagon
-    # reads 3.3e-16 at the origin and 1.1e-8 a billion circumradii away.
-    # The same rounding fails pair-file verify from shifts of about 1e5 to
-    # 1e6 largest lengths on.
+    # The vertices are placed from the point, so a translation reaches the
+    # residual only through the rounding of the center minus the point.
     for cx in (0.0, 1e6):
         poly = RegularPolygonSpec(5, PlanePoint(cx, 0.0), 1e-3, 0.3)
         point = PlanePoint(cx + 1e-3, 2e-3)
@@ -109,16 +105,22 @@ def test_identity_residual_survives_translation():
 
 
 def _vertex_power_identity_residual(poly, point, m):
-    """The identity residual summed over built vertices: the reference the
-    library's memoised squares must match bit for bit."""
-    arm = point.distance_to(poly.center)
+    """The identity residual summed over the built vertices of the polygon
+    moved so that the point is the origin: the reference the library's
+    memoised squares must match bit for bit."""
+    moved = RegularPolygonSpec(
+        poly.n,
+        PlanePoint(poly.center.x - point.x, poly.center.y - point.y),
+        poly.circumradius,
+        poly.phase,
+    )
+    arm = moved.center.distance_to(PlanePoint(0.0, 0.0))
     e = -math.frexp(max(poly.circumradius, arm))[1]
     closed = two_radius_power_sum(
         math.ldexp(poly.circumradius, e), math.ldexp(arm, e), poly.n, m
     )
     direct = math.fsum(
-        (math.ldexp(v.x - point.x, e) ** 2 + math.ldexp(v.y - point.y, e) ** 2) ** m
-        for v in vertices(poly)
+        (math.ldexp(v.x, e) ** 2 + math.ldexp(v.y, e) ** 2) ** m for v in vertices(moved)
     )
     return abs(direct - closed) / (closed or 1.0)
 
@@ -135,9 +137,9 @@ def _scaled(poly, point, k):
 
 def _identity_cases(n):
     """(polygon, point) pairs of one size: both random polygons, scaled by
-    2^k, a point polygon, the point at the polygon's center, and polygons
-    whose lengths sit below 2^-1023 of a coordinate, so that a coordinate
-    divided by 2^e would overflow."""
+    2^k, a point polygon, the point at the polygon's center, one random
+    polygon and its point shifted by 1e6, and polygons whose lengths sit
+    below 2^-1023 of a coordinate."""
     inst = random_instance(n, 17)
     for k in (0, 600, -600):
         for poly in (inst.polygon1, inst.polygon2):
@@ -145,6 +147,11 @@ def _identity_cases(n):
     point_polygon = random_instance(n, 17, zero_smaller_radius=True).polygon2
     yield point_polygon, inst.point
     yield inst.polygon1, inst.polygon1.center
+    shifted = PlanePoint(inst.polygon1.center.x + 1e6, inst.polygon1.center.y)
+    yield (
+        RegularPolygonSpec(n, shifted, inst.polygon1.circumradius, inst.polygon1.phase),
+        PlanePoint(inst.point.x + 1e6, inst.point.y),
+    )
     yield RegularPolygonSpec(n, PlanePoint(1e300, 0.0), 1e-300, 0.3), PlanePoint(1e300, 1e-300)
     yield RegularPolygonSpec(n, PlanePoint(0.0, -1e300), 1e-9, 0.3), PlanePoint(0.0, -1e300)
 
@@ -195,12 +202,15 @@ def test_identity_rejects_more_vertices_than_the_moment_core(n):
 
 @pytest.mark.parametrize("phase", [0.0, 3.14159])
 @pytest.mark.parametrize("n", [3, 8])
-def test_identity_rejects_a_vertex_beyond_the_float_range(n, phase):
-    # Vertex 0 or its neighbours lie past 1.8e308 although the lengths,
-    # divided by 2^e, are small: the check reads the unscaled vertices.
+def test_identity_holds_for_a_polygon_reaching_past_the_float_range(n, phase):
+    # Vertex 0 or its neighbours lie past 1.8e308, but their offsets from
+    # the point do not, so the residual is measured as for any polygon.
     poly = RegularPolygonSpec(n, PlanePoint(1.5e308, 0.0), 1e308, phase)
+    assert power_identity_residual(poly, PlanePoint(1.5e308, 1e300), 1) <= 1e-12
+    # A center minus point past the float range still raises.
+    far = RegularPolygonSpec(n, PlanePoint(1e308, 0.0), 1.0, phase)
     with pytest.raises(ValueError, match="coordinates must be finite"):
-        power_identity_residual(poly, PlanePoint(1.5e308, 1e300), 1)
+        power_identity_residual(far, PlanePoint(-1e308, 0.0), 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -232,6 +232,35 @@ def test_reconstruct_never_returns_junk(radii):
     assert max(rec.residuals) <= 1e-7 * max(1.0, fam.radii[-1])
 
 
+# Families the placement refuses at a best relative gap of 1.1e-8, just
+# above its 1e-8 gate, although the oracle's sweep at the same circumradii
+# finds a phase within the multiset gate.
+REFUSAL_BAND = [
+    (5.801320362361583, 5.919679918223922, 6.1902958663829875, 6.4371565518240885,
+     6.747112327125089, 6.929887614827332, 7.059888375506102),
+    (0.6059932067248046, 0.6690852842259963, 0.7312857893322713, 0.8538126208079334,
+     0.9231356075530427, 1.0229352060144932, 1.0646596751147546, 1.1017928733414348),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=InfeasibleFamily)
+@pytest.mark.parametrize("radii", REFUSAL_BAND, ids=["n7", "n8"])
+def test_a_family_the_sweep_places_within_the_gate_is_reconstructed(radii):
+    from concentric_gons import angle_sweep, multiset_close, recover_circumradii
+    from concentric_gons.moments import _leading
+
+    family = CircleFamily(PlanePoint(0.0, 0.0), radii)
+    averages, units = _leading(family)
+    pair = recover_circumradii(averages)
+    larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
+    sweep = angle_sweep(larger, smaller, family.n, units)
+    placed = law_of_cosines_distances(
+        larger * larger + smaller * smaller, 2.0 * larger * smaller, family.n, sweep.best_phase
+    )
+    assert multiset_close(sorted(placed), units, Tolerance().multiset_gate())
+    reconstruct_polygons(family)
+
+
 def test_reconstruct_all_zero_family():
     fam = CircleFamily(PlanePoint(2.0, -1.0), (0.0, 0.0, 0.0))
     rec = reconstruct_polygons(fam)

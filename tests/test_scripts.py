@@ -65,7 +65,7 @@ def test_output_corpus_is_reproducible(tmp_path):
 # floats depend on the C library's trig, so the pin holds per platform. A
 # new digest is a change in output: re-pin only with a CHANGES.md entry that
 # names the commands whose output changed.
-CORPUS_SHA256 = "a64ccc625a83d644b61b84832e9d5fb6d3f9cbb50d3ee0a41c45959fb8c049cf"
+CORPUS_SHA256 = "c42d41a76134b79955d3e24fc7bd9110b1730e6ea915dba428c5327ec39f574c"
 
 
 def test_output_corpus_bytes_are_pinned(tmp_path):

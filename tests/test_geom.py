@@ -368,6 +368,23 @@ def test_law_of_cosines_kernel_matches_the_written_out_law_bit_for_bit(n):
             assert _bits(got) == _bits(_written_out_distances(n, r, l, t)), (r, l, t)
 
 
+@pytest.mark.parametrize("n", [*range(3, 65), 256])
+def test_law_of_cosines_kernel_is_exactly_even_in_the_angle(n):
+    # cos is even, so the opening angles t and -t place the same distances;
+    # the kernel must place them bit for bit, so that one placement decides
+    # both.
+    rng = random.Random(n)
+    arms = [(1.0, 1.0), (2.0, 0.7), *MIRROR_ARMS]
+    arms += [(math.ldexp(r, k), math.ldexp(l, k)) for r, l in arms[:2] for k in (300, -300)]
+    step = math.pi / n
+    angles = (0.0, -0.0, 1e-9, -1e-9, step, -step, rng.uniform(-math.pi, math.pi), rng.uniform(-9, 9))
+    for r, l in arms:
+        a, b = r * r + l * l, 2.0 * r * l
+        for t in angles:
+            plus = law_of_cosines_distances(a, b, n, t)
+            assert _bits(law_of_cosines_distances(a, b, n, -t)) == _bits(plus), (r, l, t)
+
+
 @pytest.mark.parametrize("n", [3, 4, 16, 256])
 def test_inverse_law_kernel_matches_the_three_written_out_inverses_bit_for_bit(n):
     # The expressions phase_candidates, the pairing reference vertex and

@@ -213,6 +213,13 @@ def test_identity_holds_for_a_polygon_reaching_past_the_float_range(n, phase):
         power_identity_residual(far, PlanePoint(-1e308, 0.0), 1)
 
 
+def test_identity_rejects_a_point_whose_distance_overflows():
+    # Each coordinate difference is finite, but their length is not.
+    poly = RegularPolygonSpec(3, PlanePoint(0.0, 0.0), 1.0, 0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        power_identity_residual(poly, PlanePoint(1.5e308, 1.5e308), 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=3, max_value=12),

@@ -74,6 +74,17 @@ def test_candidate_centers_coincident_raise():
         candidate_centers(p, triangle(0, 0, 1, 0.5))
 
 
+def test_candidate_centers_and_pairing_share_one_range_check():
+    # The center distance overflows although each center is finite.
+    p1, p2 = triangle(-1e308, 0, 1), triangle(1e308, 0, 1)
+    messages = []
+    for op in (candidate_centers, pair_polygons):
+        with pytest.raises(ValueError, match="largest length inf of the polygon pair") as caught:
+            op(p1, p2)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
 # ------------------------------------------------------------- alignment
 
 
@@ -411,6 +422,23 @@ def test_pairing_builds_validated_objects_only_for_its_results(monkeypatch):
     points = len({id(result.center) for result in results})
     assert points == 2
     assert built == {PlanePoint: points, RegularPolygonSpec: len(results), CircleFamily: points}
+
+
+def test_pairing_gates_each_meeting_point_once(monkeypatch):
+    # The law-of-cosines kernel is even in the opening angle, so one gate
+    # decides both rotation branches at a meeting point.
+    p1, p2 = random_instance(8, 7)[:2]
+    forward, calls = pairing.law_of_cosines_distances, []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(pairing, "law_of_cosines_distances", counted)
+    results = pair_polygons(p1, p2)
+    points = {result.center for result in results}
+    assert len(results) == 4 and len(points) == 2
+    assert len(calls) == len(points)
 
 
 def test_gate_warning_points_at_the_caller_in_the_callers_units(monkeypatch):

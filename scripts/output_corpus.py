@@ -19,6 +19,11 @@ relative noise; identical, mismatched-order and shared-vertex pairs; one
 overflow or underflow a double; and usage and file-format errors.
 
   PYTHONPATH=src python3 scripts/output_corpus.py --out corpus.json
+
+With ``--against OLD.json`` the script also prints every command whose
+pinned fields (exit code, ``--json`` stdout and SVG texts, as
+``tests/test_scripts.py`` digests them) differ from OLD's, or that OLD
+lacks, then how many commands of each subcommand changed.
 """
 
 import argparse
@@ -28,6 +33,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 from concentric_gons import SplitMix64, random_instance
@@ -235,12 +241,42 @@ def run(argv: list[str], tmp: str) -> dict:
     }
 
 
+def pinned(record: dict) -> list:
+    """The fields of a record the corpus digest pins."""
+    return [record["exit"], record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
+
+
+def changed_commands(old: list[dict], new: list[dict]) -> list[list[str]]:
+    """The argv of each command in ``new`` whose pinned fields differ from
+    the same command's in ``old``, or that ``old`` lacks, in ``new``'s order."""
+    before = {json.dumps(record["argv"]): pinned(record) for record in old}
+    return [
+        record["argv"] for record in new
+        if before.get(json.dumps(record["argv"])) != pinned(record)
+    ]
+
+
+def report_changes(old: list[dict], new: list[dict]) -> None:
+    changed = changed_commands(old, new)
+    for argv in changed:
+        print("changed: " + " ".join(argv))
+    totals = Counter(record["argv"][0] for record in new)
+    counts = Counter(argv[0] for argv in changed)
+    print(f"{len(changed)} of {len(new)} commands changed")
+    for subcommand, total in sorted(totals.items()):
+        print(f"  {subcommand}: {counts[subcommand]} of {total}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="write the corpus JSON here")
     parser.add_argument(
         "--sizes", default=",".join(map(str, SIZES)),
         help="comma-separated vertex counts for the random instances",
+    )
+    parser.add_argument(
+        "--against", metavar="OLD.json",
+        help="a corpus file to compare with: print the commands whose pinned fields differ",
     )
     args = parser.parse_args()
     sizes = [int(part) for part in args.sizes.split(",")]
@@ -255,6 +291,9 @@ def main():
         handle.write("\n")
     svg_count = sum(len(record["svg"]) for record in records)
     print(f"wrote {args.out}: {len(records)} commands, {svg_count} SVG files")
+    if args.against:
+        with open(args.against, encoding="utf-8") as handle:
+            report_changes(json.load(handle), records)
 
 
 if __name__ == "__main__":

@@ -100,8 +100,9 @@ def _scaled_squares(
     2^e, exactly in the normal range, and placed in one pass: its offsets
     stay within the arm plus the circumradius, so a translation changes
     only the rounding of the center minus the point. A difference past the
-    float range raises the ValueError of :func:`geom.float_vertex_offsets`.
-    A key equal up to the sign of a zero gives the same squares.
+    float range raises the ValueError of :func:`geom.float_vertex_offsets`,
+    a distance past it one naming the overflow. A key equal up to the sign
+    of a zero gives the same squares.
     """
     dx, dy = cx - px, cy - py
     arm = math.hypot(dx, dy)
@@ -109,6 +110,8 @@ def _scaled_squares(
     dxs, dys = float_vertex_offsets(
         ldexp(dx, e), ldexp(dy, e), ldexp(r, e), phase, n, 0.0, 0.0, range(n)
     )
+    if arm == math.inf:  # after the placement, which names an infinite difference
+        raise ValueError(f"distance from the point to the polygon center overflows: ({dx}, {dy})")
     return e, arm, tuple([x * x + y * y for x, y in zip(dxs, dys)])
 
 
@@ -127,9 +130,10 @@ def angle_sweep(r: float, l: float, n: int, target: tuple[float, ...]) -> SweepR
     factor away from 0. ``acos`` loses half the digits where cos(nt) is near
     +/-1, so golden-section steps polish t within period/360, and the best
     phase probed is reported: on a target no phase reaches, an upper bound
-    on the smallest residual. Phases t and -t tie, so the mirror 2*pi/n - t
-    fits equally well; the arms enter only through a and b, and b = 0 gives
-    phase 0. ``target`` must hold exactly n distances.
+    on the smallest residual. Phases t and -t tie exactly (the kernel is
+    even in t), so the mirror 2*pi/n - t fits as well up to rounding; the
+    arms enter only through a and b, and b = 0 gives phase 0. ``target``
+    must hold exactly n distances.
     """
     if len(target) != n:
         raise ValueError(f"target must hold n = {n} distances, got {len(target)}")

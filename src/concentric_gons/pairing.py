@@ -9,7 +9,8 @@ vertex k at the distance sqrt(R1^2 + R2^2 - 2 R1 R2 cos(phase_i + 2 pi k/n
 until its vertex 0 agrees with the first polygon's reference vertex ref
 therefore has the closed form phase2 = alpha2 +/- (phase1 + 2 pi ref/n -
 alpha1), and it forces the whole multisets to agree; both branches are
-produced and each is re-verified against the full multiset.
+produced, and one check of the full multiset at the opening angle
+re-verifies both, since the law-of-cosines kernel is exactly even in it.
 
 Pairing runs on plain floats in the first center's frame, in units of 2^e,
 e the binary exponent of the largest length L = max(R1, R2, |c1c2|): every
@@ -93,6 +94,18 @@ def _largest_length(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> float:
     return max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
 
 
+def _in_range(largest: float) -> float:
+    """The largest length of a polygon pair, once checked to lie in the range
+    where pairing returns its results (ValueError otherwise)."""
+    if not (isfinite(largest) and abs(frexp(largest)[1]) <= MAX_LENGTH_EXPONENT):
+        raise ValueError(
+            f"largest length {largest} of the polygon pair lies outside "
+            f"[2^{-MAX_LENGTH_EXPONENT - 1}, 2^{MAX_LENGTH_EXPONENT}), where its squares "
+            "stay finite normal doubles"
+        )
+    return largest
+
+
 def _in_units(
     p1: RegularPolygonSpec, p2: RegularPolygonSpec, largest: float
 ) -> tuple[int, float, float, float, float]:
@@ -125,9 +138,10 @@ def _meeting_points(
 def candidate_centers(
     p1: RegularPolygonSpec, p2: RegularPolygonSpec, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[PlanePoint, ...]:
-    """Intersection points of the auxiliary circles (0, 1, or 2 points)."""
+    """Intersection points of the auxiliary circles (0, 1, or 2 points). A
+    largest length outside ``[2^-511, 2^510)`` raises ValueError."""
     _require_same_order(p1, p2)
-    e, *units = _in_units(p1, p2, _largest_length(p1, p2))
+    e, *units = _in_units(p1, p2, _in_range(_largest_length(p1, p2)))
     c1 = p1.center
     return tuple(
         PlanePoint(c1.x + ldexp(x, e), c1.y + ldexp(y, e))
@@ -228,23 +242,18 @@ def pair_polygons(
     At each auxiliary intersection point the second polygon takes both
     closed-form phases (a point polygon keeps its own), and the first
     polygon's distances are the radii. The second polygon's, from the law
-    of cosines, must match them within the multiset gate; the closed form
-    forces that, so a miss is reported as a numerical diagnostic (a
-    RuntimeWarning) rather than silently dropped. Identical concentric
-    polygons admit a continuum of valid points and raise
+    of cosines at the opening angle, must match them within the multiset
+    gate, checked once for both phases; the closed form forces that, so a
+    miss is reported as a numerical diagnostic (a RuntimeWarning per point)
+    rather than silently dropped. Identical concentric polygons admit a
+    continuum of valid points and raise
     CoincidentAuxiliaryCircles instead of picking one arbitrarily. A largest
     length outside ``[2^-511, 2^510)`` raises ValueError.
     """
     _require_same_order(p1, p2)
     larger = max(p1.circumradius, p2.circumradius)
     center_distance = p1.center.distance_to(p2.center)
-    largest = max(larger, center_distance)
-    if not (isfinite(largest) and abs(frexp(largest)[1]) <= MAX_LENGTH_EXPONENT):
-        raise ValueError(
-            f"largest length {largest} of the polygon pair lies outside "
-            f"[2^{-MAX_LENGTH_EXPONENT - 1}, 2^{MAX_LENGTH_EXPONENT}), where its squares "
-            "stay finite normal doubles"
-        )
+    largest = _in_range(max(larger, center_distance))
     center_gap = tol.relative_eps * larger
     if center_distance <= center_gap and abs(p1.circumradius - p2.circumradius) <= center_gap:
         raise CoincidentAuxiliaryCircles(
@@ -268,20 +277,19 @@ def pair_polygons(
         t = abs(remainder(phase1 + TWO_PI / n * ref_vertex - atan2(py, px), TWO_PI))
         phases = (toward_point + t, toward_point - t) if rotates else (p2.phase,)
         x, y = c1.x + ldexp(px, e), c1.y + ldexp(py, e)
+        opening = t if rotates else p2.phase - toward_point
+        second = law_of_cosines_distances(r2 * r2 + arm * arm, 2.0 * r2 * arm, n, opening)
+        if not multiset_close(first, second, gate):
+            gap = largest_gap(first, second)
+            warnings.warn(
+                "aligned distance pair did not propagate to the full multiset at "
+                f"{PlanePoint(x, y)}; largest gap {ldexp(gap, e)}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            continue
         circles = None
         for phase in map(normalize_angle, phases):
-            second = law_of_cosines_distances(
-                r2 * r2 + arm * arm, 2.0 * r2 * arm, n, phase - toward_point
-            )
-            if not multiset_close(first, second, gate):
-                gap = largest_gap(first, second)
-                warnings.warn(
-                    "aligned distance pair did not propagate to the full multiset at "
-                    f"{PlanePoint(x, y)}; largest gap {ldexp(gap, e)}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
             found = (px, py, first, phase)
             if _is_duplicate(found, kept, tol):
                 continue

@@ -10,9 +10,9 @@ S(2), S(4) and one placement, all from the radii divided by 2^e once per call
 gate by less than ``sqrt(relative_eps)`` of the largest radius is polished
 by Gauss-Newton first: a discriminant inside its gate leaves the circumradii
 uncertain by about that much. The mirror of the placement's opening angle
-places the same distances up to rounding, so it is tried only within that
-band, where the polish may start from either; a far-off family is refused
-after one placement. The paper's conditions I and II take no part:
+places the same distances bit for bit, since the law-of-cosines kernel is
+exactly even in the angle, so it is never placed: every family costs one
+placement, and the polish starts from that one. The paper's conditions I and II take no part:
 their report, ``assess_feasibility(cyclic_averages(family), tol)``, costs an
 O(n^2) power table and is built by whoever prints it.
 :attr:`Reconstruction.residuals` is measured when first read: the polygons
@@ -200,47 +200,30 @@ def _find_phase(
     distances match the (ascending) radii within
     :meth:`Tolerance.multiset_gate` times the largest.
 
-    Tries the largest radius's phase candidates with the arms as given, +
-    branch before -; a largest radius out of the arms' reach puts a vertex at
-    the far (t = pi) or near (t = 0) point instead. The - branch mirrors the
-    +, so it places the same distances up to rounding and is tried only when
-    the + misses by at most ``sqrt(relative_eps)`` plus that rounding: a far
-    refusal costs one placement. When these miss, the best one is polished
-    (:func:`_polish`) if it misses by at most ``sqrt(relative_eps)``: acos
-    loses half the digits of an angle near 0 or pi, and a discriminant inside
-    its gate leaves the arms uncertain by about that much. Otherwise, or when
-    the polished placement still misses, InfeasibleFamily names the smallest
-    relative gap seen and whether the polish ran.
+    Places the first of the largest radius's phase candidates with the arms
+    as given; a largest radius out of the arms' reach puts a vertex at the far
+    (t = pi) or near (t = 0) point instead. The other candidate, the mirror
+    -t, places the same distances bit for bit
+    (:func:`geom.law_of_cosines_distances` is even in t), so it is never
+    placed. A miss is polished (:func:`_polish`) if it misses by at most
+    ``sqrt(relative_eps)``: acos loses half the digits of an angle near 0 or
+    pi, and a discriminant inside its gate leaves the arms uncertain by
+    about that much. Otherwise, or when the polished placement still misses,
+    InfeasibleFamily names the smaller relative gap seen and whether the
+    polish ran.
     """
     accept = tol.multiset_gate()
-    band = math.sqrt(tol.relative_eps)
     a, b = r * r + l * l, 2.0 * r * l
     larger, smaller = max(r, l), min(r, l)
     candidates = phase_candidates(r, l, radii[-1], tol) if smaller > 0.0 else ()
-    best = None
-    for t in candidates or (math.pi if radii[-1] > larger + smaller else 0.0,):
-        distances = law_of_cosines_distances(a, b, n, t)
-        if multiset_close(distances, radii, accept):
-            return t, larger, smaller
-        gap = _relative_gap(distances, radii)
-        if best is None or gap < best[0]:
-            best = (gap, t)
-        # The mirror -t places the same distances up to rounding. Its
-        # arguments -t + 2*pi*(n-k)/n and t + 2*pi*k/n, both under 3*pi,
-        # each sit within about 28u of exact (u = 2^-53), so with b <= a
-        # each square a - b cos differs by at most about 66u*a, each root
-        # by at most sqrt(66u*a), and the relative gap, whose largest
-        # length is at least sqrt(a) for n >= 3, by at most 2*sqrt(66u),
-        # about 1.7e-7. A + placement missing by more than the band plus
-        # 2^-20 leaves the mirror beyond the band: it can neither pass the
-        # gate nor be polished, so it is not evaluated, and the refusal
-        # names the + gap, the mirror's to within that rounding.
-        if gap > band + 2.0 ** -20:
-            break
-    gap = best[0]
-    polished = gap <= band
+    t = candidates[0] if candidates else (math.pi if radii[-1] > larger + smaller else 0.0)
+    distances = law_of_cosines_distances(a, b, n, t)
+    if multiset_close(distances, radii, accept):
+        return t, larger, smaller
+    gap = _relative_gap(distances, radii)
+    polished = gap <= math.sqrt(tol.relative_eps)
     if polished:
-        polished_gap, t, larger, smaller = _polish(n, larger, smaller, best[1], radii, tol)
+        polished_gap, t, larger, smaller = _polish(n, larger, smaller, t, radii, tol)
         a, b = larger * larger + smaller * smaller, 2.0 * larger * smaller
         if multiset_close(law_of_cosines_distances(a, b, n, t), radii, accept):
             return t, larger, smaller

@@ -344,11 +344,13 @@ def test_vertex_kernel_keeps_the_non_finite_vertex_error():
 
 
 def _written_out_distances(n, r, l, t):
-    """Sorted law-of-cosines distances with the expressions the kernel keeps."""
+    """Sorted law-of-cosines distances with the expressions the kernel keeps,
+    over vertex indices from -((n - 1) // 2) to n // 2, negated for t < 0."""
     step = 2.0 * math.pi / n
+    ks = range(-((n - 1) // 2), n // 2 + 1)
     return sorted(
         math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + step * k), 0.0))
-        for k in range(n)
+        for k in (ks if t >= 0.0 else [-k for k in ks])
     )
 
 

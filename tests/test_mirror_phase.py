@@ -1,12 +1,11 @@
-"""The mirror phase candidate: tried only where the polish can use it.
+"""The mirror phase candidate: never placed.
 
 :func:`geom.phase_candidates` returns an opening angle t and its mirror -t.
-cos is even, so the mirror places the same distance multiset as t up to
-rounding, and ``reconstruct._find_phase`` evaluates it only when the +
-placement misses the gate by at most the polish band ``sqrt(relative_eps)``
-plus a margin of ``2^-20`` that bounds the rounding. These tests count the
+cos is even, and :func:`geom.law_of_cosines_distances` is exactly even in
+t, so the mirror places the same distance multiset as t bit for bit, and
+``reconstruct._find_phase`` places t alone. These tests count the
 placements, compare every verdict with a loop that always tries both, and
-measure the rounding the margin has to cover.
+measure the gap between the two placements, which is 0.
 """
 
 import math
@@ -26,11 +25,6 @@ from concentric_gons import reconstruct
 from concentric_gons.geom import largest_gap, law_of_cosines_distances
 from concentric_gons.oracle import SplitMix64
 
-# The margin reconstruct._find_phase adds to the polish band.
-MARGIN = 2.0 ** -20
-# Its stated bound on how far a mirror placement's relative gap can sit from
-# the + placement's: twice sqrt(66 u), u = 2^-53.
-ROUNDING_BOUND = 2.0 * math.sqrt(66.0 * 2.0 ** -53)
 SIZES = (3, 4, 5, 8, 12, 16, 32, 64)
 
 
@@ -79,13 +73,13 @@ def test_a_far_refusal_places_once(monkeypatch):
         assert len(calls) == 1 and calls[0] > 0.0
 
 
-def test_a_polish_band_family_still_tries_both_candidates(monkeypatch):
+def test_a_polish_band_family_polishes_its_one_placement(monkeypatch):
     family = noisy_family()
     expected = repr(reconstruct_polygons(family))
     calls = placements(monkeypatch)
     assert repr(reconstruct_polygons(family)) == expected
     t = calls[0]
-    assert calls[:3] == [t, -t, "polish"]
+    assert calls[:2] == [t, "polish"]
 
 
 def find_phase_trying_both(n, r, l, radii, tol):
@@ -150,7 +144,7 @@ def outcome(family, tol):
 @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(1e-13)], ids=["default", "1e-13"])
 @pytest.mark.parametrize("n", SIZES)
 def test_skipping_the_mirror_changes_no_verdict(monkeypatch, n, tol):
-    # Tolerance(1e-13) makes the polish band (3.2e-7) narrower than the margin.
+    # Tolerance(1e-13) narrows the polish band to 3.2e-7.
     families = list(nudged_families(n))
     now = [outcome(family, tol) for family in families]
     monkeypatch.setattr(reconstruct, "_find_phase", find_phase_trying_both)
@@ -165,7 +159,7 @@ def test_skipping_the_mirror_changes_no_verdict(monkeypatch, n, tol):
 
 def mirror_gap(r: float, l: float, n: int, t: float) -> float:
     """The largest gap between the placements at t and -t, relative to the
-    largest distance, as the gate measures gaps."""
+    largest distance, as the gate measures gaps: 0 for an even kernel."""
     a, b = r * r + l * l, 2.0 * r * l
     plus = law_of_cosines_distances(a, b, n, t)
     minus = law_of_cosines_distances(a, b, n, -t)
@@ -189,4 +183,4 @@ def test_the_mirror_placement_differs_by_rounding_within_the_margin(n):
             for t in angles:
                 worst = max(worst, mirror_gap(r, l, n, math.remainder(t, 2.0 * math.pi)))
     assert mirror_gap(1.0, 1.0, n, 0.0) == 0.0
-    assert 2.0 * worst <= ROUNDING_BOUND < MARGIN
+    assert worst == 0.0

@@ -365,11 +365,14 @@ def test_half_grid_sweep_matches_full_grid_reference(n, r, l, target):
 
 
 def _generated(r, l, n, t):
+    """The law-of-cosines distances over vertex indices from -((n - 1) // 2)
+    to n // 2, negated for t < 0, as the kernel places them."""
     period = 2.0 * math.pi / n
+    ks = range(-((n - 1) // 2), n // 2 + 1)
     return tuple(
         sorted(
             math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + period * k), 0.0))
-            for k in range(n)
+            for k in (ks if t >= 0.0 else [-k for k in ks])
         )
     )
 

@@ -369,6 +369,21 @@ def test_shared_vertex_always_pairs(n, r1, r2, phase1, direction):
     assert len(results) >= 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="at a shared vertex the law of cosines loses half the digits of a zero distance",
+)
+def test_triangles_tangent_at_their_shared_vertex_pair():
+    # The auxiliary circles touch at the shared vertex, where one distance is
+    # 0: a - b cos(t) cancels, and its root misses the gate by 6e-8 of 5.2.
+    phase = 5.249078480359137
+    p1 = RegularPolygonSpec(3, PlanePoint(0, 0), 3.0, phase)
+    shared = vertices(p1)[0]
+    center2 = PlanePoint(shared.x + 3.0 * math.cos(phase), shared.y + 3.0 * math.sin(phase))
+    p2 = RegularPolygonSpec(3, center2, 3.0, math.atan2(shared.y - center2.y, shared.x - center2.x))
+    assert len(pair_polygons(p1, p2)) >= 1
+
+
 def test_alignment_builds_only_the_reference_vertex(monkeypatch):
     # Alignment measures in the first center's frame, in units of 2^e, e the
     # largest length's binary exponent. The reference distance uses the
@@ -459,8 +474,8 @@ def test_gate_warning_points_at_the_caller_in_the_callers_units(monkeypatch):
     monkeypatch.setattr(pairing, "multiset_close", lambda *args: False)
     with pytest.warns(RuntimeWarning) as caught:
         assert pair_polygons(p1, p2) == []
-    assert len(caught) == 4
-    for warning, point in zip(caught, [point for point in points for _ in range(2)]):
+    assert len(caught) == len(points) == 2  # one gate decides both branches
+    for warning, point in zip(caught, points):
         assert warning.filename == __file__
         head = f"aligned distance pair did not propagate to the full multiset at {point}; "
         message = str(warning.message)

@@ -59,13 +59,51 @@ def test_output_corpus_is_reproducible(tmp_path):
     assert any(record["svg"] for record in records)
 
 
+def test_output_corpus_names_the_commands_that_changed(tmp_path):
+    # Two small corpora: the one written, and a copy with one pinned field
+    # changed in each of three commands, the human text of a fourth changed
+    # and the last command dropped.
+    done = run_script("output_corpus.py", "--out", "new.json", "--sizes", "3", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    new = json.loads((tmp_path / "new.json").read_bytes())
+    old = json.loads((tmp_path / "new.json").read_bytes())
+    json_out = next(r for r in old if r["argv"][0] == "verify" and "--json" in r["argv"])
+    json_out["stdout"] += " "
+    with_svg = next(r for r in old if r["argv"][0] == "render" and r["svg"])
+    name = next(iter(with_svg["svg"]))
+    with_svg["svg"][name] += " "
+    exits = next(r for r in old if r["argv"][0] == "check")
+    exits["exit"] = 99
+    human = next(r for r in old if r["argv"][0] == "pair" and "--json" not in r["argv"])
+    human["stdout"] += " "
+    dropped = old.pop()
+    (tmp_path / "old.json").write_text(json.dumps(old), encoding="utf-8")
+    done = run_script(
+        "output_corpus.py", "--out", "again.json", "--sizes", "3", "--against", "old.json",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    named = [line[len("changed: "):] for line in lines if line.startswith("changed: ")]
+    assert sorted(named) == sorted(
+        " ".join(r["argv"]) for r in (json_out, with_svg, exits, dropped)
+    )
+    assert f"4 of {len(new)} commands changed" in lines
+    totals = {sub: sum(r["argv"][0] == sub for r in new) for sub in ("check", "render", "verify")}
+    assert f"  check: 1 of {totals['check']}" in lines
+    assert f"  render: 2 of {totals['render']}" in lines
+    assert f"  verify: 1 of {totals['verify']}" in lines
+    assert any(line.startswith("  pair: 0 of ") for line in lines)
+
+
 # sha256 over the exit code, the ``--json`` stdout and the SVG texts of the
 # whole corpus (852 commands, every size). Human text and stderr are left
 # out, because argparse words them differently across Python versions; the
 # floats depend on the C library's trig, so the pin holds per platform. A
 # new digest is a change in output: re-pin only with a CHANGES.md entry that
-# names the commands whose output changed.
-CORPUS_SHA256 = "c42d41a76134b79955d3e24fc7bd9110b1730e6ea915dba428c5327ec39f574c"
+# names the commands whose output changed, as ``output_corpus.py --against``
+# lists them.
+CORPUS_SHA256 = "6bbe2bea15e8526f9259f9450ec8da730a23c90acd1caf30d346ef38aac6c37b"
 
 
 def test_output_corpus_bytes_are_pinned(tmp_path):

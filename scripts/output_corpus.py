@@ -246,18 +246,14 @@ def pinned(record: dict) -> list:
     return [record["exit"], record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
 
 
-def changed_commands(old: list[dict], new: list[dict]) -> list[list[str]]:
-    """The argv of each command in ``new`` whose pinned fields differ from
-    the same command's in ``old``, or that ``old`` lacks, in ``new``'s order."""
+def report_changes(old: list[dict], new: list[dict]) -> None:
+    """Print each command of ``new`` whose pinned fields differ from the same
+    command's in ``old``, or that ``old`` lacks, then the count per subcommand."""
     before = {json.dumps(record["argv"]): pinned(record) for record in old}
-    return [
+    changed = [
         record["argv"] for record in new
         if before.get(json.dumps(record["argv"])) != pinned(record)
     ]
-
-
-def report_changes(old: list[dict], new: list[dict]) -> None:
-    changed = changed_commands(old, new)
     for argv in changed:
         print("changed: " + " ".join(argv))
     totals = Counter(record["argv"][0] for record in new)

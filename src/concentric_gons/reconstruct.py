@@ -10,11 +10,11 @@ S(2), S(4) and one placement, all from the radii divided by 2^e once per call
 gate by less than ``sqrt(relative_eps)`` of the largest radius is polished
 by Gauss-Newton first: a discriminant inside its gate leaves the circumradii
 uncertain by about that much. The mirror of the placement's opening angle
-places the same distances bit for bit, since the law-of-cosines kernel is
-exactly even in the angle, so it is never placed: every family costs one
-placement, and the polish starts from that one. The paper's conditions I and II take no part:
-their report, ``assess_feasibility(cyclic_averages(family), tol)``, costs an
-O(n^2) power table and is built by whoever prints it.
+places the same distances bit for bit (the law-of-cosines kernel is exactly
+even in the angle), so it is never placed, and the polish starts from the
+one placement. The paper's conditions I and II take no part: their report,
+``assess_feasibility(cyclic_averages(family), tol)``, costs an O(n^2) power
+table and is built by whoever prints it.
 :attr:`Reconstruction.residuals` is measured when first read: the polygons
 are placed in Cartesian coordinates and their vertex distances compared with
 the radii, independently of the law-of-cosines gate that decided the family.

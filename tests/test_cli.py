@@ -183,8 +183,20 @@ def test_non_utf8_instance_file_error_names_the_file(tmp_path):
             '{"kind": "circles", "circles": {"center": [0], "radii": [1, 1, 2]}}',
             "circles.center must be a [x, y] pair, got [0]",
         ),
+        ("check", "[1, 2]", "instance must be a JSON object, got list"),
+        (
+            "pair",
+            '{"kind": "polygon_pair", "polygons": [1, {"n": 4, "center": [1, 0], '
+            '"circumradius": 1}]}',
+            "polygons[0] must be an object, got 1",
+        ),
+        (
+            "check",
+            '{"kind": "circles", "circles": {"center": [0, 0], "radii": "1,2,3"}}',
+            "circles.radii must be a list of numbers",
+        ),
     ],
-    ids=["pair", "check"],
+    ids=["pair", "check", "not_an_object", "polygon_not_an_object", "radii_not_a_list"],
 )
 def test_an_instance_field_error_names_the_field_once(command, document, message, tmp_path):
     path = tmp_path / "bad.json"

@@ -148,6 +148,15 @@ def test_externally_tangent_circles():
     assert y == pytest.approx(0.0, abs=1e-12)
 
 
+def test_a_tangency_the_height_rounds_away_gives_one_point():
+    # The circles miss tangency by 9e-9 of the larger radius, past the
+    # 1e-9 gate, yet the height squared rounds to 0: one point, not two
+    # copies of the foot.
+    assert float_circle_intersection(0.0, 0.0, 1.0, 1.0000000089999999, 0.0, 1e-8, 1e-9) == (
+        (1.0, 0.0),
+    )
+
+
 def test_two_point_intersection_order():
     points = float_circle_intersection(0, 0, 1, 2, 0, 2, EPS)
     assert len(points) == 2

@@ -7,7 +7,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from concentric_gons import (
     CircleFamily,
@@ -220,6 +220,8 @@ def test_round_trip_circles_to_polygons_to_circles(n, seed):
 
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.floats(min_value=0.05, max_value=10.0), min_size=3, max_size=8))
+@example([3.078125, 3.078125, 3.078125, 3.080078125])
+@example([1.0, 1.0, 2.0, 2.00001])
 def test_reconstruct_never_returns_junk(radii):
     # Arbitrary radii either reconstruct to within the acceptance gate or
     # raise the typed rejection; no silent bad output.

@@ -61,14 +61,24 @@ def test_output_corpus_is_reproducible(tmp_path):
 
 def test_output_corpus_names_the_commands_that_changed(tmp_path):
     # Two small corpora: the one written, and a copy with one pinned field
-    # changed in each of three commands, the human text of a fourth changed
-    # and the last command dropped.
+    # changed in each of five commands, the human text of a sixth changed
+    # and the last command dropped. Each changed command is followed by what
+    # changed in it, and a tally per field closes the report.
     done = run_script("output_corpus.py", "--out", "new.json", "--sizes", "3", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     new = json.loads((tmp_path / "new.json").read_bytes())
     old = json.loads((tmp_path / "new.json").read_bytes())
     json_out = next(r for r in old if r["argv"][0] == "verify" and "--json" in r["argv"])
     json_out["stdout"] += " "
+    pairs = [
+        r for r in old
+        if r["argv"][0] == "pair" and "--json" in r["argv"] and r["exit"] == 0
+        and json.loads(r["stdout"])["count"] > 1
+    ]
+    for record, index in zip(pairs, (1, 0)):
+        payload = json.loads(record["stdout"])
+        payload["results"][index]["aligned_second"]["phase"] += 1.0
+        record["stdout"] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with_svg = next(r for r in old if r["argv"][0] == "render" and r["svg"])
     name = next(iter(with_svg["svg"]))
     with_svg["svg"][name] += " "
@@ -84,16 +94,35 @@ def test_output_corpus_names_the_commands_that_changed(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    named = [line[len("changed: "):] for line in lines if line.startswith("changed: ")]
-    assert sorted(named) == sorted(
-        " ".join(r["argv"]) for r in (json_out, with_svg, exits, dropped)
-    )
-    assert f"4 of {len(new)} commands changed" in lines
+    fields = {}
+    for line in lines:
+        if line.startswith("changed: "):
+            fields[line[len("changed: "):]] = current = []
+        elif line.startswith("    ") and fields:
+            current.append(line.strip())
+    changed = {
+        " ".join(json_out["argv"]): ["stdout"],
+        " ".join(pairs[0]["argv"]): ["results[1].aligned_second.phase"],
+        " ".join(pairs[1]["argv"]): ["results[0].aligned_second.phase"],
+        " ".join(with_svg["argv"]): ["svg"],
+        " ".join(exits["argv"]): ["exit"],
+        " ".join(dropped["argv"]): ["new"],
+    }
+    assert fields == changed
+    assert f"6 of {len(new)} commands changed" in lines
     totals = {sub: sum(r["argv"][0] == sub for r in new) for sub in ("check", "render", "verify")}
     assert f"  check: 1 of {totals['check']}" in lines
     assert f"  render: 2 of {totals['render']}" in lines
     assert f"  verify: 1 of {totals['verify']}" in lines
-    assert any(line.startswith("  pair: 0 of ") for line in lines)
+    assert any(line.startswith("  pair: 2 of ") for line in lines)
+    tally = lines[lines.index("changes per field:") + 1:]
+    assert tally == [
+        "  results[].aligned_second.phase: 2",
+        "  exit: 1",
+        "  new: 1",
+        "  stdout: 1",
+        "  svg: 1",
+    ]
 
 
 # sha256 over the exit code, the ``--json`` stdout and the SVG texts of the

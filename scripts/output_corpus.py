@@ -23,7 +23,12 @@ overflow or underflow a double; and usage and file-format errors.
 With ``--against OLD.json`` the script also prints every command whose
 pinned fields (exit code, ``--json`` stdout and SVG texts, as
 ``tests/test_scripts.py`` digests them) differ from OLD's, or that OLD
-lacks, then how many commands of each subcommand changed.
+lacks, each followed by what changed in it: ``exit``, ``svg``, the paths of
+the ``--json`` values that differ (such as
+``results[1].aligned_second.phase``; ``stdout`` if only the text does), or
+``new``. Then it prints how many commands of each subcommand changed, and
+how many commands changed at each path, with list indices collapsed (such
+as ``results[].aligned_second.phase``).
 """
 
 import argparse
@@ -31,6 +36,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from collections import Counter
@@ -246,21 +252,61 @@ def pinned(record: dict) -> list:
     return [record["exit"], record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
 
 
+def json_paths(old, new, path: str = ""):
+    """The paths, such as ``results[1].aligned_second.phase``, at which two
+    decoded JSON values differ; a key or list length that differs ends the
+    path there."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            inner = f"{path}.{key}" if path else key
+            if key in old and key in new:
+                yield from json_paths(old[key], new[key], inner)
+            else:
+                yield inner
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for index, (a, b) in enumerate(zip(old, new)):
+            yield from json_paths(a, b, f"{path}[{index}]")
+    elif type(old) is not type(new) or old != new:
+        yield path or "stdout"
+
+
+def changed_fields(old: dict | None, new: dict) -> list[str]:
+    """What differs in the pinned fields of one command's two records."""
+    if old is None:
+        return ["new"]
+    fields = ["exit"] if old["exit"] != new["exit"] else []
+    if "--json" in new["argv"] and old["stdout"] != new["stdout"]:
+        try:
+            paths = list(json_paths(json.loads(old["stdout"]), json.loads(new["stdout"])))
+        except ValueError:
+            paths = []
+        fields += paths or ["stdout"]
+    if old["svg"] != new["svg"]:
+        fields.append("svg")
+    return fields
+
+
 def report_changes(old: list[dict], new: list[dict]) -> None:
     """Print each command of ``new`` whose pinned fields differ from the same
-    command's in ``old``, or that ``old`` lacks, then the count per subcommand."""
-    before = {json.dumps(record["argv"]): pinned(record) for record in old}
-    changed = [
-        record["argv"] for record in new
-        if before.get(json.dumps(record["argv"])) != pinned(record)
-    ]
-    for argv in changed:
-        print("changed: " + " ".join(argv))
+    command's in ``old``, or that ``old`` lacks, with what changed in it,
+    then the count per subcommand and per changed field."""
+    before = {json.dumps(record["argv"]): record for record in old}
+    counts, per_field = Counter(), Counter()
+    for record in new:
+        fields = changed_fields(before.get(json.dumps(record["argv"])), record)
+        if fields:
+            print("changed: " + " ".join(record["argv"]))
+            for field in fields:
+                print("    " + field)
+            counts[record["argv"][0]] += 1
+            per_field.update({re.sub(r"\[\d+\]", "[]", field) for field in fields})
     totals = Counter(record["argv"][0] for record in new)
-    counts = Counter(argv[0] for argv in changed)
-    print(f"{len(changed)} of {len(new)} commands changed")
+    print(f"{counts.total()} of {len(new)} commands changed")
     for subcommand, total in sorted(totals.items()):
         print(f"  {subcommand}: {counts[subcommand]} of {total}")
+    print("changes per field:")
+    for field, count in sorted(per_field.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {field}: {count}")
 
 
 def main():

@@ -302,7 +302,6 @@ def cmd_pair(args) -> int:
                     "center": [res.center.x, res.center.y],
                     "radii": list(res.circles.radii),
                     "aligned_second": polygon_record(res.aligned_second),
-                    "matched_vertices": list(res.matched_vertex_pair),
                 }
                 for res in results
             ],

@@ -212,7 +212,8 @@ def float_circle_intersection(
 
     Returns two points for transversal intersection (the point on the
     positive side of the center-1 -> center-2 axis first), one point for
-    tangency within tolerance, and none when the circles are disjoint.
+    tangency within tolerance or where the height of the intersection
+    rounds to 0, and none when the circles are disjoint.
     Coincident circles of positive radius raise CoincidentCircles. Lengths
     far below the largest one lose their squares to underflow, so a caller
     near the bottom of the float range passes them in units of that largest
@@ -239,7 +240,9 @@ def float_circle_intersection(
     if abs(dist - (r1 + r2)) <= g or abs(dist - abs(r1 - r2)) <= g:
         return ((fx, fy),)
     height_sq = r1 * r1 - along * along
-    height = sqrt(height_sq) if height_sq > 0.0 else 0.0
+    if height_sq <= 0.0:
+        return ((fx, fy),)
+    height = sqrt(height_sq)
     # (-uy, ux) is the counterclockwise normal: positive half-plane first.
     return ((fx - height * uy, fy + height * ux), (fx + height * uy, fy - height * ux))
 

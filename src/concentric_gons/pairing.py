@@ -6,11 +6,12 @@ from the second (the circumradii swap roles), so candidates are
 intersections of the two auxiliary circles. From P both polygons then show
 vertex k at the distance sqrt(R1^2 + R2^2 - 2 R1 R2 cos(phase_i + 2 pi k/n
 - alpha_i)), alpha_i the angle of P - c_i. Rotating the second polygon
-until its vertex 0 agrees with the first polygon's reference vertex ref
-therefore has the closed form phase2 = alpha2 +/- (phase1 + 2 pi ref/n -
-alpha1), and it forces the whole multisets to agree; both branches are
-produced, and one check of the full multiset at the opening angle
-re-verifies both, since the law-of-cosines kernel is exactly even in it.
+until its vertex 0 agrees with the first polygon's vertex 0 therefore has
+the closed form phase2 = alpha2 +/- (phase1 - alpha1), and it forces the
+whole multisets to agree; both branches are produced, once where they
+coincide modulo 2 pi/n, and one check of the full multiset at the opening
+angle re-verifies both, since the law-of-cosines kernel is exactly even in
+it.
 
 Pairing runs on plain floats in the first center's frame, in units of 2^e,
 e the binary exponent of the largest length L = max(R1, R2, |c1c2|): every
@@ -44,7 +45,6 @@ from .geom import (
     law_of_cosines_distances,
     multiset_close,
     normalize_angle,
-    opening_cosines,
     phase_candidates,
 )
 # Unused here; perfbench/tracing.py wraps pairing.distance_multiset and
@@ -56,23 +56,16 @@ class PairingResult(_Value):
     """One common-distance configuration.
 
     ``center`` carries the concentric circles whose radii are the shared
-    multiset; ``aligned_second`` is the second polygon after rotation;
-    ``matched_vertex_pair`` names the vertex of the first polygon used as
-    distance reference and the vertex of the rotated second polygon placed
-    at that distance (always vertex 0 by construction).
+    multiset; ``aligned_second`` is the second polygon after rotation, its
+    vertex 0 at the distance of the first polygon's vertex 0 from ``center``.
     """
 
     def __init__(
-        self,
-        center: PlanePoint,
-        aligned_second: RegularPolygonSpec,
-        circles: CircleFamily,
-        matched_vertex_pair: tuple[int, int],
+        self, center: PlanePoint, aligned_second: RegularPolygonSpec, circles: CircleFamily
     ):
         _set(self, "center", center)
         _set(self, "aligned_second", aligned_second)
         _set(self, "circles", circles)
-        _set(self, "matched_vertex_pair", matched_vertex_pair)
 
 
 def _require_same_order(p1: RegularPolygonSpec, p2: RegularPolygonSpec) -> None:
@@ -193,45 +186,9 @@ def align_second_polygon(
     )
 
 
-def _best_conditioned_vertex(a: float, b: float, distances: list[float]) -> int:
-    """Reference vertex whose opening cosine is nearest zero, from the
-    distances of the first polygon's vertices in vertex order, with
-    a = r1^2 + r2^2 and b = 2 r1 r2.
-
-    Every vertex gives the same configurations; the choice fixes the vertex
-    that ``matched_vertex_pair`` names, and with it the aligned phase. At
-    even n vertex k + n/2 is the antipode of vertex k, its opening cosine
-    negated: the two tie, and rounding, which moves with the frame, would
-    pick one. So only k < n/2 is searched there.
-    """
-    if b <= 0.0:
-        return 0
-    if len(distances) % 2 == 0:
-        distances = distances[: len(distances) // 2]
-    cosines = list(map(abs, opening_cosines(a, b, distances)))
-    return cosines.index(min(cosines))
-
-
 def _phases_coincide(a: float, b: float, period: float, tol: Tolerance) -> bool:
     diff = fmod(abs(a - b), period)
     return min(diff, period - diff) <= tol.relative_eps
-
-
-def _is_duplicate(found: tuple, kept: list[tuple], tol: Tolerance) -> bool:
-    """Whether ``found``, a (px, py, first distances, second phase) tuple in
-    units, repeats one in ``kept`` within tolerance. The cheap phase test
-    runs before the O(n) ones."""
-    px, py, first, phase = found
-    period = TWO_PI / len(first)
-    center_gap = tol.relative_eps * first[-1]
-    for qx, qy, other, other_phase in kept:
-        if (
-            _phases_coincide(phase, other_phase, period, tol)
-            and hypot(px - qx, py - qy) <= center_gap
-            and multiset_close(first, other, tol)
-        ):
-            return True
-    return False
 
 
 def pair_polygons(
@@ -240,15 +197,15 @@ def pair_polygons(
     """All concentric-circle configurations shared by the two polygons.
 
     At each auxiliary intersection point the second polygon takes both
-    closed-form phases (a point polygon keeps its own), and the first
-    polygon's distances are the radii. The second polygon's, from the law
-    of cosines at the opening angle, must match them within the multiset
-    gate, checked once for both phases; the closed form forces that, so a
-    miss is reported as a numerical diagnostic (a RuntimeWarning per point)
-    rather than silently dropped. Identical concentric polygons admit a
-    continuum of valid points and raise
-    CoincidentAuxiliaryCircles instead of picking one arbitrarily. A largest
-    length outside ``[2^-511, 2^510)`` raises ValueError.
+    closed-form phases, or one where they coincide modulo 2 pi/n (a point
+    polygon keeps its own), and the first polygon's distances are the
+    radii. The second polygon's, from the law of cosines at the opening
+    angle, must match them within the multiset gate, checked once for both
+    phases; the closed form forces that, so a miss is reported as a
+    numerical diagnostic (a RuntimeWarning per point) rather than silently
+    dropped. Identical concentric polygons admit a continuum of valid points
+    and raise CoincidentAuxiliaryCircles instead of picking one arbitrarily.
+    A largest length outside ``[2^-511, 2^510)`` raises ValueError.
     """
     _require_same_order(p1, p2)
     larger = max(p1.circumradius, p2.circumradius)
@@ -262,20 +219,15 @@ def pair_polygons(
         )
     e, dx, dy, r1, r2 = _in_units(p1, p2, largest)
     n, phase1, c1 = p1.n, p1.phase, p1.center
-    a, b = r1 * r1 + r2 * r2, 2.0 * r1 * r2
     # A point polygon sees every vertex of the other at one distance.
     rotates = min(r1, r2) > tol.relative_eps * max(r1, r2)
     gate = tol.multiset_gate()
     results: list[PairingResult] = []
-    kept: list[tuple] = []  # (px, py, first, phase) of each result, in units
     for px, py in _meeting_points(dx, dy, r1, r2, tol.relative_eps):
         offsets = float_vertex_offsets(0.0, 0.0, r1, phase1, n, px, py, range(n))
-        distances = list(map(hypot, *offsets))
-        first = sorted(distances)
-        ref_vertex = _best_conditioned_vertex(a, b, distances)
+        first = sorted(map(hypot, *offsets))
         toward_point, arm = atan2(py - dy, px - dx), hypot(px - dx, py - dy)
-        t = abs(remainder(phase1 + TWO_PI / n * ref_vertex - atan2(py, px), TWO_PI))
-        phases = (toward_point + t, toward_point - t) if rotates else (p2.phase,)
+        t = abs(remainder(phase1 - atan2(py, px), TWO_PI))
         x, y = c1.x + ldexp(px, e), c1.y + ldexp(py, e)
         opening = t if rotates else p2.phase - toward_point
         second = law_of_cosines_distances(r2 * r2 + arm * arm, 2.0 * r2 * arm, n, opening)
@@ -288,15 +240,16 @@ def pair_polygons(
                 stacklevel=2,
             )
             continue
-        circles = None
-        for phase in map(normalize_angle, phases):
-            found = (px, py, first, phase)
-            if _is_duplicate(found, kept, tol):
-                continue
-            kept.append(found)
-            if circles is None:
-                center = PlanePoint(x, y)
-                circles = CircleFamily(center=center, radii=[ldexp(d, e) for d in first])
-            aligned = RegularPolygonSpec(n, p2.center, p2.circumradius, phase)
-            results.append(PairingResult(center, aligned, circles, (ref_vertex, 0)))
+        if not rotates:
+            phases = [normalize_angle(p2.phase)]
+        else:
+            phases = [normalize_angle(toward_point + t), normalize_angle(toward_point - t)]
+            if _phases_coincide(*phases, TWO_PI / n, tol):
+                del phases[1]
+        center = PlanePoint(x, y)
+        circles = CircleFamily(center=center, radii=[ldexp(d, e) for d in first])
+        results.extend(
+            PairingResult(center, RegularPolygonSpec(n, p2.center, p2.circumradius, phase), circles)
+            for phase in phases
+        )
     return results

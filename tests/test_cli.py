@@ -667,19 +667,19 @@ def test_verify_passes_every_random_pair_file(n, point, tmp_path):
 def _rotated_second(res):
     second = res.aligned_second
     rotated = RegularPolygonSpec(second.n, second.center, second.circumradius, second.phase + 1e-3)
-    return PairingResult(res.center, rotated, res.circles, res.matched_vertex_pair)
+    return PairingResult(res.center, rotated, res.circles)
 
 
 def _rescaled_last_radius(res):
     radii = res.circles.radii
     circles = CircleFamily(res.circles.center, (*radii[:-1], radii[-1] * (1 + 1e-6)))
-    return PairingResult(res.center, res.aligned_second, circles, res.matched_vertex_pair)
+    return PairingResult(res.center, res.aligned_second, circles)
 
 
 def _moved_center(res):
     center = res.center.translated(1e-3, 0.0)
     circles = CircleFamily(center, res.circles.radii)
-    return PairingResult(center, res.aligned_second, circles, res.matched_vertex_pair)
+    return PairingResult(center, res.aligned_second, circles)
 
 
 @pytest.mark.parametrize(

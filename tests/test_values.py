@@ -64,9 +64,8 @@ CASES = {
     ),
     "PairingResult": (
         PairingResult,
-        lambda: (_point(), _spec(), _family(), (1, 0)),
-        f"PairingResult(center={P}, aligned_second={SPEC}, circles={FAMILY}, "
-        "matched_vertex_pair=(1, 0))",
+        lambda: (_point(), _spec(), _family()),
+        f"PairingResult(center={P}, aligned_second={SPEC}, circles={FAMILY})",
     ),
     "Reconstruction": (
         Reconstruction,
@@ -96,7 +95,7 @@ FIELDS = {
         "condition2_residuals",
         "degenerate_single_polygon",
     ),
-    PairingResult: ("center", "aligned_second", "circles", "matched_vertex_pair"),
+    PairingResult: ("center", "aligned_second", "circles"),
     Reconstruction: ("polygon1", "polygon2", "circumradii", "point_polygon", "family"),
     InstanceDocument: ("kind", "circles", "polygons", "metadata", "load_warnings"),
 }

@@ -274,14 +274,15 @@ def changed_fields(old: dict | None, new: dict) -> list[str]:
     """What differs in the pinned fields of one command's two records."""
     if old is None:
         return ["new"]
-    fields = ["exit"] if old["exit"] != new["exit"] else []
-    if "--json" in new["argv"] and old["stdout"] != new["stdout"]:
+    (old_exit, old_json, old_svg), (new_exit, new_json, new_svg) = pinned(old), pinned(new)
+    fields = ["exit"] if old_exit != new_exit else []
+    if old_json != new_json:
         try:
-            paths = list(json_paths(json.loads(old["stdout"]), json.loads(new["stdout"])))
+            paths = list(json_paths(json.loads(old_json), json.loads(new_json)))
         except ValueError:
             paths = []
         fields += paths or ["stdout"]
-    if old["svg"] != new["svg"]:
+    if old_svg != new_svg:
         fields.append("svg")
     return fields
 

@@ -267,9 +267,9 @@ def test_pair_matched_vertex_distances_agree():
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12, 32, 64])
 def test_matched_vertex_survives_a_shift_of_1e9_largest_lengths(n):
-    # The shift rounds the centers by about 1e-7 of the largest length, so
-    # the phases move by about that much; a different matched vertex would
-    # move the aligned second polygon by a multiple of 2 pi/n.
+    # The shift rounds the centers by about 1e-7 of the largest length, and
+    # the phases move by up to about 1e-6 here; a different matched vertex
+    # would move the aligned second polygon by a multiple of 2 pi/n.
     for seed in range(1, 21):
         inst = random_instance(n, seed)
         p1, p2 = inst.polygon1, inst.polygon2

@@ -1,4 +1,6 @@
 import math
+import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from concentric_gons import (
     vertices,
 )
 from concentric_gons.cli import IDENTITY_TOLERANCE
+from concentric_gons.oracle import _draw_instance, _instance_from, _splitmix64_outputs
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,6 +48,56 @@ def test_splitmix64_uniform_range():
     rng = SplitMix64(42)
     values = [rng.uniform(0.1, 10.0) for _ in range(1000)]
     assert all(0.1 <= v < 10.0 for v in values)
+
+
+# The seed whose first state, seed + 0x9E3779B97F4A7C15 mod 2^64, is all
+# ones: its first shifts push the most set bits past its lane's low 64.
+ALL_ONES_FIRST_STATE = (2**64 - 1 - 0x9E3779B97F4A7C15) % 2**64
+PACKED_SEEDS = [0, 1, -1, 2**64 - 1, 2**64 + 3, -(2**70) + 5, ALL_ONES_FIRST_STATE] + [
+    random.Random(30).randrange(-(2**70), 2**70) for _ in range(50)
+]
+
+
+def reference_outputs(seeds, count):
+    streams = []
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        streams.extend(rng.next_u64() for _ in range(count))
+    return streams
+
+
+@pytest.mark.parametrize("count", [1, 8, 9])
+def test_packed_splitmix64_matches_the_generator_bit_for_bit(count):
+    for seed in PACKED_SEEDS:
+        packed = _splitmix64_outputs([seed], count)
+        assert packed.typecode == "Q"
+        assert list(packed) == reference_outputs([seed], count), seed
+    # 200 lanes, each seed next to several others: the all-ones state sits
+    # at both ends of the int and between full lanes.
+    batch = [PACKED_SEEDS[(7 * i) % len(PACKED_SEEDS)] for i in range(199)]
+    batch.append(ALL_ONES_FIRST_STATE)
+    assert _splitmix64_outputs(batch, count) == array("Q", reference_outputs(batch, count))
+
+
+def test_packed_splitmix64_of_no_seeds_is_empty():
+    assert _splitmix64_outputs([], 9) == array("Q")
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_one_draw_recipe_reads_the_packed_outputs(n):
+    # verify --seed reads 200 instances from one packed batch; each reads
+    # exactly nine outputs (eight with a point polygon) and is the instance
+    # that random_instance draws from SplitMix64.
+    seeds = [100003 + n * 1009 + index for index in range(200)]
+    batch = iter(_splitmix64_outputs(seeds, 9))
+    for seed in seeds:
+        assert _instance_from(n, batch) == _draw_instance(n, seed)
+        draws = iter(_splitmix64_outputs([seed], 8))
+        assert _instance_from(n, draws, zero_smaller_radius=True) == _draw_instance(
+            n, seed, zero_smaller_radius=True
+        )
+        assert next(draws, None) is None
+    assert next(batch, None) is None
 
 
 # ------------------------------------------------------- power identity

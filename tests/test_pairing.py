@@ -436,14 +436,24 @@ def test_shared_vertex_always_pairs(n, r1, r2, phase1, direction):
     strict=True,
     reason="at a shared vertex the law of cosines loses half the digits of a zero distance",
 )
-def test_triangles_tangent_at_their_shared_vertex_pair():
+@pytest.mark.parametrize(
+    "radius, phase",
+    [(3.0, 5.249078480359137), (1.0939570482651175, 2.867409793139052)],
+    ids=["r3", "r1.09"],
+)
+def test_triangles_tangent_at_their_shared_vertex_pair(radius, phase):
     # The auxiliary circles touch at the shared vertex, where one distance is
-    # 0: a - b cos(t) cancels, and its root misses the gate by 6e-8 of 5.2.
-    phase = 5.249078480359137
-    p1 = RegularPolygonSpec(3, PlanePoint(0, 0), 3.0, phase)
+    # 0: a - b cos(t) cancels, and its root misses the gate, by 6e-8 of 5.2
+    # at r = 3 and by 2.1e-8 at the example test_shared_vertex_always_pairs
+    # drew (r1 = r2 = radius, phase1 = direction = phase).
+    p1 = RegularPolygonSpec(3, PlanePoint(0, 0), radius, phase)
     shared = vertices(p1)[0]
-    center2 = PlanePoint(shared.x + 3.0 * math.cos(phase), shared.y + 3.0 * math.sin(phase))
-    p2 = RegularPolygonSpec(3, center2, 3.0, math.atan2(shared.y - center2.y, shared.x - center2.x))
+    center2 = PlanePoint(
+        shared.x + radius * math.cos(phase), shared.y + radius * math.sin(phase)
+    )
+    p2 = RegularPolygonSpec(
+        3, center2, radius, math.atan2(shared.y - center2.y, shared.x - center2.x)
+    )
     assert len(pair_polygons(p1, p2)) >= 1
 
 

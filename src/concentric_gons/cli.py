@@ -13,7 +13,9 @@ import argparse
 import functools
 import importlib
 import math
+import os
 import re
+import stat
 import sys
 
 from .errors import (
@@ -48,8 +50,9 @@ CERTIFICATION_SEED = 1
 # The names this module takes from the modules that only some commands run.
 # They are globals only once bound, so a function that calls one binds first.
 _LAZY = {
-    "oracle": ("_draw_instance", "_identity_residual", "angle_sweep",
-               "power_identity_residual", "random_instance"),
+    "oracle": ("_INSTANCE_DRAWS", "_identity_residual", "_instance_from",
+               "_splitmix64_outputs", "angle_sweep", "power_identity_residual",
+               "random_instance"),
     "pairing": ("candidate_centers", "pair_polygons"),
     "svg": ("render_configuration",),
 }
@@ -152,10 +155,20 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _write_svg(path: str, text: str) -> None:
-    """Write an SVG drawing; a path that cannot be written is a usage error."""
+    """Write an SVG drawing's UTF-8 bytes; a path that cannot be written is a
+    usage error.
+
+    An existing file is overwritten in place and then cut to the drawing's
+    length, which leaves the same bytes as truncating it first, at a fraction
+    of the cost of a truncating open on some file systems. Only a regular
+    file is cut, so a device or a pipe gets the bytes as before. A new file
+    gets the mode that ``open(path, "w")`` gives.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from None
 
@@ -415,14 +428,22 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
 def _verify_certification(seed: int) -> dict:
     """The worst power-identity residual of each vertex count's random
     instances, on the numbers and kernel behind :func:`random_instance` and
-    :func:`power_identity_residual`, with no points or polygons built."""
+    :func:`power_identity_residual`, with no points or polygons built.
+
+    Instance ``index`` of vertex count n is ``random_instance(n, seed *
+    100003 + n * 1009 + index)``. The draws of one vertex count's instances
+    come from one lane-packed batch of SplitMix64 streams, read by the same
+    recipe as :func:`random_instance`."""
     _bind("oracle")
     rows = []
     ok = True
     for n in CERTIFICATION_ORDERS:
+        first = seed * 100003 + n * 1009
+        seeds = range(first, first + CERTIFICATION_SAMPLES)
+        draws = iter(_splitmix64_outputs(seeds, _INSTANCE_DRAWS))
         worst = 0.0
         for index in range(CERTIFICATION_SAMPLES):
-            (px, py), *polygons = _draw_instance(n, seed * 100003 + n * 1009 + index)
+            (px, py), *polygons = _instance_from(n, draws)
             m = 1 + (index % (n - 1))
             for cx, cy, r, phase in polygons:
                 worst = max(worst, _identity_residual(cx, cy, r, phase, n, px, py, m))

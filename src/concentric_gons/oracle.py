@@ -13,6 +13,8 @@ instances reproduce bit-for-bit anywhere.
 
 import functools
 import math
+import sys
+from array import array
 from collections import namedtuple
 from itertools import repeat
 from math import cos, ldexp, sin
@@ -24,6 +26,11 @@ from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.ver
 from .moments import MAX_VERTEX_COUNT, two_radius_power_sum
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# The low word of each 128-bit lane, in an array("Q") read as one native int.
+_LOW_WORDS = slice(0, None, 2) if sys.byteorder == "little" else slice(-1, None, -2)
+# The SplitMix64 outputs that one two-polygon random instance reads.
+_INSTANCE_DRAWS = 9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _POLISH_STEPS = 60
 
@@ -37,20 +44,53 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0 ** -53)
+        return _uniform(self.next_u64(), lo, hi)
 
     def angle(self) -> float:
         return self.uniform(0.0, TWO_PI)
 
     def below(self, n: int) -> int:
         return self.next_u64() % n
+
+
+def _uniform(u: int, lo: float, hi: float) -> float:
+    """The float in [lo, hi) that a 64-bit output's top 53 bits give."""
+    return lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
+
+
+def _splitmix64_outputs(seeds, count: int) -> array:
+    """The first ``count`` outputs of ``SplitMix64(seed)`` for each seed,
+    seed after seed: the generator's streams, flattened.
+
+    Each 64-bit state sits in the low half of its own 128-bit lane of one
+    int, so each add, xor-shift and multiply of a step runs once for every
+    seed. A right shift carries the next lane's low bits into a lane's
+    padding, so the lanes are masked back to 64 bits before each multiply;
+    a 64-bit lane times a 64-bit constant then fills its lane without
+    carrying into the next.
+    """
+    lanes = len(seeds)
+    words = array("Q", bytes(16 * lanes))
+    words[_LOW_WORDS] = array("Q", [1]) * lanes
+    ones = int.from_bytes(words, sys.byteorder)
+    mask, gamma = ones * _MASK64, ones * _GAMMA
+    words[_LOW_WORDS] = array("Q", [seed & _MASK64 for seed in seeds])
+    state = int.from_bytes(words, sys.byteorder)
+    outputs = array("Q", bytes(8 * lanes * count))
+    for k in range(count):
+        state = (state + gamma) & mask
+        z = (((state ^ (state >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+        z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+        words = array("Q", (z ^ (z >> 31)).to_bytes(16 * lanes, sys.byteorder))
+        outputs[k::count] = words[_LOW_WORDS]
+    return outputs
 
 
 def power_identity_residual(
@@ -198,7 +238,9 @@ def random_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> Ran
     mirror or shift the first's, which is exactly the freedom that preserves
     the multiset. With ``zero_smaller_radius`` the second circumradius is 0
     and every distance collapses to the first circumradius. ``verify
-    --seed`` draws the same numbers and builds no points or polygons.
+    --seed`` reads the same recipe, :func:`_instance_from`, from a
+    lane-packed batch of the same SplitMix64 streams, and builds no points
+    or polygons.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -210,17 +252,26 @@ def random_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> Ran
 
 
 def _draw_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> tuple:
-    """The numbers of :func:`random_instance`: the point (px, py), then
-    (cx, cy, circumradius, phase) of each polygon, phases in [0, 2*pi)."""
-    rng = SplitMix64(seed)
-    r1 = rng.uniform(0.1, 10.0)
-    r2 = 0.0 if zero_smaller_radius else rng.uniform(0.1, 10.0)
-    px, py = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
-    dir1 = rng.angle()
-    dir2 = rng.angle()
-    relative = rng.angle()
-    mirror = -1.0 if rng.next_u64() & 1 else 1.0
-    shift = rng.below(n)
+    """The numbers of :func:`random_instance`, drawn from ``SplitMix64(seed)``
+    by :func:`_instance_from`, the recipe ``verify --seed`` also reads."""
+    return _instance_from(n, iter(SplitMix64(seed).next_u64, None), zero_smaller_radius)
+
+
+def _instance_from(n: int, draws, zero_smaller_radius: bool = False) -> tuple:
+    """The point (px, py), then (cx, cy, circumradius, phase) of each
+    polygon, phases in [0, 2*pi), from an iterator of SplitMix64 outputs.
+
+    It reads ``_INSTANCE_DRAWS`` outputs, one fewer with
+    ``zero_smaller_radius``, so consecutive instances can share one stream.
+    """
+    r1 = _uniform(next(draws), 0.1, 10.0)
+    r2 = 0.0 if zero_smaller_radius else _uniform(next(draws), 0.1, 10.0)
+    px, py = _uniform(next(draws), -5.0, 5.0), _uniform(next(draws), -5.0, 5.0)
+    dir1 = _uniform(next(draws), 0.0, TWO_PI)
+    dir2 = _uniform(next(draws), 0.0, TWO_PI)
+    relative = _uniform(next(draws), 0.0, TWO_PI)
+    mirror = -1.0 if next(draws) & 1 else 1.0
+    shift = next(draws) % n
     # The angle from each center back to the point anchors the vertex phases.
     phase1 = normalize_angle(dir1 + math.pi + relative)
     phase2 = normalize_angle(dir2 + math.pi + mirror * relative + TWO_PI * shift / n)

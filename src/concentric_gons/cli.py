@@ -13,9 +13,7 @@ import argparse
 import functools
 import importlib
 import math
-import os
 import re
-import stat
 import sys
 
 from .errors import (
@@ -155,20 +153,10 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _write_svg(path: str, text: str) -> None:
-    """Write an SVG drawing's UTF-8 bytes; a path that cannot be written is a
-    usage error.
-
-    An existing file is overwritten in place and then cut to the drawing's
-    length, which leaves the same bytes as truncating it first, at a fraction
-    of the cost of a truncating open on some file systems. Only a regular
-    file is cut, so a device or a pipe gets the bytes as before. A new file
-    gets the mode that ``open(path, "w")`` gives.
-    """
+    """Write an SVG drawing; a path that cannot be written is a usage error."""
     try:
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-            handle.write(text.encode("utf-8"))
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                handle.truncate()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from None
 

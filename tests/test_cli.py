@@ -195,8 +195,20 @@ def test_non_utf8_instance_file_error_names_the_file(tmp_path):
             '{"kind": "circles", "circles": {"center": [0, 0], "radii": "1,2,3"}}',
             "circles.radii must be a list of numbers",
         ),
+        (
+            "check",
+            '{"kind": "circles", "circles": {"center": [0, 0], "radii": [1, 1, 1'
+            + "0" * 400 + "]}}",
+            "circles.radii[2] is beyond the float range",
+        ),
+        (
+            "reconstruct",
+            '{"kind": "circles", "circles": {"center": [Infinity, 0], "radii": [1, 1, 2]}}',
+            "circles.center must be finite, got [inf, 0]",
+        ),
     ],
-    ids=["pair", "check", "not_an_object", "polygon_not_an_object", "radii_not_a_list"],
+    ids=["pair", "check", "not_an_object", "polygon_not_an_object", "radii_not_a_list",
+         "radius_beyond_float_range", "infinite_center"],
 )
 def test_an_instance_field_error_names_the_field_once(command, document, message, tmp_path):
     path = tmp_path / "bad.json"

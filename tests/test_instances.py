@@ -98,6 +98,41 @@ def test_a_rejection_names_its_location_once(document, message):
     assert str(info.value) == message
 
 
+HUGE = 10**400  # a JSON integer that no double holds
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (circles([1.0, HUGE, 2.0]), "circles.radii[1] is beyond the float range"),
+        (circles([1.0, 1.0, 2.0], center=(HUGE, 0.0)), "circles.center is beyond the float range"),
+        (
+            polygon_pair({**GOOD_POLYGON, "center": [0.0, -HUGE]}),
+            "polygons[0].center is beyond the float range",
+        ),
+        (
+            polygon_pair({**GOOD_POLYGON, "circumradius": HUGE}),
+            "polygons[0].circumradius is beyond the float range",
+        ),
+        (
+            polygon_pair(GOOD_POLYGON, {**GOOD_POLYGON, "phase": HUGE}),
+            "polygons[1].phase is beyond the float range",
+        ),
+        # JSON's Infinity decodes to a float that no point may hold.
+        (
+            circles([1.0, 1.0, 2.0], center=(math.inf, 0.0)),
+            "circles.center must be finite, got [inf, 0.0]",
+        ),
+    ],
+    ids=["radius", "circles-center", "polygon-center", "circumradius", "phase",
+         "infinite-circles-center"],
+)
+def test_an_out_of_range_number_names_its_field(document, message):
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(document)
+    assert str(info.value) == message
+
+
 def test_integer_json_numbers_still_parse():
     second = {"n": 4, "center": [1.0, 0.0], "circumradius": 1.0}
     doc = parse_instance(polygon_pair({"n": 4, "center": [0, 1], "circumradius": 2}, second))

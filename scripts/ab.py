@@ -28,8 +28,9 @@ least nine tenths of the pairs, and its median beats the base's by more
 than the base's interquartile range), whether its median stays within
 the metric's bound, and whether the metric is unresolved (the wider of the
 two sides' interquartile ranges, relative to the base median, exceeds the
-bound while some change run fails to beat some base run); plus the host,
-the Python version, the commits and the seeds.
+bound while some change run fails to beat some base run); plus each side's
+``src/**/*.py`` line count, the host, the Python version, the commits and
+the seeds. The line counts are printed with the summary.
 """
 
 import argparse
@@ -63,6 +64,12 @@ def clear_bytecode(trees) -> None:
     for tree in trees:
         for cache in sorted((Path(tree) / "src").rglob("__pycache__")):
             shutil.rmtree(cache)
+
+
+def src_lines(tree) -> int:
+    """The lines of every ``src/**/*.py`` file under ``tree``, a last line
+    without its newline included."""
+    return sum(len(path.read_bytes().splitlines()) for path in Path(tree).glob("src/**/*.py"))
 
 
 def run_benchmark(command, tree, workload: str, seed: int, seconds: float) -> dict:
@@ -194,6 +201,7 @@ def main(argv=None) -> int:
         base_tree = Path(scratch) / "base"
         unpack(base_commit, base_tree)
         trees = {"base": base_tree, "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         for pair, side in run_order(PAIRS):
             for workload in workloads:
                 clear_bytecode(trees.values())
@@ -210,6 +218,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "seconds": seconds,
         "seeds": list(range(1, PAIRS + 1)),
+        "src_lines": lines,
         "workloads": summarize(spec, runs),
     }
     out = ROOT / f"BENCH_{args.label}.json"
@@ -217,6 +226,7 @@ def main(argv=None) -> int:
     for workload, report in document["workloads"].items():
         for name, m in report["metrics"].items():
             print(summary_line(workload, name, m, report["pairs"]))
+    print(f"src lines {lines['base']} -> {lines['change']}")
     print(f"wrote {out.name}")
     return 0
 

@@ -48,9 +48,8 @@ CERTIFICATION_SEED = 1
 # The names this module takes from the modules that only some commands run.
 # They are globals only once bound, so a function that calls one binds first.
 _LAZY = {
-    "oracle": ("_INSTANCE_DRAWS", "_identity_residual", "_instance_from",
-               "_splitmix64_outputs", "angle_sweep", "power_identity_residual",
-               "random_instance"),
+    "oracle": ("angle_sweep", "power_identity_residual", "random_instance",
+               "worst_identity_residuals"),
     "pairing": ("candidate_centers", "pair_polygons"),
     "svg": ("render_configuration",),
 }
@@ -336,7 +335,8 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
         # the sweep decision and its gate are then relative to the family.
         averages, radii = _leading(family)
         pair = rec.circumradii
-        larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
+        larger = math.ldexp(pair.larger, -averages.exponent)
+        smaller = math.ldexp(pair.smaller, -averages.exponent)
         # The sweep is bit-symmetric in its arms (2.0*r*l doubles exactly,
         # addition commutes), so one sweep serves both arm orders.
         sweep = angle_sweep(larger, smaller, family.n, radii)
@@ -414,29 +414,15 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
 
 
 def _verify_certification(seed: int) -> dict:
-    """The worst power-identity residual of each vertex count's random
-    instances, on the numbers and kernel behind :func:`random_instance` and
-    :func:`power_identity_residual`, with no points or polygons built.
-
-    Instance ``index`` of vertex count n is ``random_instance(n, seed *
-    100003 + n * 1009 + index)``. The draws of one vertex count's instances
-    come from one lane-packed batch of SplitMix64 streams, read by the same
-    recipe as :func:`random_instance`."""
+    """Each vertex count's worst power-identity residual over its random
+    instances (:func:`oracle.worst_identity_residuals`), against the gate."""
     _bind("oracle")
-    rows = []
-    ok = True
-    for n in CERTIFICATION_ORDERS:
-        first = seed * 100003 + n * 1009
-        seeds = range(first, first + CERTIFICATION_SAMPLES)
-        draws = iter(_splitmix64_outputs(seeds, _INSTANCE_DRAWS))
-        worst = 0.0
-        for index in range(CERTIFICATION_SAMPLES):
-            (px, py), *polygons = _instance_from(n, draws)
-            m = 1 + (index % (n - 1))
-            for cx, cy, r, phase in polygons:
-                worst = max(worst, _identity_residual(cx, cy, r, phase, n, px, py, m))
-        rows.append({"n": n, "samples": CERTIFICATION_SAMPLES, "worst_residual": worst})
-        ok = ok and worst <= IDENTITY_TOLERANCE
+    worst = worst_identity_residuals(seed, CERTIFICATION_ORDERS, CERTIFICATION_SAMPLES)
+    rows = [
+        {"n": n, "samples": CERTIFICATION_SAMPLES, "worst_residual": residual}
+        for n, residual in worst.items()
+    ]
+    ok = all(residual <= IDENTITY_TOLERANCE for residual in worst.values())
     return {"kind": "certification", "seed": seed, "per_n": rows, "pass": ok}
 
 

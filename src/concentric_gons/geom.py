@@ -159,19 +159,6 @@ class CircleFamily(_Value):
         return len(self.radii)
 
 
-def vertex_offsets(
-    poly: RegularPolygonSpec, point: PlanePoint, ks: range | tuple[int, ...]
-) -> tuple[list[float], list[float]]:
-    """The x and y offsets from ``point`` of each vertex k in ``ks``, placed
-    as :class:`RegularPolygonSpec` says. Offsets from the origin are the
-    coordinates, signed zeros included; a non-finite vertex raises the
-    ValueError that building its :class:`PlanePoint` would."""
-    center = poly.center
-    return float_vertex_offsets(
-        center.x, center.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, ks
-    )
-
-
 def float_vertex_offsets(
     cx: float,
     cy: float,
@@ -182,8 +169,12 @@ def float_vertex_offsets(
     py: float,
     ks: range | tuple[int, ...],
 ) -> tuple[list[float], list[float]]:
-    """:func:`vertex_offsets` of the n-gon with center (cx, cy), circumradius
-    ``radius`` and phase ``phase``, from the point (px, py)."""
+    """The x and y offsets from the point (px, py) of each vertex k in
+    ``ks`` of the n-gon with center (cx, cy), circumradius ``radius`` and
+    phase ``phase``, placed as :class:`RegularPolygonSpec` says. Offsets
+    from the origin are the coordinates, signed zeros included; a
+    non-finite vertex raises the ValueError that building its
+    :class:`PlanePoint` would."""
     step = TWO_PI / n
     # Rounding is monotone, so every vertex is finite when |c| + radius is.
     checked = not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius)))
@@ -201,7 +192,9 @@ def float_vertex_offsets(
 
 def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:
     """The n vertices, counterclockwise, starting at angle ``poly.phase``."""
-    return tuple(map(PlanePoint, *vertex_offsets(poly, PlanePoint(0.0, 0.0), range(poly.n))))
+    c, n = poly.center, poly.n
+    offsets = float_vertex_offsets(c.x, c.y, poly.circumradius, poly.phase, n, 0.0, 0.0, range(n))
+    return tuple(map(PlanePoint, *offsets))
 
 
 def float_circle_intersection(
@@ -250,7 +243,11 @@ def float_circle_intersection(
 def distance_multiset(poly: RegularPolygonSpec, point: PlanePoint) -> tuple[float, ...]:
     """Distances from a point to every vertex, sorted ascending; each is
     :meth:`PlanePoint.distance_to` of the built vertex, bit for bit."""
-    return tuple(sorted(map(math.hypot, *vertex_offsets(poly, point, range(poly.n)))))
+    c = poly.center
+    dxs, dys = float_vertex_offsets(
+        c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, range(poly.n)
+    )
+    return tuple(sorted(map(math.hypot, dxs, dys)))
 
 
 def law_of_cosines_distances(a: float, b: float, n: int, t: float) -> list[float]:

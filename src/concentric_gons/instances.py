@@ -2,10 +2,11 @@
 
 An instance file is UTF-8 JSON with ``"format": "concentric-gons/1"`` and a
 ``kind`` of either ``"circles"`` (a center and radii) or ``"polygon_pair"``
-(two regular polygon records). Unknown fields are ignored on read and never
-written. Emitted JSON comes from one pass over the document: 2-space
-indent, sorted keys, ``.17g`` floats, ASCII-escaped strings and a trailing
-newline, so identical inputs give byte-identical output.
+(two regular polygon records). Unknown fields, ``metadata`` included, are
+ignored on read; the library reads instance files and writes none. Emitted
+JSON comes from one pass over the document: 2-space indent, sorted keys,
+``.17g`` floats, ASCII-escaped strings and a trailing newline, so identical
+inputs give byte-identical output.
 """
 
 import json
@@ -29,13 +30,11 @@ class InstanceDocument(_Value):
         kind: str,  # "circles" or "polygon_pair"
         circles: CircleFamily | None = None,
         polygons: tuple[RegularPolygonSpec, RegularPolygonSpec] | None = None,
-        metadata: dict[str, str] | None = None,
         load_warnings: tuple[str, ...] = (),
     ):
         _set(self, "kind", kind)
         _set(self, "circles", circles)
         _set(self, "polygons", polygons)
-        _set(self, "metadata", {} if metadata is None else metadata)
         _set(self, "load_warnings", load_warnings)
 
 
@@ -47,13 +46,19 @@ def _is_number(raw) -> bool:
 def _as_number(raw, where: str) -> float:
     if not _is_number(raw):
         raise InstanceFormatError(f"{where} must be a number, got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:  # an integer past the largest double
+        raise InstanceFormatError(f"{where} is beyond the float range") from None
 
 
 def _as_point(raw, where: str) -> PlanePoint:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2 or not all(map(_is_number, raw)):
         raise InstanceFormatError(f"{where} must be a [x, y] pair, got {raw!r}")
-    return PlanePoint(float(raw[0]), float(raw[1]))
+    x, y = _as_number(raw[0], where), _as_number(raw[1], where)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InstanceFormatError(f"{where} must be finite, got {raw!r}")
+    return PlanePoint(x, y)
 
 
 def _as_polygon(raw, where: str) -> RegularPolygonSpec:
@@ -85,11 +90,6 @@ def parse_instance(raw: object) -> InstanceDocument:
     if not isinstance(fmt, str) or not fmt.startswith("concentric-gons/"):
         raise InstanceFormatError(f"unsupported format {fmt!r}")
     kind = raw.get("kind")
-    metadata = raw.get("metadata", {})
-    if not isinstance(metadata, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
-    ):
-        raise InstanceFormatError("metadata must map strings to strings")
     warnings: list[str] = []
     if kind == "circles":
         payload = raw.get("circles")
@@ -107,10 +107,7 @@ def parse_instance(raw: object) -> InstanceDocument:
             family = CircleFamily(center=center, radii=tuple(radii))
         except ValueError as exc:
             raise InstanceFormatError(f"circles payload invalid: {exc}") from None
-        return InstanceDocument(
-            kind="circles", circles=family, metadata=dict(metadata),
-            load_warnings=tuple(warnings),
-        )
+        return InstanceDocument(kind="circles", circles=family, load_warnings=tuple(warnings))
     if kind == "polygon_pair":
         payload = raw.get("polygons")
         if not isinstance(payload, list) or len(payload) != 2:
@@ -120,10 +117,7 @@ def parse_instance(raw: object) -> InstanceDocument:
             raise InstanceFormatError(
                 f"polygons have different vertex counts: {polys[0].n} vs {polys[1].n}"
             )
-        return InstanceDocument(
-            kind="polygon_pair", polygons=polys, metadata=dict(metadata),
-            load_warnings=tuple(warnings),
-        )
+        return InstanceDocument(kind="polygon_pair", polygons=polys, load_warnings=tuple(warnings))
     raise InstanceFormatError(f"kind must be 'circles' or 'polygon_pair', got {kind!r}")
 
 
@@ -152,20 +146,6 @@ def polygon_record(poly: RegularPolygonSpec) -> dict:
         "circumradius": poly.circumradius,
         "phase": poly.phase,
     }
-
-
-def instance_record(doc: InstanceDocument) -> dict:
-    record: dict = {"format": FORMAT_NAME, "kind": doc.kind}
-    if doc.kind == "circles":
-        record["circles"] = {
-            "center": [doc.circles.center.x, doc.circles.center.y],
-            "radii": list(doc.circles.radii),
-        }
-    else:
-        record["polygons"] = [polygon_record(p) for p in doc.polygons]
-    if doc.metadata:
-        record["metadata"] = dict(doc.metadata)
-    return record
 
 
 def _scalar(value) -> str:
@@ -205,15 +185,12 @@ def _write(value, out: list, pad: str) -> None:
     out.append(f"\n{pad}{'}' if is_dict else ']'}")
 
 
-def canonical_json(value: object) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting."""
+def dump_canonical(value: object) -> str:
+    """Canonical JSON document text, newline-terminated: sorted keys, fixed
+    float formatting. A bare scalar is a document too."""
     if not isinstance(value, (dict, list, tuple)):
-        return _scalar(value)
+        return _scalar(value) + "\n"
     out: list[str] = []
     _write(value, out, "")
+    out.append("\n")
     return "".join(out)
-
-
-def dump_canonical(value: object) -> str:
-    """Canonical JSON document text, newline-terminated."""
-    return canonical_json(value) + "\n"

@@ -53,10 +53,6 @@ class LeadingAverages(_Value):
         _set(self, "values", values)
         _set(self, "exponent", exponent)
 
-    def scaled(self, length: float) -> float:
-        """A length of the family in the units of ``values``."""
-        return math.ldexp(length, -self.exponent)
-
 
 class CyclicAverages(LeadingAverages):
     """Averages of the 2m-th radius powers for m = 1..n-1, in units of

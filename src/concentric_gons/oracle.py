@@ -1,6 +1,7 @@
 """Independent checks: direct power-sum evaluation against the library's
 closed form, a phase search over the law-of-cosines distances, and
-reproducible random instances.
+reproducible random instances, with the sweep that certifies the power-sum
+identity over them (``verify --seed``).
 
 Vertices and law-of-cosines distances come from ``geom``, so the library's
 own formulas are checked. What stays independent of the paths certified:
@@ -237,24 +238,19 @@ def random_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> Ran
     from the point in a random direction. The second polygon's vertex angles
     mirror or shift the first's, which is exactly the freedom that preserves
     the multiset. With ``zero_smaller_radius`` the second circumradius is 0
-    and every distance collapses to the first circumradius. ``verify
-    --seed`` reads the same recipe, :func:`_instance_from`, from a
-    lane-packed batch of the same SplitMix64 streams, and builds no points
-    or polygons.
+    and every distance collapses to the first circumradius. The numbers come
+    from ``SplitMix64(seed)`` by :func:`_instance_from`, the recipe that
+    :func:`worst_identity_residuals` reads from a lane-packed batch of the
+    same streams.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    (px, py), *polygons = _draw_instance(n, seed, zero_smaller_radius)
+    draws = iter(SplitMix64(seed).next_u64, None)
+    (px, py), *polygons = _instance_from(n, draws, zero_smaller_radius)
     polygon1, polygon2 = (
         RegularPolygonSpec(n, PlanePoint(cx, cy), r, phase) for cx, cy, r, phase in polygons
     )
     return RandomInstance(polygon1=polygon1, polygon2=polygon2, point=PlanePoint(px, py))
-
-
-def _draw_instance(n: int, seed: int, zero_smaller_radius: bool = False) -> tuple:
-    """The numbers of :func:`random_instance`, drawn from ``SplitMix64(seed)``
-    by :func:`_instance_from`, the recipe ``verify --seed`` also reads."""
-    return _instance_from(n, iter(SplitMix64(seed).next_u64, None), zero_smaller_radius)
 
 
 def _instance_from(n: int, draws, zero_smaller_radius: bool = False) -> tuple:
@@ -278,3 +274,27 @@ def _instance_from(n: int, draws, zero_smaller_radius: bool = False) -> tuple:
     polygon1 = (px + r2 * cos(dir1), py + r2 * sin(dir1), r1, phase1)
     polygon2 = (px + r1 * cos(dir2), py + r1 * sin(dir2), r2, phase2)
     return (px, py), polygon1, polygon2
+
+
+def worst_identity_residuals(seed: int, orders, samples: int) -> dict[int, float]:
+    """The worst power-identity residual of each vertex count's random
+    instances, on the numbers and kernel behind :func:`random_instance` and
+    :func:`power_identity_residual`, with no points or polygons built: the
+    sweep behind ``verify --seed``.
+
+    Instance ``index`` of vertex count n is ``random_instance(n, seed *
+    100003 + n * 1009 + index)``, and both its polygons are tested at the
+    order m = 1 + index % (n - 1). The draws of one vertex count's instances
+    come from one lane-packed batch of SplitMix64 streams."""
+    worst_by_n = {}
+    for n in orders:
+        first = seed * 100003 + n * 1009
+        draws = iter(_splitmix64_outputs(range(first, first + samples), _INSTANCE_DRAWS))
+        worst = 0.0
+        for index in range(samples):
+            (px, py), *polygons = _instance_from(n, draws)
+            m = 1 + (index % (n - 1))
+            for cx, cy, r, phase in polygons:
+                worst = max(worst, _identity_residual(cx, cy, r, phase, n, px, py, m))
+        worst_by_n[n] = worst
+    return worst_by_n

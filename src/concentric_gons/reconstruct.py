@@ -105,13 +105,6 @@ def verify_reconstruction(family: CircleFamily, poly: RegularPolygonSpec) -> flo
     return largest_gap(distance_multiset(poly, family.center), family.radii)
 
 
-def smaller_vanishes(larger: float, smaller: float, tol: Tolerance) -> bool:
-    """Whether the second polygon is a point: ``smaller^2 <= relative_eps *
-    larger^2``, on squares because recovery ends in a square root. Pass the
-    radii in the units of the averages, where no square underflows."""
-    return smaller * smaller <= tol.relative_eps * (larger * larger)
-
-
 def _relative_gap(distances: list[float], radii: tuple[float, ...]) -> float:
     """The largest elementwise gap of two ascending sequences, relative to
     their largest length, as :func:`geom.multiset_close` gates it."""
@@ -256,10 +249,12 @@ def reconstruct_polygons(
         raise InfeasibleFamily(f"radii family fails condition I: {exc}") from None
     center = family.center
     n = family.n
-    larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
+    larger = math.ldexp(pair.larger, -averages.exponent)
+    smaller = math.ldexp(pair.smaller, -averages.exponent)
     gate = tol.multiset_gate().relative_eps * max(larger, radii[-1])
+    # A vanishing smaller circumradius is tested on squares: recovery ends in a square root.
     point_polygon = (
-        smaller_vanishes(larger, smaller, tol)
+        smaller * smaller <= tol.relative_eps * (larger * larger)
         and radii[-1] - larger <= gate
         and larger - radii[0] <= gate
     )

@@ -19,10 +19,10 @@ from concentric_gons import (
 )
 from concentric_gons.geom import (
     float_circle_intersection,
+    float_vertex_offsets,
     largest_gap,
     law_of_cosines_distances,
     opening_cosines,
-    vertex_offsets,
 )
 
 from closed_forms import TriangleInequalityViolated, heron_area
@@ -285,6 +285,14 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _offsets(poly, point, ks):
+    """The kernel's offsets from ``point`` of the vertices ``ks`` of ``poly``."""
+    c = poly.center
+    return float_vertex_offsets(
+        c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, ks
+    )
+
+
 def _written_out_offsets(poly, point):
     """Vertex placement and offsets with the expressions the kernel keeps."""
     step = 2.0 * math.pi / poly.n
@@ -330,11 +338,11 @@ def _kernel_cases():
 
 def test_vertex_kernel_matches_the_written_out_placement_bit_for_bit():
     for poly, point in _kernel_cases():
-        dxs, dys = vertex_offsets(poly, point, range(poly.n))
+        dxs, dys = _offsets(poly, point, range(poly.n))
         want_x, want_y = _written_out_offsets(poly, point)
         assert (_bits(dxs), _bits(dys)) == (_bits(want_x), _bits(want_y)), (poly, point)
         for k in (0, poly.n - 1):
-            (dx,), (dy,) = vertex_offsets(poly, point, (k,))
+            (dx,), (dy,) = _offsets(poly, point, (k,))
             assert _bits((dx, dy)) == _bits((dxs[k], dys[k]))
         built = [(v.x, v.y) for v in vertices(poly)]
         want = _written_out_vertices(poly)
@@ -347,9 +355,9 @@ def test_vertex_kernel_matches_the_written_out_placement_bit_for_bit():
 def test_vertex_kernel_keeps_the_non_finite_vertex_error():
     poly = RegularPolygonSpec(4, PlanePoint(1e308, 0.0), 1e308, 0.0)
     with pytest.raises(ValueError, match=r"coordinates must be finite, got \(inf, "):
-        vertex_offsets(poly, PlanePoint(0.0, 0.0), range(4))
+        _offsets(poly, PlanePoint(0.0, 0.0), range(4))
     # Vertex 2 points away from the overflow.
-    assert vertex_offsets(poly, PlanePoint(0.0, 0.0), (2,))[0] == [1e308 - 1e308]
+    assert _offsets(poly, PlanePoint(0.0, 0.0), (2,))[0] == [1e308 - 1e308]
 
 
 def _written_out_distances(n, r, l, t):

@@ -24,7 +24,7 @@ from concentric_gons import (
     vertices,
 )
 from concentric_gons.cli import IDENTITY_TOLERANCE
-from concentric_gons.oracle import _draw_instance, _instance_from, _splitmix64_outputs
+from concentric_gons.oracle import _instance_from, _splitmix64_outputs, worst_identity_residuals
 
 SQRT3 = math.sqrt(3.0)
 
@@ -59,6 +59,11 @@ PACKED_SEEDS = [0, 1, -1, 2**64 - 1, 2**64 + 3, -(2**70) + 5, ALL_ONES_FIRST_STA
 ]
 
 
+def generator_outputs(seed):
+    """The endless stream of ``SplitMix64(seed)``, as random_instance reads it."""
+    return iter(SplitMix64(seed).next_u64, None)
+
+
 def reference_outputs(seeds, count):
     streams = []
     for seed in seeds:
@@ -88,13 +93,29 @@ def test_one_draw_recipe_reads_the_packed_outputs(n):
     seeds = [100003 + n * 1009 + index for index in range(200)]
     batch = iter(_splitmix64_outputs(seeds, 9))
     for seed in seeds:
-        assert _instance_from(n, batch) == _draw_instance(n, seed)
+        assert _instance_from(n, batch) == _instance_from(n, generator_outputs(seed))
         draws = iter(_splitmix64_outputs([seed], 8))
-        assert _instance_from(n, draws, zero_smaller_radius=True) == _draw_instance(
-            n, seed, zero_smaller_radius=True
+        assert _instance_from(n, draws, zero_smaller_radius=True) == _instance_from(
+            n, generator_outputs(seed), zero_smaller_radius=True
         )
         assert next(draws, None) is None
     assert next(batch, None) is None
+
+
+def test_certification_sweep_is_the_worst_residual_of_its_random_instances():
+    # The sweep builds no polygons, yet must read what the public names
+    # give, bit for bit, for the instances its docstring names.
+    seed, samples = 3, 6
+    worst = worst_identity_residuals(seed, range(3, 7), samples)
+    assert list(worst) == [3, 4, 5, 6]
+    for n, got in worst.items():
+        want = 0.0
+        for index in range(samples):
+            inst = random_instance(n, seed * 100003 + n * 1009 + index)
+            m = 1 + index % (n - 1)
+            for poly in (inst.polygon1, inst.polygon2):
+                want = max(want, power_identity_residual(poly, inst.point, m))
+        assert got == want, n
 
 
 # ------------------------------------------------------- power identity

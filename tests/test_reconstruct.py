@@ -242,7 +242,8 @@ def test_reconstruct_never_returns_junk(radii):
             pair = recover_circumradii(averages)
         except InfeasibleMoments:
             return
-        larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
+        larger = math.ldexp(pair.larger, -averages.exponent)
+        smaller = math.ldexp(pair.smaller, -averages.exponent)
         sweep = angle_sweep(larger, smaller, fam.n, units)
         assert sweep.best_residual > Tolerance().multiset_gate().relative_eps * units[-1]
         return
@@ -266,7 +267,8 @@ def test_a_family_the_sweep_places_within_the_gate_is_reconstructed(radii):
     family = CircleFamily(PlanePoint(0.0, 0.0), radii)
     averages, units = _leading(family)
     pair = recover_circumradii(averages)
-    larger, smaller = averages.scaled(pair.larger), averages.scaled(pair.smaller)
+    larger = math.ldexp(pair.larger, -averages.exponent)
+    smaller = math.ldexp(pair.smaller, -averages.exponent)
     sweep = angle_sweep(larger, smaller, family.n, units)
     placed = law_of_cosines_distances(
         larger * larger + smaller * smaller, 2.0 * larger * smaller, family.n, sweep.best_phase

@@ -320,6 +320,22 @@ def test_ab_marks_a_metric_whose_spread_exceeds_its_bound_unresolved():
     )
 
 
+def test_ab_counts_the_python_lines_under_src_only(tmp_path):
+    files = {
+        "src/pkg/a.py": b"import b\n\nx = 1\n",
+        "src/pkg/sub/b.py": b"y = 2\nz = 3",  # no newline after the last line
+        "src/pkg/__pycache__/a.cpython-311.pyc": b"\n\n\n",
+        "src/README.txt": b"not code\n",
+        "tests/test_a.py": b"def test(): pass\n",
+        "setup.py": b"pass\n",
+    }
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    assert load_ab().src_lines(tmp_path) == 5
+    assert load_ab().src_lines(tmp_path / "tests") == 0
+
+
 def test_ab_lists_the_tracked_paths_of_a_dirty_checkout():
     porcelain = (
         " M src/concentric_gons/reconstruct.py\n"

@@ -75,9 +75,9 @@ CASES = {
     ),
     "InstanceDocument": (
         InstanceDocument,
-        lambda: ("circles", _family(), None, {"source": "test"}, ("late",)),
+        lambda: ("circles", _family(), None, ("late",)),
         f"InstanceDocument(kind='circles', circles={FAMILY}, polygons=None, "
-        "metadata={'source': 'test'}, load_warnings=('late',))",
+        "load_warnings=('late',))",
     ),
 }
 FIELDS = {
@@ -97,7 +97,7 @@ FIELDS = {
     ),
     PairingResult: ("center", "aligned_second", "circles"),
     Reconstruction: ("polygon1", "polygon2", "circumradii", "point_polygon", "family"),
-    InstanceDocument: ("kind", "circles", "polygons", "metadata", "load_warnings"),
+    InstanceDocument: ("kind", "circles", "polygons", "load_warnings"),
 }
 
 cases = pytest.mark.parametrize("name", list(CASES))
@@ -143,11 +143,7 @@ def test_equal_values_compare_and_hash_as_their_field_tuples(name):
     a, b = _build(name), _build(name)
     assert a is not b
     assert a == b and not a != b
-    if name == "InstanceDocument":
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(a)
-    else:
-        assert hash(a) == hash(b) == hash(_field_tuple(a))
+    assert hash(a) == hash(b) == hash(_field_tuple(a))
 
 
 @cases
@@ -209,9 +205,8 @@ def test_defaults():
     assert Tolerance().relative_eps == 1e-9
     assert LeadingAverages(3, (0.5, 0.25)).exponent == 0
     assert CyclicAverages(3, (0.5, 0.25)).exponent == 0
-    a, b = InstanceDocument("circles"), InstanceDocument("circles")
-    assert (a.circles, a.polygons, a.metadata, a.load_warnings) == (None, None, {}, ())
-    assert a.metadata is not b.metadata
+    doc = InstanceDocument("circles")
+    assert (doc.circles, doc.polygons, doc.load_warnings) == (None, None, ())
 
 
 def test_construction_normalizes_and_validates():

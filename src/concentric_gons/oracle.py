@@ -1,7 +1,6 @@
 """Independent checks: direct power-sum evaluation against the library's
 closed form, a phase search over the law-of-cosines distances, and
-reproducible random instances, with the sweep that certifies the power-sum
-identity over them (``verify --seed``).
+reproducible random instances, with the ``verify --seed`` sweep over them.
 
 Vertices and law-of-cosines distances come from ``geom``, so the library's
 own formulas are checked. What stays independent of the paths certified:

@@ -125,6 +125,15 @@ def test_parse_rejects_bad_documents():
         parse_instance({"kind": "nonsense"})
     with pytest.raises(InstanceFormatError):
         parse_instance({"format": "other/1", "kind": "circles"})
+    # Only version 1 is read: a later version is not silently read as 1.
+    with pytest.raises(InstanceFormatError, match="unsupported format 'concentric-gons/99'"):
+        parse_instance(
+            {
+                "format": "concentric-gons/99",
+                "kind": "circles",
+                "circles": {"center": [0, 0], "radii": [1, 1, 2]},
+            }
+        )
     with pytest.raises(InstanceFormatError):
         parse_instance(
             {"kind": "polygon_pair", "polygons": [{"n": 3, "center": [0, 0]}]}
@@ -841,11 +850,14 @@ def test_verify_circles_sweeps_at_any_scale(tmp_path):
 @pytest.mark.parametrize("command", ["check", "reconstruct"])
 def test_negative_radius_as_a_separate_value_reaches_the_library_message(command):
     # argparse once read "-1,1,2" as an option and ended with "expected one
-    # argument"; both spellings now reach the same message.
+    # argument"; both spellings now reach the same message. An unsorted list
+    # that is refused anyway gets no sorting warning.
     joined = run_cli(command, "--radii=-1,1,2")
     separate = run_cli(command, "--radii", "-1,1,2")
+    unsorted = run_cli(command, "--radii=2,1,-1")
     assert joined == (1, "", "error: radii must be finite and >= 0, got -1.0\n")
     assert separate == joined
+    assert unsorted == joined
 
 
 @pytest.mark.parametrize("command", ["check", "reconstruct"])

@@ -63,7 +63,8 @@ def test_output_corpus_names_the_commands_that_changed(tmp_path):
     # Two small corpora: the one written, and a copy with one pinned field
     # changed in each of five commands, the human text of a sixth changed
     # and the last command dropped. Each changed command is followed by what
-    # changed in it, and a tally per field closes the report.
+    # changed in it, and a tally per field closes the report. Human text is
+    # not pinned: its changes are counted on one line of their own.
     done = run_script("output_corpus.py", "--out", "new.json", "--sizes", "3", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     new = json.loads((tmp_path / "new.json").read_bytes())
@@ -115,6 +116,8 @@ def test_output_corpus_names_the_commands_that_changed(tmp_path):
     assert f"  render: 2 of {totals['render']}" in lines
     assert f"  verify: 1 of {totals['verify']}" in lines
     assert any(line.startswith("  pair: 2 of ") for line in lines)
+    text_line = f"1 of {len(new)} commands changed text (human stdout, stderr, warnings)"
+    assert lines[lines.index("changes per field:") - 1] == text_line
     tally = lines[lines.index("changes per field:") + 1:]
     assert tally == [
         "  results[].aligned_second.phase: 2",

@@ -26,9 +26,11 @@ pinned fields (exit code, ``--json`` stdout and SVG texts, as
 lacks, each followed by what changed in it: ``exit``, ``svg``, the paths of
 the ``--json`` values that differ (such as
 ``results[1].aligned_second.phase``; ``stdout`` if only the text does), or
-``new``. Then it prints how many commands of each subcommand changed, and
-how many commands changed at each path, with list indices collapsed (such
-as ``results[].aligned_second.phase``).
+``new``. Then it prints how many commands of each subcommand changed, how
+many commands differ in the fields left unpinned (human stdout, stderr and
+warnings; these are counted, not listed), and how many commands changed at
+each path, with list indices collapsed (such as
+``results[].aligned_second.phase``).
 """
 
 import argparse
@@ -252,6 +254,12 @@ def pinned(record: dict) -> list:
     return [record["exit"], record["stdout"] if "--json" in record["argv"] else "", record["svg"]]
 
 
+def unpinned(record: dict) -> list:
+    """The fields of a record the corpus digest leaves out."""
+    human = "" if "--json" in record["argv"] else record["stdout"]
+    return [human, record["stderr"], record["warnings"]]
+
+
 def json_paths(old, new, path: str = ""):
     """The paths, such as ``results[1].aligned_second.phase``, at which two
     decoded JSON values differ; a key or list length that differs ends the
@@ -290,11 +298,16 @@ def changed_fields(old: dict | None, new: dict) -> list[str]:
 def report_changes(old: list[dict], new: list[dict]) -> None:
     """Print each command of ``new`` whose pinned fields differ from the same
     command's in ``old``, or that ``old`` lacks, with what changed in it,
-    then the count per subcommand and per changed field."""
+    then the count per subcommand, of changed unpinned text and per changed
+    field."""
     before = {json.dumps(record["argv"]): record for record in old}
     counts, per_field = Counter(), Counter()
+    text_changes = 0
     for record in new:
-        fields = changed_fields(before.get(json.dumps(record["argv"])), record)
+        previous = before.get(json.dumps(record["argv"]))
+        if previous is not None and unpinned(previous) != unpinned(record):
+            text_changes += 1
+        fields = changed_fields(previous, record)
         if fields:
             print("changed: " + " ".join(record["argv"]))
             for field in fields:
@@ -305,6 +318,7 @@ def report_changes(old: list[dict], new: list[dict]) -> None:
     print(f"{counts.total()} of {len(new)} commands changed")
     for subcommand, total in sorted(totals.items()):
         print(f"  {subcommand}: {counts[subcommand]} of {total}")
+    print(f"{text_changes} of {len(new)} commands changed text (human stdout, stderr, warnings)")
     print("changes per field:")
     for field, count in sorted(per_field.items(), key=lambda item: (-item[1], item[0])):
         print(f"  {field}: {count}")

@@ -31,8 +31,7 @@ from .instances import (
     load_instance,
     polygon_record,
 )
-from .moments import RadiiPair, assess_feasibility, cyclic_averages
-from .moments import _leading, recover_circumradii
+from .moments import RadiiPair, assess_feasibility, cyclic_averages, recover_circumradii
 from .reconstruct import reconstruct_polygons, verify_reconstruction
 
 EXIT_OK = 0
@@ -87,24 +86,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_radii(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise InstanceFormatError(f"cannot parse radii list {text!r}") from None
-    if len(values) < 3:
-        raise InstanceFormatError("need at least 3 radii")
-    return values
-
-
 def _family_from_args(args) -> CircleFamily:
     if args.radii is None:
         return _load(args.input, "circles").circles
-    values = _parse_radii(args.radii)
-    if sorted(values) != list(values):
+    try:
+        values = tuple(float(part) for part in args.radii.split(","))
+    except ValueError:
+        raise InstanceFormatError(f"cannot parse radii list {args.radii!r}") from None
+    if len(values) < 3:
+        raise InstanceFormatError("need at least 3 radii")
+    # Built first, so that a list refused anyway gets no sorting warning.
+    family = CircleFamily(center=PlanePoint(0.0, 0.0), radii=sorted(values))
+    if family.radii != values:
         print("warning: radii were not sorted ascending; sorting", file=sys.stderr)
-        values = tuple(sorted(values))
-    return CircleFamily(center=PlanePoint(0.0, 0.0), radii=values)
+    return family
 
 
 def _load(path: str, kind: str | None = None) -> InstanceDocument:
@@ -118,12 +113,6 @@ def _load(path: str, kind: str | None = None) -> InstanceDocument:
     return doc
 
 
-def _tolerance_from_args(args) -> Tolerance:
-    if args.tol is None:
-        return Tolerance()
-    return Tolerance(relative_eps=args.tol)
-
-
 def _report_record(report) -> dict:
     return {
         "condition1_ok": report.condition1_ok,
@@ -135,6 +124,12 @@ def _report_record(report) -> dict:
         ],
         "degenerate_single_polygon": report.degenerate_single_polygon,
     }
+
+
+def _family_record(family: CircleFamily, report, feasible: bool) -> dict:
+    """The head of the check and reconstruct payloads."""
+    return {"n": family.n, "radii": list(family.radii), "feasible": feasible,
+            "report": _report_record(report)}
 
 
 def _pair_record(pair: RadiiPair, report) -> dict:
@@ -172,8 +167,7 @@ def _decide(family: CircleFamily, tol: Tolerance):
     return assess_feasibility(averages, tol), rec, reason, averages
 
 
-def cmd_check(args) -> int:
-    tol = _tolerance_from_args(args)
+def cmd_check(args, tol: Tolerance) -> int:
     family = _family_from_args(args)
     # The verdict is reconstruction's, so check says feasible exactly when
     # reconstruct succeeds; the report and the circumradii are printed.
@@ -187,13 +181,7 @@ def cmd_check(args) -> int:
         except InfeasibleMoments:
             pair = None
     recovered = None if pair is None else _pair_record(pair, report)
-    payload = {
-        "n": family.n,
-        "radii": list(family.radii),
-        "feasible": feasible,
-        "report": _report_record(report),
-        "recovered": recovered,
-    }
+    payload = {**_family_record(family, report, feasible), "recovered": recovered}
     lines = [
         f"n = {family.n}",
         "feasible: yes" if feasible else f"feasible: no\nreason: {reason}",
@@ -223,24 +211,15 @@ def _reconstruction_svg(family: CircleFamily, rec) -> str:
     )
 
 
-def cmd_reconstruct(args) -> int:
-    tol = _tolerance_from_args(args)
+def cmd_reconstruct(args, tol: Tolerance) -> int:
     family = _family_from_args(args)
     report, rec, reason, _ = _decide(family, tol)
+    head = _family_record(family, report, rec is not None)
     if rec is None:
-        payload = {
-            "n": family.n,
-            "radii": list(family.radii),
-            "feasible": False,
-            "report": _report_record(report),
-        }
-        _emit(args, payload, ["feasible: no", f"reason: {reason}"])
+        _emit(args, head, ["feasible: no", f"reason: {reason}"])
         return EXIT_INFEASIBLE
     payload = {
-        "n": family.n,
-        "radii": list(family.radii),
-        "feasible": True,
-        "report": _report_record(report),
+        **head,
         "circumradii": _pair_record(rec.circumradii, report),
         "polygons": [polygon_record(rec.polygon1), polygon_record(rec.polygon2)],
         "point_polygon": rec.point_polygon,
@@ -281,34 +260,36 @@ def _pairing_svg(p1, p2, results) -> str:
     )
 
 
-def cmd_pair(args) -> int:
-    tol = _tolerance_from_args(args)
-    p1, p2 = _load(args.input, "polygon_pair").polygons
+def _pairings(p1, p2, tol: Tolerance):
+    """The configurations :func:`pair_polygons` finds and None, or none and
+    the message of the continuum that coincident auxiliary circles give."""
     _bind("pairing")
+    try:
+        return pair_polygons(p1, p2, tol), None
+    except CoincidentAuxiliaryCircles as exc:
+        return [], str(exc)
+
+
+def cmd_pair(args, tol: Tolerance) -> int:
+    p1, p2 = _load(args.input, "polygon_pair").polygons
+    results, continuum = _pairings(p1, p2, tol)
     payload = {
         "n": p1.n,
         "polygons": [polygon_record(p1), polygon_record(p2)],
+        "results": [
+            {
+                "center": [res.center.x, res.center.y],
+                "radii": list(res.circles.radii),
+                "aligned_second": polygon_record(res.aligned_second),
+            }
+            for res in results
+        ],
+        "count": len(results),
+        "degenerate_continuum": continuum is not None,
     }
-    try:
-        results = pair_polygons(p1, p2, tol)
-    except CoincidentAuxiliaryCircles as exc:
-        payload.update({"results": [], "count": 0, "degenerate_continuum": True})
-        _emit(args, payload, [f"degenerate continuum: {exc}"])
+    if continuum is not None:
+        _emit(args, payload, [f"degenerate continuum: {continuum}"])
         return EXIT_INFEASIBLE
-    payload.update(
-        {
-            "results": [
-                {
-                    "center": [res.center.x, res.center.y],
-                    "radii": list(res.circles.radii),
-                    "aligned_second": polygon_record(res.aligned_second),
-                }
-                for res in results
-            ],
-            "count": len(results),
-            "degenerate_continuum": False,
-        }
-    )
     lines = [f"configurations found: {len(results)}"]
     for res in results:
         lines.append(
@@ -324,22 +305,20 @@ def cmd_pair(args) -> int:
 def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
     _bind("oracle")
     family = doc.circles
-    report, rec, _, _ = _decide(family, tol)
-    if rec is None:
-        return {"kind": "circles", "report": _report_record(report),
-                "angle_sweeps": [], "pass": False}
+    report, rec, _, averages = _decide(family, tol)
     sweeps = []
-    ok = True
-    if not rec.point_polygon:
+    ok = rec is not None
+    if ok and not rec.point_polygon:
         # Sweep in the units of the averages, as reconstruction searches:
         # the sweep decision and its gate are then relative to the family.
-        averages, radii = _leading(family)
+        shift = -averages.exponent
         pair = rec.circumradii
-        larger = math.ldexp(pair.larger, -averages.exponent)
-        smaller = math.ldexp(pair.smaller, -averages.exponent)
+        radii = [math.ldexp(r, shift) for r in family.radii]
         # The sweep is bit-symmetric in its arms (2.0*r*l doubles exactly,
         # addition commutes), so one sweep serves both arm orders.
-        sweep = angle_sweep(larger, smaller, family.n, radii)
+        sweep = angle_sweep(
+            math.ldexp(pair.larger, shift), math.ldexp(pair.smaller, shift), family.n, radii
+        )
         residual = math.ldexp(sweep.best_residual, averages.exponent)
         sweeps = [
             {"vertex_arm": r, "center_arm": l, "best_phase": sweep.best_phase,
@@ -347,12 +326,8 @@ def _verify_circles(doc: InstanceDocument, tol: Tolerance) -> dict:
             for r, l in ((pair.larger, pair.smaller), (pair.smaller, pair.larger))
         ]
         ok = sweep.best_residual <= SWEEP_TOLERANCE
-    return {
-        "kind": "circles",
-        "report": _report_record(report),
-        "angle_sweeps": sweeps,
-        "pass": ok,
-    }
+    return {"kind": "circles", "report": _report_record(report), "angle_sweeps": sweeps,
+            "pass": ok}
 
 
 def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
@@ -361,12 +336,9 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
     read back through the library: both polygons' vertex distances from its
     point against its radii, and :func:`reconstruct_polygons` on its circles,
     which must give back the input circumradii."""
-    _bind("oracle", "pairing")
+    _bind("oracle")
     p1, p2 = doc.polygons
-    try:
-        results = pair_polygons(p1, p2, tol)
-    except CoincidentAuxiliaryCircles:
-        results = []
+    results, _ = _pairings(p1, p2, tol)
     if results:
         probe = results[0].center
     else:
@@ -426,8 +398,7 @@ def _verify_certification(seed: int) -> dict:
     return {"kind": "certification", "seed": seed, "per_n": rows, "pass": ok}
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerance_from_args(args)
+def cmd_verify(args, tol: Tolerance) -> int:
     if args.input is not None:
         doc = _load(args.input)
         if doc.kind == "circles":
@@ -445,8 +416,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
-def cmd_render(args) -> int:
-    tol = _tolerance_from_args(args)
+def cmd_render(args, tol: Tolerance) -> int:
     doc = _load(args.input)
     if doc.kind == "circles":
         try:
@@ -455,13 +425,8 @@ def cmd_render(args) -> int:
             rec = None
         text = _reconstruction_svg(doc.circles, rec)
     else:
-        _bind("pairing")
         p1, p2 = doc.polygons
-        try:
-            results = pair_polygons(p1, p2, tol)
-        except GeometryError:
-            results = []
-        text = _pairing_svg(p1, p2, results)
+        text = _pairing_svg(p1, p2, _pairings(p1, p2, tol)[0])
     _write_svg(args.svg, text)
     _emit(args, {"svg": args.svg}, [f"wrote {args.svg}"])
     return EXIT_OK
@@ -529,7 +494,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse help/usage paths
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        tol = Tolerance() if args.tol is None else Tolerance(relative_eps=args.tol)
+        return args.func(args, tol)
     except (ValueError, OverflowError) as exc:  # InstanceFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

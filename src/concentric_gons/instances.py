@@ -1,12 +1,13 @@
 """Instance documents on disk and deterministic JSON output.
 
-An instance file is UTF-8 JSON with ``"format": "concentric-gons/1"`` and a
-``kind`` of either ``"circles"`` (a center and radii) or ``"polygon_pair"``
-(two regular polygon records). Unknown fields, ``metadata`` included, are
-ignored on read; the library reads instance files and writes none. Emitted
-JSON comes from one pass over the document: 2-space indent, sorted keys,
-``.17g`` floats, ASCII-escaped strings and a trailing newline, so identical
-inputs give byte-identical output.
+An instance file is UTF-8 JSON with ``"format": "concentric-gons/1"`` or no
+``format`` (any other is refused) and a ``kind`` of either ``"circles"`` (a
+center and radii) or ``"polygon_pair"`` (two regular polygon records).
+Unknown fields, ``metadata`` included, are ignored on read; the library
+reads instance files and writes none. Emitted JSON comes from one pass
+over the document: 2-space indent, sorted keys, ``.17g`` floats,
+ASCII-escaped strings and a trailing newline, so identical inputs give
+byte-identical output.
 """
 
 import json
@@ -87,7 +88,7 @@ def parse_instance(raw: object) -> InstanceDocument:
     if not isinstance(raw, dict):
         raise InstanceFormatError(f"instance must be a JSON object, got {type(raw).__name__}")
     fmt = raw.get("format", FORMAT_NAME)
-    if not isinstance(fmt, str) or not fmt.startswith("concentric-gons/"):
+    if fmt != FORMAT_NAME:
         raise InstanceFormatError(f"unsupported format {fmt!r}")
     kind = raw.get("kind")
     warnings: list[str] = []

@@ -613,6 +613,29 @@ def test_verify_certification_mode():
     assert all(row["worst_residual"] <= 1e-10 for row in section["per_n"])
 
 
+def test_verify_certification_refuses_a_tolerance_it_would_ignore(tmp_path):
+    # The certification gate is the fixed identity tolerance, so --tol is
+    # a usage error with or without --seed; an instance file still takes it.
+    for argv in (("--seed", "1"), ("--seed", "7", "--json"), ()):
+        code, out, err = run_cli("verify", *argv, "--tol", "1e-6")
+        assert (code, out) == (1, ""), argv
+        assert "--tol" in err and "fixed gate 1e-10" in err, argv
+    path = write_circles(tmp_path / "c.json", [1.0, 1.0, 2.0])
+    assert run_cli("verify", "--input", path, "--tol", "1e-6")[0] == 0
+
+
+def test_verify_certification_prints_each_worst_residual_against_the_gate():
+    code, out, err = run_cli("verify", "--seed", "1")
+    rows = json.loads(run_cli("verify", "--seed", "1", "--json")[1])["result"]["per_n"]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "verify kind: certification",
+        "pass: yes",
+        *(f"n={row['n']} worst residual {row['worst_residual']:.3g} (gate 1e-10)" for row in rows),
+    ]
+    assert [row["n"] for row in rows] == list(range(3, 13))
+
+
 # ------------------------------------------------------------------ render
 
 

@@ -23,7 +23,7 @@ from concentric_gons import (
     two_radius_power_sum,
     vertices,
 )
-from concentric_gons.cli import IDENTITY_TOLERANCE
+from concentric_gons.cli import CERTIFICATION_ORDERS, IDENTITY_TOLERANCE
 from concentric_gons.oracle import _instance_from, _splitmix64_outputs, worst_identity_residuals
 
 SQRT3 = math.sqrt(3.0)
@@ -48,6 +48,15 @@ def test_splitmix64_uniform_range():
     rng = SplitMix64(42)
     values = [rng.uniform(0.1, 10.0) for _ in range(1000)]
     assert all(0.1 <= v < 10.0 for v in values)
+
+
+def test_splitmix64_below_draws_in_range_and_refuses_an_empty_one():
+    rng = SplitMix64(42)
+    assert {rng.below(1) for _ in range(10)} == {0}
+    assert all(0 <= rng.below(5) < 5 for _ in range(1000))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n >= 1, got {n}"):
+            rng.below(n)
 
 
 # The seed whose first state, seed + 0x9E3779B97F4A7C15 mod 2^64, is all
@@ -104,18 +113,33 @@ def test_one_draw_recipe_reads_the_packed_outputs(n):
 
 def test_certification_sweep_is_the_worst_residual_of_its_random_instances():
     # The sweep builds no polygons, yet must read what the public names
-    # give, bit for bit, for the instances its docstring names.
-    seed, samples = 3, 6
-    worst = worst_identity_residuals(seed, range(3, 7), samples)
-    assert list(worst) == [3, 4, 5, 6]
-    for n, got in worst.items():
-        want = 0.0
-        for index in range(samples):
-            inst = random_instance(n, seed * 100003 + n * 1009 + index)
-            m = 1 + index % (n - 1)
-            for poly in (inst.polygon1, inst.polygon2):
-                want = max(want, power_identity_residual(poly, inst.point, m))
-        assert got == want, n
+    # give, bit for bit, for the instances its docstring names: every vertex
+    # count that verify --seed certifies, with enough samples that each
+    # order m = 1..n-1 occurs.
+    samples = 20
+    for seed in (3, 11):
+        worst = worst_identity_residuals(seed, CERTIFICATION_ORDERS, samples)
+        assert list(worst) == list(CERTIFICATION_ORDERS)
+        for n, got in worst.items():
+            want = 0.0
+            for index in range(samples):
+                inst = random_instance(n, seed * 100003 + n * 1009 + index)
+                m = 1 + index % (n - 1)
+                for poly in (inst.polygon1, inst.polygon2):
+                    want = max(want, power_identity_residual(poly, inst.point, m))
+            assert got == want, (seed, n)
+
+
+def test_certification_sweep_leaves_the_kept_squares_of_the_last_call():
+    # The squares power_identity_residual keeps for its last polygon and
+    # point serve its next order after a sweep has run in between.
+    inst = random_instance(7, 17)
+    poly, point = inst.polygon1, inst.point
+    power_identity_residual(poly, point, 2)
+    worst_identity_residuals(5, CERTIFICATION_ORDERS, 3)
+    assert power_identity_residual(poly, point, 5) == (
+        _vertex_power_identity_residual(poly, point, 5)
+    )
 
 
 # ------------------------------------------------------- power identity

@@ -405,14 +405,18 @@ def cmd_verify(args, tol: Tolerance) -> int:
             section = _verify_circles(doc, tol)
         else:
             section = _verify_polygon_pair(doc, tol)
+    elif args.tol is not None:
+        raise ValueError(f"--tol applies only with --input; certification uses the "
+                         f"fixed gate {IDENTITY_TOLERANCE:g}")
     else:
-        section = _verify_certification(
-            CERTIFICATION_SEED if args.seed is None else args.seed
-        )
+        section = _verify_certification(CERTIFICATION_SEED if args.seed is None else args.seed)
     ok = section["pass"]
-    payload = {"result": section}
     lines = [f"verify kind: {section['kind']}", f"pass: {'yes' if ok else 'no'}"]
-    _emit(args, payload, lines)
+    lines += [
+        f"n={row['n']} worst residual {row['worst_residual']:.3g} (gate {IDENTITY_TOLERANCE:g})"
+        for row in section.get("per_n", ())
+    ]
+    _emit(args, {"result": section}, lines)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 

@@ -8,7 +8,8 @@ the power sums add Cartesian squared distances where condition II uses the
 closed form, and the phase comes from the Chebyshev product identity over
 all n distances where reconstruction solves for one radius at a time.
 Randomness comes from splitmix64, a fixed, documented recurrence, so
-instances reproduce bit-for-bit anywhere.
+instances reproduce bit-for-bit anywhere. The memo of squared distances
+serves only the per-order calls of ``power_identity_residual``.
 """
 
 import functools
@@ -17,7 +18,7 @@ import sys
 from array import array
 from collections import namedtuple
 from itertools import repeat
-from math import cos, ldexp, sin
+from math import cos, frexp, fsum, hypot, ldexp, sin
 
 from .geom import TWO_PI, CircleFamily, PlanePoint, RegularPolygonSpec, distance_multiset
 from .geom import normalize_angle
@@ -57,6 +58,8 @@ class SplitMix64:
         return self.uniform(0.0, TWO_PI)
 
     def below(self, n: int) -> int:
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         return self.next_u64() % n
 
 
@@ -112,19 +115,12 @@ def power_identity_residual(
     distances are kept for the last polygon and point, keyed on their
     seven numbers, so the orders of one polygon share one pass of trig.
     """
-    if poly.n > MAX_VERTEX_COUNT:
-        raise ValueError(f"vertex count {poly.n} exceeds {MAX_VERTEX_COUNT}")
-    c = poly.center
-    return _identity_residual(c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, m)
-
-
-def _identity_residual(
-    cx: float, cy: float, r: float, phase: float, n: int, px: float, py: float, m: int
-) -> float:
-    """:func:`power_identity_residual` on the numbers of a polygon and a point."""
-    e, arm, squares = _scaled_squares(cx, cy, r, phase, n, px, py)
+    n, r, c = poly.n, poly.circumradius, poly.center
+    if n > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTEX_COUNT}")
+    e, arm, squares = _scaled_squares(c.x, c.y, r, poly.phase, n, point.x, point.y)
     closed = two_radius_power_sum(ldexp(r, e), ldexp(arm, e), n, m)
-    direct = math.fsum(map(pow, squares, repeat(m)))
+    direct = fsum(map(pow, squares, repeat(m)))
     return abs(direct - closed) / (closed or 1.0)
 
 
@@ -142,11 +138,12 @@ def _scaled_squares(
     only the rounding of the center minus the point. A difference past the
     float range raises the ValueError of :func:`geom.float_vertex_offsets`,
     a distance past it one naming the overflow. A key equal up to the sign
-    of a zero gives the same squares.
+    of a zero gives the same squares. The memo serves only the per-order
+    calls of :func:`power_identity_residual`; the sweep does not read it.
     """
     dx, dy = cx - px, cy - py
-    arm = math.hypot(dx, dy)
-    e = -math.frexp(max(r, arm))[1]
+    arm = hypot(dx, dy)
+    e = -frexp(max(r, arm))[1]
     dxs, dys = float_vertex_offsets(
         ldexp(dx, e), ldexp(dy, e), ldexp(r, e), phase, n, 0.0, 0.0, range(n)
     )
@@ -276,24 +273,33 @@ def _instance_from(n: int, draws, zero_smaller_radius: bool = False) -> tuple:
 
 
 def worst_identity_residuals(seed: int, orders, samples: int) -> dict[int, float]:
-    """The worst power-identity residual of each vertex count's random
-    instances, on the numbers and kernel behind :func:`random_instance` and
-    :func:`power_identity_residual`, with no points or polygons built: the
-    sweep behind ``verify --seed``.
+    """The sweep behind ``verify --seed``: the worst power-identity residual
+    of each vertex count's random instances, with no points or polygons built.
 
     Instance ``index`` of vertex count n is ``random_instance(n, seed *
     100003 + n * 1009 + index)``, and both its polygons are tested at the
     order m = 1 + index % (n - 1). The draws of one vertex count's instances
-    come from one lane-packed batch of SplitMix64 streams."""
+    come from one lane-packed batch of SplitMix64 streams. Each polygon
+    meets one order, so its residual is computed in the loop, bit for bit as
+    :func:`power_identity_residual` computes it, without the memo."""
     worst_by_n = {}
     for n in orders:
         first = seed * 100003 + n * 1009
         draws = iter(_splitmix64_outputs(range(first, first + samples), _INSTANCE_DRAWS))
+        ks = range(n)
         worst = 0.0
         for index in range(samples):
             (px, py), *polygons = _instance_from(n, draws)
             m = 1 + (index % (n - 1))
             for cx, cy, r, phase in polygons:
-                worst = max(worst, _identity_residual(cx, cy, r, phase, n, px, py, m))
+                dx, dy = cx - px, cy - py
+                arm = hypot(dx, dy)
+                e = -frexp(max(r, arm))[1]
+                r = ldexp(r, e)
+                xs, ys = float_vertex_offsets(ldexp(dx, e), ldexp(dy, e), r, phase, n,
+                                              0.0, 0.0, ks)
+                direct = fsum([(x * x + y * y) ** m for x, y in zip(xs, ys)])
+                closed = two_radius_power_sum(r, ldexp(arm, e), n, m)
+                worst = max(worst, abs(direct - closed) / (closed or 1.0))
         worst_by_n[n] = worst
     return worst_by_n

@@ -209,8 +209,36 @@ def test_defaults():
     assert (doc.circles, doc.polygons, doc.load_warnings) == (None, None, ())
 
 
+def _circle_family_error(radii) -> str:
+    with pytest.raises(ValueError) as caught:
+        CircleFamily(_point(), radii)
+    return str(caught.value)
+
+
 def test_construction_normalizes_and_validates():
     assert CircleFamily(_point(), [1, 2, 3]).radii == (1.0, 2.0, 3.0)
+    assert CircleFamily(_point(), iter([1, 2.5, 3])).radii == (1.0, 2.5, 3.0)
+    kept = CircleFamily(_point(), (-0.0, 0.0, 2)).radii
+    assert kept == (0.0, 0.0, 2.0) and math.copysign(1.0, kept[0]) == -1.0
+    assert all(type(r) is float for r in kept)
+    nan, inf = math.nan, math.inf
+    # The count comes first, then the first entry that is not finite and
+    # >= 0, in input order, then the order.
+    assert _circle_family_error([]) == "need at least 3 radii, got 0"
+    assert _circle_family_error([nan, -1.0]) == "need at least 3 radii, got 2"
+    for radii, bad in [
+        ([nan, 1.0, 2.0], "nan"),
+        ([1.0, nan, 2.0], "nan"),
+        ([1.0, 2.0, inf], "inf"),
+        ([1.0, 2.0, -inf], "-inf"),
+        ([3, -1, 2], "-1.0"),
+        ([2.0, inf, 1.0], "inf"),
+        ([1.0, -2.0, nan], "-2.0"),
+        ([nan, -2.0, 3.0], "nan"),
+    ]:
+        assert _circle_family_error(radii) == f"radii must be finite and >= 0, got {bad}"
+    for radii in ([2.0, 1.0, 3.0], [1, 3, 2], [0.0, 1e308, 5e-324]):
+        assert _circle_family_error(radii) == "radii must be sorted ascending"
     assert RegularPolygonSpec(3, _point(), 1.0, -math.pi).phase == math.pi
     with pytest.raises(ValueError, match="finite"):
         PlanePoint(math.inf, 0.0)
@@ -222,3 +250,16 @@ def test_construction_normalizes_and_validates():
         CyclicAverages(4, (0.5, 0.25))
     with pytest.raises(ValueError, match="larger >= smaller"):
         RadiiPair(1.0, 2.0)
+
+
+def test_circle_family_refuses_text_radii_as_plane_point_does():
+    with pytest.raises(TypeError, match="^must be real number, not str$"):
+        PlanePoint("1", 0.0)
+    for radii, kind in [
+        (["1", "2", "2.5"], "str"),
+        ("123", "str"),
+        ([1.0, b"2", 3.0], "bytes"),
+        ([1.0, 2.0, bytearray(b"3")], "bytearray"),
+    ]:
+        with pytest.raises(TypeError, match=f"^must be real number, not {kind}$"):
+            CircleFamily(_point(), radii)

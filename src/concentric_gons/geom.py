@@ -19,7 +19,7 @@ Tolerances are explicit and relative: comparisons accept a
 import functools
 import math
 import operator
-from math import cos, isfinite, sin, sqrt
+from math import copysign, cos, isfinite, sin, sqrt
 
 from .errors import CoincidentCircles, DegenerateGeometry
 
@@ -143,13 +143,17 @@ class CircleFamily(_Value):
     """Concentric circles: a common center and ascending radii."""
 
     def __init__(self, center: PlanePoint, radii: tuple[float, ...]):
-        radii = tuple(map(float, radii))
+        # copysign(r, r) is float(r) that refuses text, as PlanePoint does.
+        radii = tuple(radii)
+        radii = tuple(map(copysign, radii, radii))
         if len(radii) < 3:
             raise ValueError(f"need at least 3 radii, got {len(radii)}")
-        if not all(map(math.isfinite, radii)) or min(radii) < 0.0:
-            bad = next(r for r in radii if not (math.isfinite(r) and r >= 0.0))
-            raise ValueError(f"radii must be finite and >= 0, got {bad}")
-        if not all(map(operator.le, radii, radii[1:])):
+        # Ascending from >= 0 to a finite last radius: all are finite and >= 0.
+        ascending = all(map(operator.le, radii, radii[1:]))
+        if not (radii[0] >= 0.0 and isfinite(radii[-1]) and ascending):
+            if not all(map(isfinite, radii)) or min(radii) < 0.0:
+                bad = next(r for r in radii if not (isfinite(r) and r >= 0.0))
+                raise ValueError(f"radii must be finite and >= 0, got {bad}")
             raise ValueError("radii must be sorted ascending")
         _set(self, "center", center)
         _set(self, "radii", radii)

@@ -23,6 +23,7 @@ are built once, for accepted results only, in the caller's units.
 """
 
 import warnings
+from itertools import repeat
 from math import atan2, fmod, frexp, hypot, isfinite, ldexp, remainder
 
 from .errors import (
@@ -247,9 +248,8 @@ def pair_polygons(
             if _phases_coincide(*phases, TWO_PI / n, tol):
                 del phases[1]
         center = PlanePoint(x, y)
-        circles = CircleFamily(center=center, radii=[ldexp(d, e) for d in first])
-        results.extend(
-            PairingResult(center, RegularPolygonSpec(n, p2.center, p2.circumradius, phase), circles)
-            for phase in phases
-        )
+        circles = CircleFamily(center, tuple(map(ldexp, first, repeat(e))))
+        for phase in phases:
+            aligned = RegularPolygonSpec(n, p2.center, p2.circumradius, phase)
+            results.append(PairingResult(center, aligned, circles))
     return results

@@ -232,6 +232,8 @@ def test_construction_normalizes_and_validates():
         ([1.0, 2.0, inf], "inf"),
         ([1.0, 2.0, -inf], "-inf"),
         ([3, -1, 2], "-1.0"),
+        ([-1.0, 0.0, 2.0], "-1.0"),
+        ([-inf, 1.0, 2.0], "-inf"),
         ([2.0, inf, 1.0], "inf"),
         ([1.0, -2.0, nan], "-2.0"),
         ([nan, -2.0, 3.0], "nan"),

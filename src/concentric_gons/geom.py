@@ -18,8 +18,8 @@ Tolerances are explicit and relative: comparisons accept a
 
 import functools
 import math
-import operator
 from math import copysign, cos, isfinite, sin, sqrt
+from operator import le
 
 from .errors import CoincidentCircles, DegenerateGeometry
 
@@ -149,8 +149,7 @@ class CircleFamily(_Value):
         if len(radii) < 3:
             raise ValueError(f"need at least 3 radii, got {len(radii)}")
         # Ascending from >= 0 to a finite last radius: all are finite and >= 0.
-        ascending = all(map(operator.le, radii, radii[1:]))
-        if not (radii[0] >= 0.0 and isfinite(radii[-1]) and ascending):
+        if not (radii[0] >= 0.0 and isfinite(radii[-1]) and all(map(le, radii, radii[1:]))):
             if not all(map(isfinite, radii)) or min(radii) < 0.0:
                 bad = next(r for r in radii if not (isfinite(r) and r >= 0.0))
                 raise ValueError(f"radii must be finite and >= 0, got {bad}")

@@ -150,8 +150,8 @@ class CircleFamily(_Value):
             raise ValueError(f"need at least 3 radii, got {len(radii)}")
         # Ascending from >= 0 to a finite last radius: all are finite and >= 0.
         if not (radii[0] >= 0.0 and isfinite(radii[-1]) and all(map(le, radii, radii[1:]))):
-            if not all(map(isfinite, radii)) or min(radii) < 0.0:
-                bad = next(r for r in radii if not (isfinite(r) and r >= 0.0))
+            bad = next((r for r in radii if not (isfinite(r) and r >= 0.0)), None)
+            if bad is not None:
                 raise ValueError(f"radii must be finite and >= 0, got {bad}")
             raise ValueError("radii must be sorted ascending")
         _set(self, "center", center)

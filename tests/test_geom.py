@@ -360,15 +360,22 @@ def test_vertex_kernel_keeps_the_non_finite_vertex_error():
     assert _offsets(poly, PlanePoint(0.0, 0.0), (2,))[0] == [1e308 - 1e308]
 
 
-def _written_out_distances(n, r, l, t):
-    """Sorted law-of-cosines distances with the expressions the kernel keeps,
-    over vertex indices from -((n - 1) // 2) to n // 2, negated for t < 0."""
+def _written_out_squares(n, r, l, t):
+    """Squared law-of-cosines distances with the expressions the kernel
+    keeps, over vertex indices from -((n - 1) // 2) to n // 2, negated for
+    t < 0."""
     step = 2.0 * math.pi / n
     ks = range(-((n - 1) // 2), n // 2 + 1)
-    return sorted(
-        math.sqrt(max(r * r + l * l - 2.0 * r * l * math.cos(t + step * k), 0.0))
+    return [
+        r * r + l * l - 2.0 * r * l * math.cos(t + step * k)
         for k in (ks if t >= 0.0 else [-k for k in ks])
-    )
+    ]
+
+
+def _written_out_distances(n, r, l, t):
+    """Sorted law-of-cosines distances: each square clamped at 0 and rooted,
+    then sorted."""
+    return sorted(math.sqrt(max(v, 0.0)) for v in _written_out_squares(n, r, l, t))
 
 
 # Near-equal arms at a mirror phase (t = 0): the square of the distance to
@@ -385,6 +392,39 @@ def test_law_of_cosines_kernel_matches_the_written_out_law_bit_for_bit(n):
         for t in (0.0, -0.0, math.pi / n, 0.3, -1.2):
             got = law_of_cosines_distances(r * r + l * l, 2.0 * r * l, n, t)
             assert _bits(got) == _bits(_written_out_distances(n, r, l, t)), (r, l, t)
+
+
+def test_law_of_cosines_kernel_matches_the_written_out_law_on_a_seeded_sweep():
+    # The kernel roots the squares after sorting them and clamps only when
+    # the smallest is negative: sqrt is monotone and correctly rounded, so
+    # the list must be the written-out one, which clamps and roots each
+    # square before the sort.
+    rng = random.Random(35)
+    sizes = [*range(3, 13), 32, 64, 256]
+    cases = []
+    for _ in range(2000):
+        n = rng.choice(sizes)
+        r = rng.uniform(0.0, 4.0)
+        # Near-equal arms put a square near zero, and t = 0 or +-pi/n puts a
+        # vertex on the mirror line.
+        l = rng.choice((rng.uniform(0.0, 4.0), r * (1.0 + rng.uniform(-4e-16, 4e-16))))
+        step = math.pi / n
+        t = rng.choice((0.0, step, -step, rng.uniform(-math.pi, math.pi), rng.uniform(-9.0, 9.0)))
+        k = rng.choice((0, 300, -300))
+        cases.append((n, math.ldexp(r, k), math.ldexp(l, k), t))
+    for n in sizes:
+        for r, l in MIRROR_ARMS:
+            for k in (0, 300, -300):
+                for t in (0.0, math.pi / n, -math.pi / n):
+                    cases.append((n, math.ldexp(r, k), math.ldexp(l, k), t))
+    clamped = 0
+    for n, r, l, t in cases:
+        a, b = r * r + l * l, 2.0 * r * l
+        got = law_of_cosines_distances(a, b, n, t)
+        assert _bits(got) == _bits(_written_out_distances(n, r, l, t)), (n, r, l, t)
+        clamped += min(_written_out_squares(n, r, l, t)) < 0.0
+    # 102 of the 2,234 cases clamp a square that rounds below 0.
+    assert clamped >= 90
 
 
 @pytest.mark.parametrize("n", [*range(3, 65), 256])

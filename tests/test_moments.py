@@ -119,6 +119,21 @@ def test_leading_averages_are_the_first_two_cyclic_averages():
         _leading(CircleFamily(PlanePoint(0, 0), (1.0,) * 257))
 
 
+def test_fourth_powers_are_correctly_rounded_squares_of_the_squares():
+    # libm's pow, behind q ** 2, is not correctly rounded; q * q is. On this
+    # family glibc 2.36's pow(q, 2.0) rounds the first fourth power down,
+    # and S(4) misses the exact fsum of the rounded fourth powers by one ulp.
+    from concentric_gons.moments import _leading
+
+    fam = CircleFamily(PlanePoint(0, 0), (0.6592780056592958, 0.6592780056592958, 0.75))
+    (av, radii) = _leading(fam)
+    squares = [r * r for r in radii]
+    want = math.fsum(float(Fraction(q) ** 2) for q in squares) / 3
+    assert want == 0.2314143763155266
+    assert av.values[1] == want
+    assert cyclic_averages(fam).values[1] == want
+
+
 @pytest.mark.parametrize(
     "radii",
     [

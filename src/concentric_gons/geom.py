@@ -260,17 +260,20 @@ def law_of_cosines_distances(a: float, b: float, n: int, t: float) -> list[float
     With a = r^2 + l^2 and b = 2rl these are the vertex distances of a
     regular n-gon of circumradius r seen from a point l from its center,
     vertex 0 opening the angle t at the center; the clamp absorbs rounding
-    where a distance vanishes. The window of k, centred on 0, makes the
+    where a distance vanishes. The squares are sorted before their roots are
+    taken: sqrt is monotone and correctly rounded, so that gives the list
+    that sorting the roots would, and only the smallest square needs
+    checking for the clamp. The window of k, centred on 0, makes the
     angles at -t exactly the negations of those at t, and cos is even, so t
     and its mirror -t give the same list bit for bit: one evaluation decides
     both. The only place that evaluates this law forward.
     """
     step = TWO_PI / n
     low = -((n - 1) // 2) if n % 2 or t >= 0.0 else -(n // 2)
-    squares = [a - b * cos(t + step * k) for k in range(low, low + n)]
-    if min(squares) < 0.0:
+    squares = sorted([a - b * cos(t + step * k) for k in range(low, low + n)])
+    if squares[0] < 0.0:
         squares = [max(v, 0.0) for v in squares]
-    return sorted(map(sqrt, squares))
+    return list(map(sqrt, squares))
 
 
 def phase_candidates(

@@ -116,8 +116,9 @@ def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...]]:
     radii = tuple(map(math.ldexp, family.radii, repeat(-exponent)))
     squares = [r * r for r in radii]
     n = family.n
-    values = (math.fsum(squares) / n, math.fsum([q ** 2 for q in squares]) / n)
-    return LeadingAverages(n=n, values=values, exponent=exponent), radii
+    # q * q, not q ** 2: libm's pow is not correctly rounded, and is slower.
+    values = (math.fsum(squares) / n, math.fsum([q * q for q in squares]) / n)
+    return LeadingAverages(n, values, exponent), radii
 
 
 def cyclic_averages(family: CircleFamily) -> CyclicAverages:
@@ -135,7 +136,7 @@ def cyclic_averages(family: CircleFamily) -> CyclicAverages:
     """
     leading, radii = _leading(family)
     squares = [r * r for r in radii]
-    powers = [q ** 2 for q in squares]
+    powers = [q * q for q in squares]  # correctly rounded, unlike libm's pow
     values = list(leading.values)
     for _ in range(3, family.n):
         powers = list(map(operator.mul, powers, squares))

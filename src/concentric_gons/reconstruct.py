@@ -275,10 +275,4 @@ def reconstruct_polygons(
         phase = normalize_angle(math.pi + t)
     poly1 = RegularPolygonSpec(n, PlanePoint(center.x + second, center.y), pair.larger, phase)
     poly2 = RegularPolygonSpec(n, PlanePoint(center.x + pair.larger, center.y), second, phase)
-    return Reconstruction(
-        polygon1=poly1,
-        polygon2=poly2,
-        circumradii=pair,
-        point_polygon=point_polygon,
-        family=family,
-    )
+    return Reconstruction(poly1, poly2, pair, point_polygon, family)

@@ -90,7 +90,7 @@ def test_first_two_averages_are_compensated_sums(radii):
     # (Hypothesis found 0, 0, 790.255843953794).
     squares = [x * x for x in (math.ldexp(r, -av.exponent) for r in fam.radii)]
     assert av.values[0] == math.fsum(squares) / fam.n
-    assert av.values[1] == math.fsum(q ** 2 for q in squares) / fam.n
+    assert av.values[1] == math.fsum(q * q for q in squares) / fam.n
 
 
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (4, 8, 33, 64, 256) for seed in (1, 2)])
@@ -100,7 +100,7 @@ def test_higher_averages_are_a_left_to_right_fold(n, seed):
     fam = random_instance(n, seed).family
     av = cyclic_averages(fam)
     squares = [x * x for x in (math.ldexp(r, -av.exponent) for r in fam.radii)]
-    powers = [q ** 2 for q in squares]
+    powers = [q * q for q in squares]
     for m in range(3, n):
         powers = [p * q for p, q in zip(powers, squares)]
         total = powers[0]

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -44,6 +46,20 @@ def test_draw_figures_writes_every_figure(tmp_path):
         text = path.read_text(encoding="utf-8")
         assert text.startswith("<svg") or text.startswith("<?xml")
         assert text.rstrip().endswith("</svg>")
+
+
+def test_deck_split_runs_on_the_tiny_deck(tmp_path):
+    done = run_script(
+        "deck_split.py", "--workload", "circles", "--seed", "1", "--seconds", "0", "--tiny",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    header, *rows, total = done.stdout.splitlines()
+    assert header.split() == ["label", "ops", "median_us", "share"]
+    assert [row.split()[0] for row in rows] == ["n3", "n4", "n8", "n16", "n32", "n64"]
+    assert all(row.split()[1] == "4" for row in rows)
+    assert sum(float(row.split()[3].rstrip("%")) for row in rows) == pytest.approx(100.0, abs=0.5)
+    assert total.startswith("pass: 24 ops, ")
 
 
 def test_output_corpus_is_reproducible(tmp_path):

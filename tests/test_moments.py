@@ -121,12 +121,12 @@ def test_leading_averages_are_the_first_two_cyclic_averages():
 
 def test_fourth_powers_are_correctly_rounded_squares_of_the_squares():
     # libm's pow, behind q ** 2, is not correctly rounded; q * q is. On this
-    # family glibc 2.36's pow(q, 2.0) rounds the first fourth power down,
-    # and S(4) misses the exact fsum of the rounded fourth powers by one ulp.
+    # family glibc 2.36's pow(q, 2.0) rounds the repeated radius's fourth
+    # power down, and S(4) then misses the fsum of the correctly rounded ones.
     from concentric_gons.moments import _leading
 
     fam = CircleFamily(PlanePoint(0, 0), (0.6592780056592958, 0.6592780056592958, 0.75))
-    (av, radii) = _leading(fam)
+    av, radii = _leading(fam)
     squares = [r * r for r in radii]
     want = math.fsum(float(Fraction(q) ** 2) for q in squares) / 3
     assert want == 0.2314143763155266

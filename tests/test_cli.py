@@ -355,6 +355,16 @@ def test_check_tol_flag_loosens_comparison():
     assert bad[0] == 1  # tolerance outside its validity range is a usage error
 
 
+def test_check_refuses_a_tolerance_below_rounding():
+    # A gate of 1e-299 lies far below the rounding of exact radii (3.33e-16
+    # here), so a family that is exactly feasible would be refused with a
+    # confident answer. Such a tolerance is a usage error instead.
+    code, out, err = run_cli("check", "--radii", "1,1,2", "--tol", "1e-300")
+    assert (code, out) == (1, "")
+    assert err == "error: relative_eps must lie in [1e-13, 1e-3), got 1e-300\n"
+    assert run_cli("check", "--radii", "1,1,2", "--tol", "1e-13")[0] == 0
+
+
 # ------------------------------------------------------------- reconstruct
 
 

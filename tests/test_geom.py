@@ -85,6 +85,11 @@ def test_tolerance_validation():
         Tolerance(relative_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(relative_eps=1e-2)
+    # Below 1e-13 a gate falls under the rounding of condition II's averages,
+    # (m + n)u, about 5.7e-14 at n = 256.
+    with pytest.raises(ValueError, match=r"must lie in \[1e-13, 1e-3\), got 1e-14"):
+        Tolerance(relative_eps=1e-14)
+    assert Tolerance(1e-13).relative_eps == 1e-13
     # One relative field: there is no absolute floor to set.
     with pytest.raises(TypeError):
         Tolerance(absolute_floor=1e-12)

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -132,6 +133,45 @@ def test_fourth_powers_are_correctly_rounded_squares_of_the_squares():
     assert want == 0.2314143763155266
     assert av.values[1] == want
     assert cyclic_averages(fam).values[1] == want
+
+
+def _rescale_families():
+    """(id, radii): a largest radius of each binary exponent where the scale
+    2^-e stops or starts being a finite normal double, the smallest
+    subnormal, and spans from 1e300 down to radii whose scaled values are
+    subnormal and rounded, or flushed to 0."""
+    rng = random.Random(36)
+    for e in (1024, -1021, -1022, -1023, -1024):
+        top = math.ldexp(0.8125, e)
+        below = [math.ldexp(rng.uniform(0.5, 1.0), e - k) for k in (1, 2, 30, 52, 53)]
+        below += [math.ldexp(rng.uniform(0.5, 1.0), -1074 + k) for k in (1, 2, 5, 20)]
+        # At e = 1024 these land in and below the subnormal range once scaled.
+        below += [math.ldexp(rng.uniform(0.5, 1.0), k) for k in (-20, -40, -45, -52, -60)]
+        yield f"e{e}", sorted(r for r in below if r < top) + [top]
+    yield "smallest_subnormal", [0.0, 5e-324, 5e-324]
+    for seed in range(3):
+        spread = [rng.uniform(1.0, 10.0) * 10.0 ** k for k in range(-323, 300, 3)]
+        yield f"span{seed}", [0.0, 5e-324, *sorted(spread), 1e300]
+
+
+@pytest.mark.parametrize(
+    "radii", [radii for _, radii in _rescale_families()], ids=[i for i, _ in _rescale_families()]
+)
+def test_rescaled_radii_are_ldexp_of_the_radii_bit_for_bit(radii):
+    # The radii in units of 2^e are each radius's ldexp by -e, rounded once
+    # where the result is subnormal, whatever the path that computes them.
+    from concentric_gons.moments import _leading
+
+    fam = CircleFamily(PlanePoint(0, 0), tuple(radii))
+    av, scaled = _leading(fam)
+    e = math.frexp(fam.radii[-1])[1]
+    assert av.exponent == e
+    assert [r.hex() for r in scaled] == [math.ldexp(r, -e).hex() for r in fam.radii]
+    if radii[-1] == 1e300:
+        # Some scaled radii are rounded subnormals, and some flush to 0.
+        assert any(0.0 < r < sys.float_info.min and math.ldexp(r, e) != x
+                   for r, x in zip(scaled, fam.radii))
+        assert any(r == 0.0 < x for r, x in zip(scaled, fam.radii))
 
 
 @pytest.mark.parametrize(

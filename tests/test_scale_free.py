@@ -512,3 +512,11 @@ def test_pairing_scales_bit_for_bit_down_to_largest_exponent_minus_510(exponent,
     # The bottom of the accepted range: pairing in units of the largest
     # length keeps every bit of the result down to 2^-511.
     assert_pairing_scales_bit_for_bit_to_exponent(exponent, n, point)
+
+
+@pytest.mark.parametrize("point", [False, True], ids=["two_polygons", "point_polygon"])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_pairing_scales_bit_for_bit_up_to_largest_exponent_510(n, point):
+    # The top of the accepted range: the shared radii return to the caller's
+    # units by 2^510 without a bit lost.
+    assert_pairing_scales_bit_for_bit_to_exponent(510, n, point)

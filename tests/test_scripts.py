@@ -48,18 +48,26 @@ def test_draw_figures_writes_every_figure(tmp_path):
         assert text.rstrip().endswith("</svg>")
 
 
+TINY_DECK_LABELS = {
+    "circles": [("n3", 4), ("n4", 4), ("n8", 4), ("n16", 4), ("n32", 4), ("n64", 4)],
+    "polygons": [("n3", 4), ("n4", 4), ("n5", 4), ("n6", 4), ("n8", 4), ("n12", 4)],
+    "cli": [("check", 2), ("reconstruct", 1), ("pair", 2), ("render", 2), ("verify", 3)],
+}
+
+
 def test_deck_split_runs_on_the_tiny_deck(tmp_path):
-    done = run_script(
-        "deck_split.py", "--workload", "circles", "--seed", "1", "--seconds", "0", "--tiny",
-        cwd=tmp_path,
-    )
-    assert done.returncode == 0, done.stderr
-    header, *rows, total = done.stdout.splitlines()
-    assert header.split() == ["label", "ops", "median_us", "share"]
-    assert [row.split()[0] for row in rows] == ["n3", "n4", "n8", "n16", "n32", "n64"]
-    assert all(row.split()[1] == "4" for row in rows)
-    assert sum(float(row.split()[3].rstrip("%")) for row in rows) == pytest.approx(100.0, abs=0.5)
-    assert total.startswith("pass: 24 ops, ")
+    for workload, labels in TINY_DECK_LABELS.items():
+        done = run_script(
+            "deck_split.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--tiny",
+            cwd=tmp_path,
+        )
+        assert done.returncode == 0, (workload, done.stderr)
+        header, *rows, total = done.stdout.splitlines()
+        assert header.split() == ["label", "ops", "median_us", "share"]
+        assert [(row.split()[0], int(row.split()[1])) for row in rows] == labels, workload
+        shares = sum(float(row.split()[3].rstrip("%")) for row in rows)
+        assert shares == pytest.approx(100.0, abs=0.5), workload
+        assert total.startswith(f"pass: {sum(count for _, count in labels)} ops, "), workload
 
 
 def test_output_corpus_is_reproducible(tmp_path):

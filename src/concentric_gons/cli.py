@@ -461,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
             # default's object (the cached small int 1) past the exclusion.
             sources.add_argument("--seed", type=int,
                                  help=f"certification seed (default {CERTIFICATION_SEED})")
-        p.add_argument("--tol", type=float, default=None, help="relative tolerance override")
+        p.add_argument("--tol", type=float, default=None,
+                       help="relative tolerance override, in [1e-13, 1e-3)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_check = sub.add_parser("check", help="decide whether radii admit two polygons")

@@ -7,7 +7,10 @@ directions, and tolerance-aware multiset comparison. Vertex placement
 (:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
 and the largest gap between two sequences (:func:`largest_gap`) are written
 out here and nowhere else; the ``float_`` kernels take plain floats, so
-that a caller can run them in units of its own choosing.
+that a caller can run them in units of its own choosing. Both vertex
+kernels read their angles ``2*pi/n * k`` from one bounded cache of per-n
+tables (:func:`_angle_table`): each entry is the product the kernels would
+form, so a table changes no bit, only how often it is computed.
 
 Everything here is a pure function over immutable values: :class:`_Value`
 subclasses, frozen dataclasses without ``dataclasses``, whose fields are
@@ -140,6 +143,25 @@ class RegularPolygonSpec(_Value):
         _set(self, "phase", normalize_angle(phase))
 
 
+# The angle tables: at most ANGLE_TABLES of them, for n <= ANGLE_TABLE_MAX_N
+# alone, so the cache holds at most 64 tuples of 256 floats, about 0.53 MB
+# on a 64-bit build, whatever vertex counts callers pass. A deck of a few
+# vertex counts uses up to three windows each (k from 0, and the kernel's
+# two centred ones), far fewer than 64. A larger n gets a fresh table.
+ANGLE_TABLES = 64
+ANGLE_TABLE_MAX_N = 256
+
+
+def _angles(n: int, low: int) -> tuple[float, ...]:
+    """``step * k`` with ``step = 2*pi/n``, for the n consecutive k from
+    ``low``: the vertex angles before the phase is added."""
+    step = TWO_PI / n
+    return tuple([step * k for k in range(low, low + n)])
+
+
+_angle_table = functools.lru_cache(maxsize=ANGLE_TABLES)(_angles)
+
+
 class CircleFamily(_Value):
     """Concentric circles: a common center and ascending radii."""
 
@@ -175,16 +197,18 @@ def float_vertex_offsets(
 ) -> tuple[list[float], list[float]]:
     """The x and y offsets from the point (px, py) of each vertex k in
     ``ks`` of the n-gon with center (cx, cy), circumradius ``radius`` and
-    phase ``phase``, placed as :class:`RegularPolygonSpec` says. Offsets
-    from the origin are the coordinates, signed zeros included; a
-    non-finite vertex raises the ValueError that building its
-    :class:`PlanePoint` would."""
-    step = TWO_PI / n
+    phase ``phase``, placed as :class:`RegularPolygonSpec` says, each k in
+    ``range(n)``. Offsets from the origin are the coordinates, signed zeros
+    included; a non-finite vertex raises the ValueError that building its
+    :class:`PlanePoint` would. Vertex k's angle is ``phase + step * k``
+    with the product read from the k-from-0 angle table, the product a
+    per-vertex multiply would give, so the bits are the same."""
+    offsets = (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0)
     # Rounding is monotone, so every vertex is finite when |c| + radius is.
     checked = not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius)))
     dxs, dys = [], []
     for k in ks:
-        angle = phase + step * k
+        angle = phase + offsets[k]
         x = cx + radius * cos(angle)
         y = cy + radius * sin(angle)
         if checked and not (isfinite(x) and isfinite(y)):
@@ -267,11 +291,13 @@ def law_of_cosines_distances(a: float, b: float, n: int, t: float) -> list[float
     checking for the clamp. The window of k, centred on 0, makes the
     angles at -t exactly the negations of those at t, and cos is even, so t
     and its mirror -t give the same list bit for bit: one evaluation decides
-    both. The only place that evaluates this law forward.
+    both. The angles ``step * k`` come from the window's angle table, the
+    same products a per-vertex multiply gives, so the bits are the same.
+    The only place that evaluates this law forward.
     """
-    step = TWO_PI / n
     low = -((n - 1) // 2) if n % 2 or t >= 0.0 else -(n // 2)
-    squares = sorted([a - b * cos(t + step * k) for k in range(low, low + n)])
+    angles = (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, low)
+    squares = sorted([a - b * cos(t + angle) for angle in angles])
     if squares[0] < 0.0:
         squares = [max(v, 0.0) for v in squares]
     return list(map(sqrt, squares))

@@ -17,7 +17,9 @@ in ``geom``, so that pairing, which builds them, never loads this algebra.
 The library's verdict reads only S(2), S(4) (:func:`_leading`, O(n)):
 the recovery discriminant's gate is condition I's lower bound, and the
 placement built from the recovered circumradii must reproduce the radii
-(``reconstruct``). Both read one copy of the radii divided by 2^e per call.
+(``reconstruct``). Both read one copy of the radii divided by 2^e per call,
+made by one multiply per radius (an ``ldexp`` per radius only where 2^-e
+overflows a double).
 The O(n^2) table of every order (:func:`cyclic_averages`) and condition II
 feed the :class:`FeasibilityReport` alone.
 """
@@ -107,13 +109,22 @@ def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...]]:
     """S(2) and S(4) as compensated sums (``math.fsum``), from which the
     circumradii are recovered alone, and the radii in their units: divided
     by ``2^e``, ``e = math.frexp(largest radius)[1]``, once. The division
-    is exact, so every power of them is at most 1 and every decision on
-    them depends on shape alone. O(n). More than ``MAX_VERTEX_COUNT`` radii
-    raise ValueError."""
+    is exact where the quotient is normal, and rounded once where it is
+    subnormal, as ``math.ldexp`` rounds; every power of the quotients is at
+    most 1, and every decision on them depends on shape alone. O(n). More
+    than ``MAX_VERTEX_COUNT`` radii raise ValueError."""
     if family.n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {family.n} exceeds {MAX_VERTEX_COUNT}")
     exponent = math.frexp(family.radii[-1])[1]
-    radii = tuple(map(math.ldexp, family.radii, repeat(-exponent)))
+    if exponent >= -1023:
+        # One multiply by the exact power of two 2^-e rounds the exact
+        # product once, as ldexp does, and costs less than an ldexp call per
+        # radius. 2^-e is finite only for e >= -1023, so a family whose
+        # largest radius lies below 2^-1024 keeps the ldexp pass.
+        scale = math.ldexp(1.0, -exponent)
+        radii = tuple([r * scale for r in family.radii])
+    else:
+        radii = tuple(map(math.ldexp, family.radii, repeat(-exponent)))
     squares = [r * r for r in radii]
     n = family.n
     # q * q, not q ** 2: libm's pow is not correctly rounded, and is slower.

@@ -23,7 +23,6 @@ are built once, for accepted results only, in the caller's units.
 """
 
 import warnings
-from itertools import repeat
 from math import atan2, fmod, frexp, hypot, isfinite, ldexp, remainder
 
 from .errors import (
@@ -152,7 +151,7 @@ def align_second_polygon(
 ) -> tuple[RegularPolygonSpec, ...]:
     """Rotate the second polygon about its own center so one of its vertices
     lands at the same distance from ``point`` as the reference vertex of the
-    first polygon.
+    first polygon, its index taken modulo n.
 
     The opening angle comes from the law of cosines; its mirror gives a
     second solution unless the reference distance is extremal. The rotated
@@ -174,7 +173,8 @@ def align_second_polygon(
     e, dx, dy, r1, r2 = _in_units(p1, p2, _largest_length(p1, p2))
     c1 = p1.center
     px, py = ldexp(point.x - c1.x, -e), ldexp(point.y - c1.y, -e)
-    (ox,), (oy,) = float_vertex_offsets(0.0, 0.0, r1, p1.phase, p1.n, px, py, (ref_vertex,))
+    vertex = (ref_vertex % p1.n,)
+    (ox,), (oy,) = float_vertex_offsets(0.0, 0.0, r1, p1.phase, p1.n, px, py, vertex)
     reference = hypot(ox, oy)
     openings = phase_candidates(r1, r2, reference, tol)
     if not openings:
@@ -223,6 +223,7 @@ def pair_polygons(
     # A point polygon sees every vertex of the other at one distance.
     rotates = min(r1, r2) > tol.relative_eps * max(r1, r2)
     gate = tol.multiset_gate()
+    scale = ldexp(1.0, e)
     results: list[PairingResult] = []
     for px, py in _meeting_points(dx, dy, r1, r2, tol.relative_eps):
         offsets = float_vertex_offsets(0.0, 0.0, r1, phase1, n, px, py, range(n))
@@ -248,7 +249,9 @@ def pair_polygons(
             if _phases_coincide(*phases, TWO_PI / n, tol):
                 del phases[1]
         center = PlanePoint(x, y)
-        circles = CircleFamily(center, tuple(map(ldexp, first, repeat(e))))
+        # |e| <= MAX_LENGTH_EXPONENT, so 2^e is a normal double and each
+        # product is ldexp(d, e): exact, or rounded once where subnormal.
+        circles = CircleFamily(center, tuple([d * scale for d in first]))
         for phase in phases:
             aligned = RegularPolygonSpec(n, p2.center, p2.circumradius, phase)
             results.append(PairingResult(center, aligned, circles))

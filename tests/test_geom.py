@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import repeat
 from operator import ge, sub
 
@@ -18,6 +19,9 @@ from concentric_gons import (
     vertices,
 )
 from concentric_gons.geom import (
+    ANGLE_TABLE_MAX_N,
+    ANGLE_TABLES,
+    _angle_table,
     float_circle_intersection,
     float_vertex_offsets,
     largest_gap,
@@ -341,20 +345,56 @@ def _kernel_cases():
                 yield scaled, point
 
 
+def _evict_angle_tables():
+    """Fill the kernels' angle-table cache past its bound with vertex counts
+    that the kernel checks do not use, so that theirs are built again."""
+    for n in range(100, 100 + ANGLE_TABLES):
+        law_of_cosines_distances(2.0, 1.0, n, 0.3)
+        law_of_cosines_distances(2.0, 1.0, n, -0.3)
+        float_vertex_offsets(0.0, 0.0, 1.0, 0.0, n, 0.0, 0.0, (0,))
+    assert _angle_table.cache_info().currsize == ANGLE_TABLES
+
+
 def test_vertex_kernel_matches_the_written_out_placement_bit_for_bit():
-    for poly, point in _kernel_cases():
-        dxs, dys = _offsets(poly, point, range(poly.n))
-        want_x, want_y = _written_out_offsets(poly, point)
-        assert (_bits(dxs), _bits(dys)) == (_bits(want_x), _bits(want_y)), (poly, point)
-        for k in (0, poly.n - 1):
-            (dx,), (dy,) = _offsets(poly, point, (k,))
-            assert _bits((dx, dy)) == _bits((dxs[k], dys[k]))
-        built = [(v.x, v.y) for v in vertices(poly)]
-        want = _written_out_vertices(poly)
-        assert [_bits(v) for v in built] == [_bits(v) for v in want], poly
-        assert _bits(distance_multiset(poly, point)) == _bits(
-            sorted(math.hypot(point.x - x, point.y - y) for x, y in want)
-        )
+    # The second round runs on angle tables built again after eviction.
+    for evict in (False, True):
+        if evict:
+            _evict_angle_tables()
+        for poly, point in _kernel_cases():
+            dxs, dys = _offsets(poly, point, range(poly.n))
+            want_x, want_y = _written_out_offsets(poly, point)
+            assert (_bits(dxs), _bits(dys)) == (_bits(want_x), _bits(want_y)), (poly, point)
+            for k in (0, poly.n - 1):
+                (dx,), (dy,) = _offsets(poly, point, (k,))
+                assert _bits((dx, dy)) == _bits((dxs[k], dys[k]))
+            built = [(v.x, v.y) for v in vertices(poly)]
+            want = _written_out_vertices(poly)
+            assert [_bits(v) for v in built] == [_bits(v) for v in want], poly
+            assert _bits(distance_multiset(poly, point)) == _bits(
+                sorted(math.hypot(point.x - x, point.y - y) for x, y in want)
+            )
+
+
+def test_angle_tables_stay_within_their_memory_bound():
+    # Every vertex count up to twice the cached range, each in all three
+    # windows: the cache keeps at most ANGLE_TABLES tables of at most
+    # ANGLE_TABLE_MAX_N angles, about 0.53 MB, and a larger n leaves it alone.
+    assert (ANGLE_TABLES, ANGLE_TABLE_MAX_N) == (64, 256)
+    _angle_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(3, 2 * ANGLE_TABLE_MAX_N):
+            law_of_cosines_distances(2.0, 1.0, n, 0.3)
+            law_of_cosines_distances(2.0, 1.0, n, -0.3)
+            float_vertex_offsets(0.0, 0.0, 1.0, 0.0, n, 0.0, 0.0, (0,))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    info = _angle_table.cache_info()
+    assert info.currsize == info.maxsize == ANGLE_TABLES
+    assert held < 600_000
+    law_of_cosines_distances(2.0, 1.0, 10_000, 0.3)
+    assert _angle_table.cache_info() == info
 
 
 def test_vertex_kernel_keeps_the_non_finite_vertex_error():
@@ -422,14 +462,18 @@ def test_law_of_cosines_kernel_matches_the_written_out_law_on_a_seeded_sweep():
             for k in (0, 300, -300):
                 for t in (0.0, math.pi / n, -math.pi / n):
                     cases.append((n, math.ldexp(r, k), math.ldexp(l, k), t))
-    clamped = 0
-    for n, r, l, t in cases:
-        a, b = r * r + l * l, 2.0 * r * l
-        got = law_of_cosines_distances(a, b, n, t)
-        assert _bits(got) == _bits(_written_out_distances(n, r, l, t)), (n, r, l, t)
-        clamped += min(_written_out_squares(n, r, l, t)) < 0.0
-    # 102 of the 2,234 cases clamp a square that rounds below 0.
-    assert clamped >= 90
+    # The second round runs on angle tables built again after eviction.
+    for evict in (False, True):
+        if evict:
+            _evict_angle_tables()
+        clamped = 0
+        for n, r, l, t in cases:
+            a, b = r * r + l * l, 2.0 * r * l
+            got = law_of_cosines_distances(a, b, n, t)
+            assert _bits(got) == _bits(_written_out_distances(n, r, l, t)), (n, r, l, t)
+            clamped += min(_written_out_squares(n, r, l, t)) < 0.0
+        # 102 of the 2,234 cases clamp a square that rounds below 0.
+        assert clamped >= 90
 
 
 @pytest.mark.parametrize("n", [*range(3, 65), 256])

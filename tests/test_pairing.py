@@ -113,6 +113,9 @@ def test_alignment_worked_opening_angle():
     ref = min(range(3), key=lambda k: m.distance_to(vertices(p1)[k]))
     aligned = align_second_polygon(p1, p2, m, ref)
     assert len(aligned) == 2
+    # The reference vertex is an index modulo n.
+    assert align_second_polygon(p1, p2, m, ref + 3) == aligned
+    assert align_second_polygon(p1, p2, m, ref - 6) == aligned
     toward = math.atan2(m.y - p2_center.y, m.x - p2_center.x)
     openings = sorted(
         min(abs(a.phase - toward) % (2 * math.pi), 2 * math.pi - abs(a.phase - toward) % (2 * math.pi))

@@ -256,6 +256,37 @@ def test_multiset_rejects_non_finite_vertices():
     poly = RegularPolygonSpec(4, PlanePoint(1e308, 0.0), 1e308, 0.0)
     with pytest.raises(ValueError, match="coordinates must be finite"):
         distance_multiset(poly, PlanePoint(0.0, 0.0))
+    for n in (3, 257):
+        poly = RegularPolygonSpec(n, PlanePoint(1e308, 0.0), 1e308, 0.0)
+        with pytest.raises(ValueError, match=r"^coordinates must be finite, got \(inf, "):
+            distance_multiset(poly, PlanePoint(0.0, -0.0))
+
+
+MULTISET_SIZES = (*range(3, 13), 32, 64, 256, 257)  # 257 is past the angle-table cache
+
+
+def test_multiset_is_the_sorted_distances_to_the_built_vertices_bit_for_bit():
+    # Seeded polygons and points, centred at the origin (either signed
+    # zero) or drawn and scaled by 2^-500, 1 or 2^500, and seen from
+    # points with signed-zero coordinates.
+    rng = random.Random(37)
+    for n in MULTISET_SIZES:
+        for k in (0, 500, -500):
+            for _ in range(4):
+                radius = math.ldexp(rng.uniform(0.0, 10.0), k)
+                phase = rng.uniform(-10.0, 10.0)
+                x, y = (math.ldexp(rng.uniform(-10.0, 10.0), k) for _ in range(2))
+                centers = [(0.0, 0.0), (-0.0, 0.0), (x, y)]
+                points = [(0.0, -0.0), (-0.0, -0.0), (x, -0.0), (-0.0, y), (y, x)]
+                for cx, cy in centers:
+                    poly = RegularPolygonSpec(n, PlanePoint(cx, cy), radius, phase)
+                    built = vertices(poly)
+                    for px, py in points:
+                        point = PlanePoint(px, py)
+                        want = sorted(v.distance_to(point) for v in built)
+                        got = distance_multiset(poly, point)
+                        assert type(got) is tuple
+                        assert _bits(got) == _bits(want), (poly, point)
 
 
 @given(orders, coords, coords, lengths, angles, coords, coords)

@@ -557,3 +557,56 @@ def test_gate_warning_points_at_the_caller_in_the_callers_units(monkeypatch):
         message = str(warning.message)
         assert message.startswith(head + "largest gap ")
         assert 0.0 <= float(message[len(head + "largest gap "):]) <= 1e-12 * p1.circumradius
+
+
+def result_pairs():
+    """Polygon pairs from random_instance, point polygons included, as drawn,
+    scaled so that the largest length has binary exponent 510 or -510, and
+    shifted by 1e9 largest lengths."""
+    for n in (*range(3, 13), 32, 64, 257):
+        for point in (False, True):
+            inst = random_instance(n, n, zero_smaller_radius=point)
+            p1, p2 = inst.polygon1, inst.polygon2
+            largest = max(p1.circumradius, p2.circumradius, p1.center.distance_to(p2.center))
+            e = math.frexp(largest)[1]
+            yield p1, p2
+            for k in (510 - e, -510 - e):
+                yield tuple(
+                    RegularPolygonSpec(
+                        n,
+                        PlanePoint(math.ldexp(p.center.x, k), math.ldexp(p.center.y, k)),
+                        math.ldexp(p.circumradius, k),
+                        p.phase,
+                    )
+                    for p in (p1, p2)
+                )
+            yield tuple(
+                RegularPolygonSpec(
+                    n, PlanePoint(p.center.x + 1e9 * largest, p.center.y), p.circumradius, p.phase
+                )
+                for p in (p1, p2)
+            )
+
+
+def test_pairing_results_hold_what_their_constructors_accept_unchanged():
+    # Each family and aligned polygon is the value its public constructor
+    # builds from the same fields: sorted finite float radii, a phase in
+    # [0, 2 pi).
+    count = 0
+    for p1, p2 in result_pairs():
+        for result in pair_polygons(p1, p2):
+            count += 1
+            circles, aligned = result.circles, result.aligned_second
+            assert CircleFamily(circles.center, circles.radii) == circles
+            assert circles.center is result.center
+            assert all(type(r) is float for r in circles.radii)
+            rebuilt = RegularPolygonSpec(
+                aligned.n, aligned.center, aligned.circumradius, aligned.phase
+            )
+            assert rebuilt == aligned
+            assert 0.0 <= aligned.phase < 2.0 * math.pi
+            assert (aligned.n, aligned.center, aligned.circumradius) == (
+                p2.n, p2.center, p2.circumradius
+            )
+            assert type(aligned.circumradius) is float and type(aligned.phase) is float
+    assert count > 200

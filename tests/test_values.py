@@ -1,6 +1,7 @@
 """Value semantics of the library's immutable classes: construction,
 repr, equality, hashing, immutability and pickling."""
 
+import copy
 import math
 import pickle
 from types import SimpleNamespace
@@ -17,6 +18,8 @@ from concentric_gons import (
     Reconstruction,
     RegularPolygonSpec,
     Tolerance,
+    pair_polygons,
+    random_instance,
 )
 from concentric_gons.instances import InstanceDocument
 from concentric_gons.moments import LeadingAverages
@@ -190,6 +193,43 @@ def test_pickle_round_trip(name):
     assert back == obj and repr(back) == repr(obj)
     with pytest.raises(AttributeError, match="cannot assign to field"):
         setattr(back, FIELDS[type(obj)][0], 0)
+
+
+def _pairing_values():
+    """Every value in the results of pair_polygons on a few random pairs,
+    point polygons and a pair scaled by 2^505 included: each result, its
+    center, aligned polygon and circle family."""
+    for n, point, k in [(3, False, 0), (8, True, 0), (257, False, 0), (6, False, 505)]:
+        inst = random_instance(n, 7, zero_smaller_radius=point)
+        p1, p2 = (
+            RegularPolygonSpec(
+                n,
+                PlanePoint(math.ldexp(p.center.x, k), math.ldexp(p.center.y, k)),
+                math.ldexp(p.circumradius, k),
+                p.phase,
+            )
+            for p in (inst.polygon1, inst.polygon2)
+        )
+        results = pair_polygons(p1, p2)
+        assert results, (n, point, k)
+        for result in results:
+            yield from (result, result.center, result.aligned_second, result.circles)
+
+
+def test_pairing_results_keep_value_semantics():
+    for obj in _pairing_values():
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(back) is type(obj) and back is not obj
+            assert back == obj and not back != obj
+            assert hash(back) == hash(obj) == hash(_field_tuple(obj))
+            assert repr(back) == repr(obj)
+        before = _field_tuple(obj)
+        for field in FIELDS[type(obj)]:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(obj, field, 0)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(obj, field)
+        assert _field_tuple(obj) == before
 
 
 def test_cached_properties_survive_immutability_and_pickling():

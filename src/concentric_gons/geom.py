@@ -2,12 +2,13 @@
 (:class:`CircleFamily`, the value both directions of the correspondence
 share), distances, circle intersection, the law of cosines in both
 directions, and tolerance-aware multiset comparison. Vertex placement
-(:func:`float_vertex_offsets`), the circle intersection
+(:func:`float_vertex_offsets`), the sorted vertex distances
+(:func:`float_vertex_distances`), the circle intersection
 (:func:`float_circle_intersection`), the law of cosines
 (:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
 and the largest gap between two sequences (:func:`largest_gap`) are written
 out here and nowhere else; the ``float_`` kernels take plain floats, so
-that a caller can run them in units of its own choosing. Both vertex
+that a caller can run them in units of its own choosing. The vertex
 kernels read their angles ``2*pi/n * k`` from one bounded cache of per-n
 tables (:func:`_angle_table`): each entry is the product the kernels would
 form, so a table changes no bit, only how often it is computed.
@@ -15,19 +16,22 @@ form, so a table changes no bit, only how often it is computed.
 Everything here is a pure function over immutable values: :class:`_Value`
 subclasses, frozen dataclasses without ``dataclasses``, whose fields are
 the ``__init__`` parameters, checked there and stored with ``_set``.
+:func:`_polygon` and :func:`_family` store fields that a caller has
+already checked, without the checks.
 Tolerances are explicit and relative: comparisons accept a
 :class:`Tolerance` and default to :data:`DEFAULT_TOLERANCE`.
 """
 
 import functools
 import math
-from math import copysign, cos, isfinite, sin, sqrt
+from math import copysign, cos, hypot, isfinite, sin, sqrt
 from operator import le
 
 from .errors import CoincidentCircles, DegenerateGeometry
 
 TWO_PI = 2.0 * math.pi
 _set = object.__setattr__  # stores a field past the frozen __setattr__
+_new = object.__new__  # with _set, builds a value without its checks
 
 
 class _Value:
@@ -143,6 +147,17 @@ class RegularPolygonSpec(_Value):
         _set(self, "phase", normalize_angle(phase))
 
 
+def _polygon(n: int, center: PlanePoint, circumradius: float, phase: float) -> RegularPolygonSpec:
+    """The polygon that ``RegularPolygonSpec`` builds from fields that
+    already pass its checks, the phase already in [0, 2*pi)."""
+    poly = _new(RegularPolygonSpec)
+    _set(poly, "n", n)
+    _set(poly, "center", center)
+    _set(poly, "circumradius", circumradius)
+    _set(poly, "phase", phase)
+    return poly
+
+
 # The angle tables: at most ANGLE_TABLES of them, for n <= ANGLE_TABLE_MAX_N
 # alone, so the cache holds at most 64 tuples of 256 floats, about 0.53 MB
 # on a 64-bit build, whatever vertex counts callers pass. A deck of a few
@@ -185,6 +200,15 @@ class CircleFamily(_Value):
         return len(self.radii)
 
 
+def _family(center: PlanePoint, radii: tuple[float, ...]) -> CircleFamily:
+    """The family that ``CircleFamily`` builds from a tuple of at least 3
+    floats that are finite, >= 0 and ascending."""
+    family = _new(CircleFamily)
+    _set(family, "center", center)
+    _set(family, "radii", radii)
+    return family
+
+
 def float_vertex_offsets(
     cx: float,
     cy: float,
@@ -216,6 +240,23 @@ def float_vertex_offsets(
         dxs.append(x - px)
         dys.append(y - py)
     return dxs, dys
+
+
+def float_vertex_distances(
+    cx: float, cy: float, radius: float, phase: float, n: int, px: float, py: float
+) -> list[float]:
+    """The distances from (px, py) to the n vertices of the n-gon that
+    :func:`float_vertex_offsets` places, sorted ascending: the list that
+    ``sorted(map(hypot, *float_vertex_offsets(..., range(n))))`` gives, bit
+    for bit, in one pass. A non-finite vertex raises the same ValueError."""
+    if not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius))):
+        offsets = float_vertex_offsets(cx, cy, radius, phase, n, px, py, range(n))
+        return sorted(map(hypot, *offsets))
+    angles = (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0)
+    return sorted([
+        hypot(cx + radius * cos(phase + a) - px, cy + radius * sin(phase + a) - py)
+        for a in angles
+    ])
 
 
 def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:
@@ -272,10 +313,9 @@ def distance_multiset(poly: RegularPolygonSpec, point: PlanePoint) -> tuple[floa
     """Distances from a point to every vertex, sorted ascending; each is
     :meth:`PlanePoint.distance_to` of the built vertex, bit for bit."""
     c = poly.center
-    dxs, dys = float_vertex_offsets(
-        c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, range(poly.n)
-    )
-    return tuple(sorted(map(math.hypot, dxs, dys)))
+    return tuple(float_vertex_distances(
+        c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y
+    ))
 
 
 def law_of_cosines_distances(a: float, b: float, n: int, t: float) -> list[float]:

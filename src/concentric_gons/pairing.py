@@ -18,8 +18,12 @@ e the binary exponent of the largest length L = max(R1, R2, |c1c2|): every
 length is then below 2 and every gate is relative, so a pair and its
 scaling by a power of two take the same decisions on the same bits, a
 translation reaches pairing only through the rounding of c2 - c1, and a
-square underflows only for a length below about 2^-511 L. Validated objects
-are built once, for accepted results only, in the caller's units.
+square underflows only for a length below about 2^-511 L. The results are
+built once, for accepted points only, in the caller's units, from fields
+that hold already and are not checked again: n, the second center and its
+circumradius come from the checked second polygon, each phase comes from
+normalize_angle, and the radii are sorted distances below 4 in units,
+scaled by 2^e with |e| <= 510, so finite, >= 0 and ascending.
 """
 
 import warnings
@@ -31,7 +35,7 @@ from .errors import (
     MismatchedOrder,
     NotACandidateCenter,
 )
-from .geom import _set, _Value
+from .geom import _family, _polygon, _set, _Value
 from .geom import (
     DEFAULT_TOLERANCE,
     TWO_PI,
@@ -40,6 +44,7 @@ from .geom import (
     RegularPolygonSpec,
     Tolerance,
     float_circle_intersection,
+    float_vertex_distances,
     float_vertex_offsets,
     largest_gap,
     law_of_cosines_distances,
@@ -226,8 +231,7 @@ def pair_polygons(
     scale = ldexp(1.0, e)
     results: list[PairingResult] = []
     for px, py in _meeting_points(dx, dy, r1, r2, tol.relative_eps):
-        offsets = float_vertex_offsets(0.0, 0.0, r1, phase1, n, px, py, range(n))
-        first = sorted(map(hypot, *offsets))
+        first = float_vertex_distances(0.0, 0.0, r1, phase1, n, px, py)
         toward_point, arm = atan2(py - dy, px - dx), hypot(px - dx, py - dy)
         t = abs(remainder(phase1 - atan2(py, px), TWO_PI))
         x, y = c1.x + ldexp(px, e), c1.y + ldexp(py, e)
@@ -251,8 +255,8 @@ def pair_polygons(
         center = PlanePoint(x, y)
         # |e| <= MAX_LENGTH_EXPONENT, so 2^e is a normal double and each
         # product is ldexp(d, e): exact, or rounded once where subnormal.
-        circles = CircleFamily(center, tuple([d * scale for d in first]))
+        circles = _family(center, tuple([d * scale for d in first]))
         for phase in phases:
-            aligned = RegularPolygonSpec(n, p2.center, p2.circumradius, phase)
+            aligned = _polygon(n, p2.center, p2.circumradius, phase)
             results.append(PairingResult(center, aligned, circles))
     return results

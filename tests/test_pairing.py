@@ -496,18 +496,23 @@ def test_alignment_builds_only_the_reference_vertex(monkeypatch):
 def test_pairing_builds_validated_objects_only_for_its_results(monkeypatch):
     # One circle family and one center per candidate point, shared by both
     # rotation branches, and one polygon per accepted branch: no validated
-    # object per vertex or per rejected branch.
+    # object per vertex or per rejected branch. A value is counted where its
+    # constructor runs, or where pairing builds it from checked fields.
     inst = random_instance(8, 7)
     p1, p2 = inst.polygon1, inst.polygon2
     built = {PlanePoint: 0, RegularPolygonSpec: 0, CircleFamily: 0}
-    for cls in built:
-        original = cls.__init__
 
-        def counting(self, *args, cls=cls, original=original, **kwargs):
+    def counted(cls, original):
+        def counting(*args, **kwargs):
             built[cls] += 1
-            original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        return counting
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counted(cls, cls.__init__))
+    for cls, builder in ((RegularPolygonSpec, "_polygon"), (CircleFamily, "_family")):
+        monkeypatch.setattr(pairing, builder, counted(cls, getattr(pairing, builder)))
     results = pair_polygons(p1, p2)
     assert len(results) == 4
     points = len({id(result.center) for result in results})

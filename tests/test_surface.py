@@ -1,6 +1,7 @@
 """The package's public surface: what importing it loads and what it exports."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +129,24 @@ def test_cli_takes_only_public_names_from_its_lazy_modules():
             taken += [alias.name for alias in node.names]
     assert "reconstruct_polygons" in taken
     assert [name for name in taken if name.startswith("_")] == []
+
+
+def test_unchecked_builders_stay_inside_geom_and_pairing():
+    # geom._polygon and geom._family skip the constructors' checks; only
+    # pairing, whose result fields hold already, builds values with them.
+    from concentric_gons import cli
+
+    package = Path(concentric_gons.__file__).parent
+    users = {
+        path.stem
+        for path in package.glob("*.py")
+        if re.search(r"\b_(family|polygon)\b", path.read_text(encoding="utf-8"))
+    }
+    assert users == {"geom", "pairing"}
+    builders = {"_family", "_polygon"}
+    assert builders & set(concentric_gons.__all__) == set()
+    assert builders & {name for names in cli._LAZY.values() for name in names} == set()
+    assert len(concentric_gons.__all__) == 40
 
 
 def test_cli_calls_a_name_replaced_before_its_first_use(tmp_path):

@@ -218,6 +218,24 @@ def test_intersection_points_lie_on_both_circles(x1, y1, r1, x2, y2, r2):
             assert min(math.dist(p, q) for q in theirs) <= 1e-9
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the foot (d^2 + r1^2 - r2^2) / (2d) cancels for equal radii and a tiny d",
+)
+def test_intersection_points_do_not_move_when_the_circles_swap():
+    # An example test_intersection_points_lie_on_both_circles drew: equal
+    # radii 4 whose centers sit 1e-6 apart. The foot should be d/2 = 5e-7
+    # from either center, but d^2 = 1e-12 is added to r1^2 = 16 before r2^2
+    # is taken away, so it keeps only the digits above the last place of 16
+    # and the foot reads 5.0084e-7; swapping the circles moves both meeting
+    # points by 1.687e-9.
+    points = float_circle_intersection(0.0, 1e-6, 4.0, 0.0, 0.0, 4.0, EPS)
+    swapped = float_circle_intersection(0.0, 0.0, 4.0, 0.0, 1e-6, 4.0, EPS)
+    assert len(points) == len(swapped) == 2
+    for p in points:
+        assert min(math.dist(p, q) for q in swapped) <= 1e-9
+
+
 # ------------------------------------------------- distance multiset
 
 

@@ -3,7 +3,8 @@
 share), distances, circle intersection, the law of cosines in both
 directions, and tolerance-aware multiset comparison. Vertex placement
 (:func:`float_vertex_offsets`), the sorted vertex distances
-(:func:`float_vertex_distances`), the circle intersection
+(:func:`float_vertex_distances`) and their squares in vertex order
+(:func:`float_vertex_squares`), the circle intersection
 (:func:`float_circle_intersection`), the law of cosines
 (:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
 and the largest gap between two sequences (:func:`largest_gap`) are written
@@ -257,6 +258,24 @@ def float_vertex_distances(
         hypot(cx + radius * cos(phase + a) - px, cy + radius * sin(phase + a) - py)
         for a in angles
     ])
+
+
+def float_vertex_squares(
+    cx: float, cy: float, radius: float, phase: float, n: int, px: float, py: float
+) -> list[float]:
+    """The squared distances ``x*x + y*y`` from (px, py) to the n vertices
+    of the n-gon that :func:`float_vertex_offsets` places, vertex 0 first:
+    its offsets over ``range(n)``, squared and summed, bit for bit, in one
+    pass. A non-finite vertex raises the same ValueError."""
+    if not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius))):
+        dxs, dys = float_vertex_offsets(cx, cy, radius, phase, n, px, py, range(n))
+        return [x * x + y * y for x, y in zip(dxs, dys)]
+    angles = (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0)
+    return [
+        (x := cx + radius * cos(phase + a) - px) * x
+        + (y := cy + radius * sin(phase + a) - py) * y
+        for a in angles
+    ]
 
 
 def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:

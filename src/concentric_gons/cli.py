@@ -47,8 +47,8 @@ CERTIFICATION_SEED = 1
 # The names this module takes from the modules that only some commands run.
 # They are globals only once bound, so a function that calls one binds first.
 _LAZY = {
-    "oracle": ("angle_sweep", "power_identity_residual", "random_instance",
-               "worst_identity_residuals"),
+    "oracle": ("angle_sweep", "power_identity_residual", "power_identity_residuals",
+               "random_instance", "worst_identity_residuals"),
     "pairing": ("candidate_centers", "pair_polygons"),
     "svg": ("render_configuration",),
 }
@@ -346,10 +346,9 @@ def _verify_polygon_pair(doc: InstanceDocument, tol: Tolerance) -> dict:
             (p1.center.x + p2.center.x) / 2.0, (p1.center.y + p2.center.y) / 2.0
         )
     identity = [
-        {"polygon": idx, "m": m,
-         "residual": power_identity_residual(poly, probe, m)}
+        {"polygon": idx, "m": m, "residual": residual}
         for idx, poly in enumerate((p1, p2))
-        for m in range(1, poly.n)
+        for m, residual in enumerate(power_identity_residuals(poly, probe), 1)
     ]
     ok = all(item["residual"] <= IDENTITY_TOLERANCE for item in identity)
     gate = tol.multiset_gate().relative_eps

@@ -270,12 +270,12 @@ def float_vertex_squares(
     if not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius))):
         dxs, dys = float_vertex_offsets(cx, cy, radius, phase, n, px, py, range(n))
         return [x * x + y * y for x, y in zip(dxs, dys)]
-    angles = (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0)
-    return [
-        (x := cx + radius * cos(phase + a) - px) * x
-        + (y := cy + radius * sin(phase + a) - py) * y
-        for a in angles
-    ]
+    squares = []
+    for a in (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0):
+        x = cx + radius * cos(phase + a) - px
+        y = cy + radius * sin(phase + a) - py
+        squares.append(x * x + y * y)
+    return squares
 
 
 def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:

@@ -187,14 +187,21 @@ def two_radius_power_sum(r1: float, r2: float, n: int, m: int) -> float:
     ``b = 2 r1 r2``, so the sum is n times the order-m average of
     :func:`_power_averages` at ``h = 2 r1^2 r2^2 / a^2``.
     """
+    return n * _two_radius_averages(r1, r2, n, m)[m - 1]
+
+
+def _two_radius_averages(r1: float, r2: float, n: int, top: int) -> list[float]:
+    """The averages that :func:`two_radius_power_sum` multiplies by n, of
+    every order m = 1..top, from one pass of the recurrence; ``top``
+    outside 1..n-1 raises InvalidMomentOrder."""
     if r1 < 0.0 or r2 < 0.0:
         raise ValueError(f"radii must be >= 0, got ({r1}, {r2})")
-    if not 1 <= m <= n - 1:
-        raise InvalidMomentOrder(f"order m={m} outside 1..{n - 1}")
+    if not 1 <= top <= n - 1:
+        raise InvalidMomentOrder(f"order m={top} outside 1..{n - 1}")
     square_sum = r1 * r1 + r2 * r2
     ratio = r1 * r2 / square_sum if square_sum > 0.0 else 0.0
     h = 2.0 * ratio * ratio
-    return n * _power_averages(square_sum, h, m)[m - 1]
+    return _power_averages(square_sum, h, top)
 
 
 def condition_one(

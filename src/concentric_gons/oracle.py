@@ -8,11 +8,12 @@ the power sums add Cartesian squared distances where condition II uses the
 closed form, and the phase comes from the Chebyshev product identity over
 all n distances where reconstruction solves for one radius at a time.
 Randomness comes from splitmix64, a fixed, documented recurrence, so
-instances reproduce bit-for-bit anywhere. The memo of squared distances
-serves only the per-order calls of ``power_identity_residual``.
+instances reproduce bit-for-bit anywhere. One kernel computes the
+power-sum identity, for one order (``power_identity_residual``), for every
+order of a polygon at once (``power_identity_residuals``) and for each
+instance of the sweep.
 """
 
-import functools
 import math
 import sys
 from array import array
@@ -22,9 +23,9 @@ from math import cos, frexp, fsum, hypot, ldexp, sin
 
 from .geom import TWO_PI, CircleFamily, PlanePoint, RegularPolygonSpec, distance_multiset
 from .geom import normalize_angle
-from .geom import float_vertex_offsets, largest_gap, law_of_cosines_distances, opening_cosines
+from .geom import float_vertex_squares, largest_gap, law_of_cosines_distances, opening_cosines
 from .geom import vertices  # unused here; perfbench/tracing.py wraps oracle.vertices
-from .moments import MAX_VERTEX_COUNT, two_radius_power_sum
+from .moments import MAX_VERTEX_COUNT, _two_radius_averages
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -111,45 +112,53 @@ def power_identity_residual(
     center minus the point. This is an identity for every regular polygon,
     point, and m in 1..n-1 (other orders raise InvalidMomentOrder); the
     residual certifies the arithmetic, not the input. More than
-    ``MAX_VERTEX_COUNT`` vertices raise ValueError. The squared vertex
-    distances are kept for the last polygon and point, keyed on their
-    seven numbers, so the orders of one polygon share one pass of trig.
+    ``MAX_VERTEX_COUNT`` vertices raise ValueError.
     """
-    n, r, c = poly.n, poly.circumradius, poly.center
+    c = poly.center
+    (residual,) = _identity_residuals(
+        c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, (m,)
+    )
+    return residual
+
+
+def power_identity_residuals(poly: RegularPolygonSpec, point: PlanePoint) -> list[float]:
+    """:func:`power_identity_residual` of every order m = 1..n-1, in order,
+    bit for bit, from one placement of the vertices and one pass of the
+    closed form's recurrence."""
+    c = poly.center
+    return _identity_residuals(
+        c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, range(1, poly.n)
+    )
+
+
+def _identity_residuals(
+    cx: float, cy: float, r: float, phase: float, n: int, px: float, py: float, orders
+) -> list[float]:
+    """The power-identity residual of each order in ``orders`` for the
+    n-gon (cx, cy, r, phase) seen from (px, py): the one place the identity
+    is computed. The polygon is moved so that the point is the origin and
+    divided by 2^e, exactly in the normal range; its squares come from one
+    placement, and the closed forms of every order up to the largest from
+    one pass of the recurrence. The checks run in this order: the vertex
+    count, a non-finite vertex (the ValueError of
+    :func:`geom.float_vertex_squares`), a distance that overflows, the
+    orders.
+    """
     if n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {n} exceeds {MAX_VERTEX_COUNT}")
-    e, arm, squares = _scaled_squares(c.x, c.y, r, poly.phase, n, point.x, point.y)
-    closed = two_radius_power_sum(ldexp(r, e), ldexp(arm, e), n, m)
-    direct = fsum(map(pow, squares, repeat(m)))
-    return abs(direct - closed) / (closed or 1.0)
-
-
-@functools.lru_cache(maxsize=1)
-def _scaled_squares(
-    cx: float, cy: float, r: float, phase: float, n: int, px: float, py: float
-) -> tuple[int, float, tuple[float, ...]]:
-    """The exponent e = -frexp(larger arm), the distance from the point to
-    the polygon center, and the squared distances from the point to every
-    vertex, divided by 2^(2e).
-
-    The polygon is moved so that the point is the origin, then divided by
-    2^e, exactly in the normal range, and placed in one pass: its offsets
-    stay within the arm plus the circumradius, so a translation changes
-    only the rounding of the center minus the point. A difference past the
-    float range raises the ValueError of :func:`geom.float_vertex_offsets`,
-    a distance past it one naming the overflow. A key equal up to the sign
-    of a zero gives the same squares. The memo serves only the per-order
-    calls of :func:`power_identity_residual`; the sweep does not read it.
-    """
     dx, dy = cx - px, cy - py
     arm = hypot(dx, dy)
     e = -frexp(max(r, arm))[1]
-    dxs, dys = float_vertex_offsets(
-        ldexp(dx, e), ldexp(dy, e), ldexp(r, e), phase, n, 0.0, 0.0, range(n)
-    )
+    r = ldexp(r, e)
+    squares = float_vertex_squares(ldexp(dx, e), ldexp(dy, e), r, phase, n, 0.0, 0.0)
     if arm == math.inf:  # after the placement, which names an infinite difference
         raise ValueError(f"distance from the point to the polygon center overflows: ({dx}, {dy})")
-    return e, arm, tuple([x * x + y * y for x, y in zip(dxs, dys)])
+    averages = _two_radius_averages(r, ldexp(arm, e), n, max(orders))
+    residuals = []
+    for m in orders:
+        closed = n * averages[m - 1]
+        residuals.append(abs(fsum(map(pow, squares, repeat(m))) - closed) / (closed or 1.0))
+    return residuals
 
 
 SweepResult = namedtuple("SweepResult", ["best_phase", "best_residual"])
@@ -279,27 +288,18 @@ def worst_identity_residuals(seed: int, orders, samples: int) -> dict[int, float
     Instance ``index`` of vertex count n is ``random_instance(n, seed *
     100003 + n * 1009 + index)``, and both its polygons are tested at the
     order m = 1 + index % (n - 1). The draws of one vertex count's instances
-    come from one lane-packed batch of SplitMix64 streams. Each polygon
-    meets one order, so its residual is computed in the loop, bit for bit as
-    :func:`power_identity_residual` computes it, without the memo."""
+    come from one lane-packed batch of SplitMix64 streams. Each polygon's
+    residual comes from the kernel behind :func:`power_identity_residual`,
+    on the drawn floats."""
     worst_by_n = {}
     for n in orders:
         first = seed * 100003 + n * 1009
         draws = iter(_splitmix64_outputs(range(first, first + samples), _INSTANCE_DRAWS))
-        ks = range(n)
         worst = 0.0
         for index in range(samples):
             (px, py), *polygons = _instance_from(n, draws)
-            m = 1 + (index % (n - 1))
+            order = (1 + index % (n - 1),)
             for cx, cy, r, phase in polygons:
-                dx, dy = cx - px, cy - py
-                arm = hypot(dx, dy)
-                e = -frexp(max(r, arm))[1]
-                r = ldexp(r, e)
-                xs, ys = float_vertex_offsets(ldexp(dx, e), ldexp(dy, e), r, phase, n,
-                                              0.0, 0.0, ks)
-                direct = fsum([(x * x + y * y) ** m for x, y in zip(xs, ys)])
-                closed = two_radius_power_sum(r, ldexp(arm, e), n, m)
-                worst = max(worst, abs(direct - closed) / (closed or 1.0))
+                worst = max(worst, *_identity_residuals(cx, cy, r, phase, n, px, py, order))
         worst_by_n[n] = worst
     return worst_by_n

@@ -24,7 +24,12 @@ from concentric_gons import (
     vertices,
 )
 from concentric_gons.cli import CERTIFICATION_ORDERS, IDENTITY_TOLERANCE
-from concentric_gons.oracle import _instance_from, _splitmix64_outputs, worst_identity_residuals
+from concentric_gons.oracle import (
+    _instance_from,
+    _splitmix64_outputs,
+    power_identity_residuals,
+    worst_identity_residuals,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -131,8 +136,8 @@ def test_certification_sweep_is_the_worst_residual_of_its_random_instances():
 
 
 def test_certification_sweep_leaves_the_kept_squares_of_the_last_call():
-    # The squares power_identity_residual keeps for its last polygon and
-    # point serve its next order after a sweep has run in between.
+    # Nothing is kept between calls: a sweep run between two orders of one
+    # polygon and point leaves the next order's residual as the reference's.
     inst = random_instance(7, 17)
     poly, point = inst.polygon1, inst.point
     power_identity_residual(poly, point, 2)
@@ -202,7 +207,7 @@ def test_identity_residual_survives_translation():
 def _vertex_power_identity_residual(poly, point, m):
     """The identity residual summed over the built vertices of the polygon
     moved so that the point is the origin: the reference the library's
-    memoised squares must match bit for bit."""
+    one-pass squares must match bit for bit."""
     moved = RegularPolygonSpec(
         poly.n,
         PlanePoint(poly.center.x - point.x, poly.center.y - point.y),
@@ -255,13 +260,14 @@ def _identity_cases(n):
 def test_identity_matches_the_vertex_reference_bit_for_bit(n):
     cases = list(_identity_cases(n))
     orders = sorted({1, 2, n // 2, n - 1})
-    # Repeating one (polygon, point) over every order reads the kept squares ...
+    # Each call places its polygon afresh, whether one (polygon, point) runs
+    # through every order ...
     for poly, point in cases:
         for m in orders:
             assert power_identity_residual(poly, point, m) == (
                 _vertex_power_identity_residual(poly, point, m)
             ), (poly, point, m)
-    # ... and alternating polygons recomputes them on every call.
+    # ... or the polygons alternate.
     for m in orders:
         for poly, point in cases:
             assert power_identity_residual(poly, point, m) == (
@@ -269,9 +275,47 @@ def test_identity_matches_the_vertex_reference_bit_for_bit(n):
             ), (poly, point, m)
 
 
+@pytest.mark.parametrize("n", [3, 12, 64, 256])
+def test_all_orders_at_once_match_each_order_bit_for_bit(n):
+    for poly, point in _identity_cases(n):
+        residuals = power_identity_residuals(poly, point)
+        assert type(residuals) is list and len(residuals) == n - 1
+        for m, residual in enumerate(residuals, 1):
+            single = power_identity_residual(poly, point, m)
+            assert residual.hex() == single.hex(), (poly, point, m)
+            assert single == _vertex_power_identity_residual(poly, point, m), (poly, point, m)
+
+
+def test_all_orders_at_once_raise_as_each_order_does():
+    def raised(call, *args):
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        return str(info.value)
+
+    big = RegularPolygonSpec(257, PlanePoint(0.0, 0.0), 1.0, 0.0)
+    cases = [(big, PlanePoint(1.5, 0.0))]
+    for n in (3, 8):
+        for phase in (0.0, 3.14159):
+            far = RegularPolygonSpec(n, PlanePoint(1e308, 0.0), 1.0, phase)
+            cases.append((far, PlanePoint(-1e308, 0.0)))
+            reaching = RegularPolygonSpec(n, PlanePoint(1.5e308, 0.0), 1e308, phase)
+            point = PlanePoint(1.5e308, 1e300)
+            assert power_identity_residuals(reaching, point) == [
+                power_identity_residual(reaching, point, m) for m in range(1, n)
+            ]
+    unit = RegularPolygonSpec(3, PlanePoint(0.0, 0.0), 1.0, 0.0)
+    cases.append((unit, PlanePoint(1.5e308, 1.5e308)))
+    messages = []
+    for poly, point in cases:
+        message = raised(power_identity_residuals, poly, point)
+        assert message == raised(power_identity_residual, poly, point, 1), (poly, point)
+        messages.append(message.split(" ")[0])
+    assert messages == ["vertex", *["coordinates"] * 4, "distance"]
+
+
 def test_identity_is_the_same_for_keys_equal_up_to_signed_zeros():
-    # -0.0 == 0.0, so these keys share one memo entry; every coordinate is
-    # squared, so the residual does not depend on which sign filled it.
+    # -0.0 == 0.0, and every coordinate is squared, so the residual does not
+    # depend on the sign of a zero, nor on the call made before it.
     signed = [
         (RegularPolygonSpec(5, PlanePoint(zx, zy), 2.0, zp), PlanePoint(1.0, zy))
         for zx in (0.0, -0.0)

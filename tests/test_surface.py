@@ -117,8 +117,10 @@ def test_certification_loads_oracle():
 def test_cli_takes_only_public_names_from_its_lazy_modules():
     # A private name read across modules splits one recipe between two
     # owners; certification's sweep lives in oracle, behind a public name.
-    # random_instance and candidate_centers are bound here only so that
-    # perfbench/tracing.py can wrap them at cli; no command calls them.
+    # random_instance, candidate_centers and power_identity_residual are
+    # bound here only so that perfbench/tracing.py can wrap them at cli; no
+    # command calls them (pair-file verify reads every order of a polygon
+    # from power_identity_residuals).
     # The module-level "from .<module> import ..." lines count too.
     from concentric_gons import cli
 

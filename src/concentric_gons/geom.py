@@ -3,8 +3,8 @@
 share), distances, circle intersection, the law of cosines in both
 directions, and tolerance-aware multiset comparison. Vertex placement
 (:func:`float_vertex_offsets`), the sorted vertex distances
-(:func:`float_vertex_distances`) and their squares in vertex order
-(:func:`float_vertex_squares`), the circle intersection
+(:func:`float_vertex_distances`), the squared distances from the origin in
+vertex order (:func:`float_vertex_squares`), the circle intersection
 (:func:`float_circle_intersection`), the law of cosines
 (:func:`law_of_cosines_distances` forward, :func:`opening_cosines` inverse)
 and the largest gap between two sequences (:func:`largest_gap`) are written
@@ -261,19 +261,22 @@ def float_vertex_distances(
 
 
 def float_vertex_squares(
-    cx: float, cy: float, radius: float, phase: float, n: int, px: float, py: float
+    cx: float, cy: float, radius: float, phase: float, n: int
 ) -> list[float]:
-    """The squared distances ``x*x + y*y`` from (px, py) to the n vertices
+    """The squared distances ``x*x + y*y`` from the origin to the n vertices
     of the n-gon that :func:`float_vertex_offsets` places, vertex 0 first:
-    its offsets over ``range(n)``, squared and summed, bit for bit, in one
-    pass. A non-finite vertex raises the same ValueError."""
+    its offsets from (0, 0) over ``range(n)``, squared and summed, bit for
+    bit, in one pass. A caller that measures from another point moves the
+    polygon first, as the oracle does; a point argument would cost two
+    subtractions of 0.0 per vertex there. A non-finite vertex raises the
+    same ValueError."""
     if not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius))):
-        dxs, dys = float_vertex_offsets(cx, cy, radius, phase, n, px, py, range(n))
+        dxs, dys = float_vertex_offsets(cx, cy, radius, phase, n, 0.0, 0.0, range(n))
         return [x * x + y * y for x, y in zip(dxs, dys)]
     squares = []
     for a in (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0):
-        x = cx + radius * cos(phase + a) - px
-        y = cy + radius * sin(phase + a) - py
+        x = cx + radius * cos(phase + a)
+        y = cy + radius * sin(phase + a)
         squares.append(x * x + y * y)
     return squares
 

@@ -150,7 +150,7 @@ def _identity_residuals(
     arm = hypot(dx, dy)
     e = -frexp(max(r, arm))[1]
     r = ldexp(r, e)
-    squares = float_vertex_squares(ldexp(dx, e), ldexp(dy, e), r, phase, n, 0.0, 0.0)
+    squares = float_vertex_squares(ldexp(dx, e), ldexp(dy, e), r, phase, n)
     if arm == math.inf:  # after the placement, which names an infinite difference
         raise ValueError(f"distance from the point to the polygon center overflows: ({dx}, {dy})")
     averages = _two_radius_averages(r, ldexp(arm, e), n, max(orders))

@@ -2,7 +2,7 @@
 (:class:`CircleFamily`, the value both directions of the correspondence
 share), distances, circle intersection, the law of cosines in both
 directions, and tolerance-aware multiset comparison. Vertex placement
-(:func:`float_vertex_offsets`), the sorted vertex distances
+(:func:`float_vertices`), the sorted vertex distances
 (:func:`float_vertex_distances`), the squared distances from the origin in
 vertex order (:func:`float_vertex_squares`), the circle intersection
 (:func:`float_circle_intersection`), the law of cosines
@@ -210,49 +210,39 @@ def _family(center: PlanePoint, radii: tuple[float, ...]) -> CircleFamily:
     return family
 
 
-def float_vertex_offsets(
-    cx: float,
-    cy: float,
-    radius: float,
-    phase: float,
-    n: int,
-    px: float,
-    py: float,
-    ks: range | tuple[int, ...],
+def float_vertices(
+    cx: float, cy: float, radius: float, phase: float, n: int
 ) -> tuple[list[float], list[float]]:
-    """The x and y offsets from the point (px, py) of each vertex k in
-    ``ks`` of the n-gon with center (cx, cy), circumradius ``radius`` and
-    phase ``phase``, placed as :class:`RegularPolygonSpec` says, each k in
-    ``range(n)``. Offsets from the origin are the coordinates, signed zeros
-    included; a non-finite vertex raises the ValueError that building its
-    :class:`PlanePoint` would. Vertex k's angle is ``phase + step * k``
-    with the product read from the k-from-0 angle table, the product a
-    per-vertex multiply would give, so the bits are the same."""
-    offsets = (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0)
+    """The x and y coordinates of the n vertices, vertex 0 first, of the
+    n-gon with center (cx, cy), circumradius ``radius`` and phase ``phase``,
+    placed as :class:`RegularPolygonSpec` says. The one placement: a
+    non-finite vertex raises here the ValueError that building its
+    :class:`PlanePoint` would, and nowhere else. Vertex k's angle is
+    ``phase + step * k`` with the product read from the k-from-0 angle
+    table, the product a per-vertex multiply would give, so the bits are
+    the same."""
     # Rounding is monotone, so every vertex is finite when |c| + radius is.
     checked = not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius)))
-    dxs, dys = [], []
-    for k in ks:
-        angle = phase + offsets[k]
+    xs, ys = [], []
+    for a in (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0):
+        angle = phase + a
         x = cx + radius * cos(angle)
         y = cy + radius * sin(angle)
         if checked and not (isfinite(x) and isfinite(y)):
             raise ValueError(f"coordinates must be finite, got ({x}, {y})")
-        dxs.append(x - px)
-        dys.append(y - py)
-    return dxs, dys
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
 
 
 def float_vertex_distances(
     cx: float, cy: float, radius: float, phase: float, n: int, px: float, py: float
 ) -> list[float]:
-    """The distances from (px, py) to the n vertices of the n-gon that
-    :func:`float_vertex_offsets` places, sorted ascending: the list that
-    ``sorted(map(hypot, *float_vertex_offsets(..., range(n))))`` gives, bit
-    for bit, in one pass. A non-finite vertex raises the same ValueError."""
+    """The distances from (px, py) to the n vertices that
+    :func:`float_vertices` places, sorted ascending, bit for bit, in one
+    pass. A non-finite vertex raises its ValueError."""
     if not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius))):
-        offsets = float_vertex_offsets(cx, cy, radius, phase, n, px, py, range(n))
-        return sorted(map(hypot, *offsets))
+        float_vertices(cx, cy, radius, phase, n)  # raises if a vertex overflows
     angles = (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0)
     return sorted([
         hypot(cx + radius * cos(phase + a) - px, cy + radius * sin(phase + a) - py)
@@ -264,15 +254,12 @@ def float_vertex_squares(
     cx: float, cy: float, radius: float, phase: float, n: int
 ) -> list[float]:
     """The squared distances ``x*x + y*y`` from the origin to the n vertices
-    of the n-gon that :func:`float_vertex_offsets` places, vertex 0 first:
-    its offsets from (0, 0) over ``range(n)``, squared and summed, bit for
-    bit, in one pass. A caller that measures from another point moves the
-    polygon first, as the oracle does; a point argument would cost two
-    subtractions of 0.0 per vertex there. A non-finite vertex raises the
-    same ValueError."""
+    that :func:`float_vertices` places, vertex 0 first, bit for bit, in one
+    pass. A caller that measures from another point moves the polygon
+    first, as the oracle does; a point argument would cost two subtractions
+    of 0.0 per vertex there. A non-finite vertex raises its ValueError."""
     if not (isfinite(abs(cx) + abs(radius)) and isfinite(abs(cy) + abs(radius))):
-        dxs, dys = float_vertex_offsets(cx, cy, radius, phase, n, 0.0, 0.0, range(n))
-        return [x * x + y * y for x, y in zip(dxs, dys)]
+        float_vertices(cx, cy, radius, phase, n)  # raises if a vertex overflows
     squares = []
     for a in (_angle_table if n <= ANGLE_TABLE_MAX_N else _angles)(n, 0):
         x = cx + radius * cos(phase + a)
@@ -283,9 +270,8 @@ def float_vertex_squares(
 
 def vertices(poly: RegularPolygonSpec) -> tuple[PlanePoint, ...]:
     """The n vertices, counterclockwise, starting at angle ``poly.phase``."""
-    c, n = poly.center, poly.n
-    offsets = float_vertex_offsets(c.x, c.y, poly.circumradius, poly.phase, n, 0.0, 0.0, range(n))
-    return tuple(map(PlanePoint, *offsets))
+    c = poly.center
+    return tuple(map(PlanePoint, *float_vertices(c.x, c.y, poly.circumradius, poly.phase, poly.n)))
 
 
 def float_circle_intersection(

@@ -55,14 +55,6 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         return _uniform(self.next_u64(), lo, hi)
 
-    def angle(self) -> float:
-        return self.uniform(0.0, TWO_PI)
-
-    def below(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        return self.next_u64() % n
-
 
 def _uniform(u: int, lo: float, hi: float) -> float:
     """The float in [lo, hi) that a 64-bit output's top 53 bits give."""

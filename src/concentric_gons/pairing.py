@@ -44,8 +44,8 @@ from .geom import (
     RegularPolygonSpec,
     Tolerance,
     float_circle_intersection,
+    float_vertices,
     float_vertex_distances,
-    float_vertex_offsets,
     largest_gap,
     law_of_cosines_distances,
     multiset_close,
@@ -178,9 +178,9 @@ def align_second_polygon(
     e, dx, dy, r1, r2 = _in_units(p1, p2, _largest_length(p1, p2))
     c1 = p1.center
     px, py = ldexp(point.x - c1.x, -e), ldexp(point.y - c1.y, -e)
-    vertex = (ref_vertex % p1.n,)
-    (ox,), (oy,) = float_vertex_offsets(0.0, 0.0, r1, p1.phase, p1.n, px, py, vertex)
-    reference = hypot(ox, oy)
+    xs, ys = float_vertices(0.0, 0.0, r1, p1.phase, p1.n)
+    vertex = ref_vertex % p1.n
+    reference = hypot(xs[vertex] - px, ys[vertex] - py)
     openings = phase_candidates(r1, r2, reference, tol)
     if not openings:
         raise NotACandidateCenter(

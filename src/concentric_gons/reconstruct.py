@@ -48,7 +48,7 @@ from .geom import (
     RegularPolygonSpec,
     Tolerance,
     distance_multiset,
-    float_vertex_offsets,
+    float_vertices,
     largest_gap,
     law_of_cosines_distances,
     multiset_close,
@@ -157,7 +157,7 @@ def _polish(
         if best is not None and not (gap < best[0] and abs(v) <= u):
             break
         best = (gap, t, u, abs(v))
-        unit = float_vertex_offsets(0.0, 0.0, 1.0, normalize_angle(t), n, 0.0, 0.0, range(n))
+        unit = float_vertices(0.0, 0.0, 1.0, normalize_angle(t), n)
         angles = sorted(zip(*unit), reverse=True)
         normal = [[0.0] * 3 for _ in range(3)]
         gradient = [0.0] * 3

@@ -66,10 +66,10 @@ def test_criterion_1_power_identity_certification():
                 n,
                 PlanePoint(rng.uniform(-5, 5), rng.uniform(-5, 5)),
                 rng.uniform(0.1, 10.0),
-                rng.angle(),
+                rng.uniform(0.0, 2.0 * math.pi),
             )
             point = PlanePoint(rng.uniform(-12, 12), rng.uniform(-12, 12))
-            m = 1 + rng.below(n - 1)
+            m = 1 + rng.next_u64() % (n - 1)
             worst = max(worst, power_identity_residual(poly, point, m))
     elapsed = time.perf_counter() - started
     assert worst <= 1e-10, worst
@@ -191,13 +191,13 @@ def test_criterion_7_pairing_property():
             frac = rng.uniform(0.05, 0.95)
             dist = abs(r1 - r2) + frac * ((r1 + r2) - abs(r1 - r2))
             c1 = PlanePoint(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            heading = rng.angle()
-            p1 = RegularPolygonSpec(n, c1, r1, rng.angle())
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            p1 = RegularPolygonSpec(n, c1, r1, rng.uniform(0.0, 2.0 * math.pi))
             p2 = RegularPolygonSpec(
                 n,
                 PlanePoint(c1.x + dist * math.cos(heading), c1.y + dist * math.sin(heading)),
                 r2,
-                rng.angle(),
+                rng.uniform(0.0, 2.0 * math.pi),
             )
             results = pair_polygons(p1, p2)
             assert results
@@ -224,11 +224,11 @@ def test_criterion_7_pairing_property():
                 n,
                 PlanePoint(rng.uniform(-3, 3), rng.uniform(-3, 3)),
                 rng.uniform(0.1, 5.0),
-                rng.angle(),
+                rng.uniform(0.0, 2.0 * math.pi),
             )
             shared = vertices(p1)[0]
             r2 = rng.uniform(0.1, 5.0)
-            heading = rng.angle()
+            heading = rng.uniform(0.0, 2.0 * math.pi)
             center2 = PlanePoint(
                 shared.x + r2 * math.cos(heading), shared.y + r2 * math.sin(heading)
             )

@@ -23,8 +23,9 @@ from concentric_gons.geom import (
     ANGLE_TABLES,
     _angle_table,
     float_circle_intersection,
-    float_vertex_offsets,
+    float_vertex_distances,
     float_vertex_squares,
+    float_vertices,
     largest_gap,
     law_of_cosines_distances,
     opening_cosines,
@@ -311,8 +312,8 @@ def test_multiset_is_the_sorted_distances_to_the_built_vertices_bit_for_bit():
 def test_vertex_squares_are_the_offsets_squared_and_summed_bit_for_bit():
     # The same draws as the multiset test, at 2^-500, 1 and 2^250 (so that
     # the squares stay finite), from centers with either signed zero; vertex
-    # k's square must be that of its offset from the origin, in order,
-    # whichever signed zeros the origin is given as.
+    # k's square must be that of its placed offset from the origin, in
+    # order, whichever signed zeros the origin is given as.
     rng = random.Random(38)
     origins = [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)]
     for n in MULTISET_SIZES:
@@ -325,20 +326,39 @@ def test_vertex_squares_are_the_offsets_squared_and_summed_bit_for_bit():
                 for cx, cy in centers:
                     got = float_vertex_squares(cx, cy, radius, phase, n)
                     assert type(got) is list
+                    xs, ys = float_vertices(cx, cy, radius, phase, n)
                     for px, py in origins:
-                        dxs, dys = float_vertex_offsets(cx, cy, radius, phase, n, px, py, range(n))
-                        want = [dx * dx + dy * dy for dx, dy in zip(dxs, dys)]
+                        want = [(x - px) * (x - px) + (y - py) * (y - py) for x, y in zip(xs, ys)]
                         assert _bits(got) == _bits(want), (n, cx, cy, radius, phase, px, py)
 
 
 @pytest.mark.parametrize("n", [3, 257])
 def test_vertex_squares_reject_non_finite_vertices_as_the_placement_does(n):
+    # The placement raises; the distances and the squares raise its error.
     args = (1e308, 0.0, 1e308, 0.0, n)
-    with pytest.raises(ValueError, match="coordinates must be finite") as placed:
-        float_vertex_offsets(*args, 0.0, 0.0, range(n))
+    with pytest.raises(ValueError, match=r"^coordinates must be finite, got \(inf, ") as placed:
+        float_vertices(*args)
+    with pytest.raises(ValueError) as measured:
+        float_vertex_distances(*args, 0.0, -0.0)
     with pytest.raises(ValueError) as squared:
         float_vertex_squares(*args)
-    assert str(squared.value) == str(placed.value)
+    assert str(measured.value) == str(squared.value) == str(placed.value)
+
+
+def test_vertex_kernels_place_a_polygon_whose_reach_overflows_as_written_out():
+    # |c| + radius = 1.8e308 overflows, but the vertices, at 6e307 and
+    # 1.5e308 from the origin, stay finite: every kernel must place them.
+    poly = RegularPolygonSpec(3, PlanePoint(1.2e308, 0.0), 6e307, math.pi)
+    args = (poly.center.x, poly.center.y, poly.circumradius, poly.phase, poly.n)
+    assert not math.isfinite(abs(poly.center.x) + poly.circumradius)
+    want = _written_out_vertices(poly)
+    xs, ys = float_vertices(*args)
+    assert (_bits(xs), _bits(ys)) == (_bits(x for x, _ in want), _bits(y for _, y in want))
+    assert _bits(float_vertex_squares(*args)) == _bits(x * x + y * y for x, y in want)
+    for px, py in ((0.0, 0.0), (1e308, -1e308)):
+        assert _bits(float_vertex_distances(*args, px, py)) == _bits(
+            sorted(math.hypot(x - px, y - py) for x, y in want)
+        )
 
 
 @given(orders, coords, coords, lengths, angles, coords, coords)
@@ -377,27 +397,14 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def _offsets(poly, point, ks):
-    """The kernel's offsets from ``point`` of the vertices ``ks`` of ``poly``."""
+def _placed(poly):
+    """The kernel's vertex coordinates of ``poly``."""
     c = poly.center
-    return float_vertex_offsets(
-        c.x, c.y, poly.circumradius, poly.phase, poly.n, point.x, point.y, ks
-    )
-
-
-def _written_out_offsets(poly, point):
-    """Vertex placement and offsets with the expressions the kernel keeps."""
-    step = 2.0 * math.pi / poly.n
-    dxs, dys = [], []
-    for k in range(poly.n):
-        x = poly.center.x + poly.circumradius * math.cos(poly.phase + step * k)
-        y = poly.center.y + poly.circumradius * math.sin(poly.phase + step * k)
-        dxs.append(x - point.x)
-        dys.append(y - point.y)
-    return dxs, dys
+    return float_vertices(c.x, c.y, poly.circumradius, poly.phase, poly.n)
 
 
 def _written_out_vertices(poly):
+    """Vertex placement with the expressions the kernel keeps."""
     step = 2.0 * math.pi / poly.n
     return [
         (
@@ -434,7 +441,7 @@ def _evict_angle_tables():
     for n in range(100, 100 + ANGLE_TABLES):
         law_of_cosines_distances(2.0, 1.0, n, 0.3)
         law_of_cosines_distances(2.0, 1.0, n, -0.3)
-        float_vertex_offsets(0.0, 0.0, 1.0, 0.0, n, 0.0, 0.0, (0,))
+        float_vertices(0.0, 0.0, 1.0, 0.0, n)
     assert _angle_table.cache_info().currsize == ANGLE_TABLES
 
 
@@ -444,14 +451,10 @@ def test_vertex_kernel_matches_the_written_out_placement_bit_for_bit():
         if evict:
             _evict_angle_tables()
         for poly, point in _kernel_cases():
-            dxs, dys = _offsets(poly, point, range(poly.n))
-            want_x, want_y = _written_out_offsets(poly, point)
-            assert (_bits(dxs), _bits(dys)) == (_bits(want_x), _bits(want_y)), (poly, point)
-            for k in (0, poly.n - 1):
-                (dx,), (dy,) = _offsets(poly, point, (k,))
-                assert _bits((dx, dy)) == _bits((dxs[k], dys[k]))
-            built = [(v.x, v.y) for v in vertices(poly)]
             want = _written_out_vertices(poly)
+            placed = list(zip(*_placed(poly)))
+            assert [_bits(v) for v in placed] == [_bits(v) for v in want], poly
+            built = [(v.x, v.y) for v in vertices(poly)]
             assert [_bits(v) for v in built] == [_bits(v) for v in want], poly
             assert _bits(distance_multiset(poly, point)) == _bits(
                 sorted(math.hypot(point.x - x, point.y - y) for x, y in want)
@@ -469,7 +472,7 @@ def test_angle_tables_stay_within_their_memory_bound():
         for n in range(3, 2 * ANGLE_TABLE_MAX_N):
             law_of_cosines_distances(2.0, 1.0, n, 0.3)
             law_of_cosines_distances(2.0, 1.0, n, -0.3)
-            float_vertex_offsets(0.0, 0.0, 1.0, 0.0, n, 0.0, 0.0, (0,))
+            float_vertices(0.0, 0.0, 1.0, 0.0, n)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -483,9 +486,7 @@ def test_angle_tables_stay_within_their_memory_bound():
 def test_vertex_kernel_keeps_the_non_finite_vertex_error():
     poly = RegularPolygonSpec(4, PlanePoint(1e308, 0.0), 1e308, 0.0)
     with pytest.raises(ValueError, match=r"coordinates must be finite, got \(inf, "):
-        _offsets(poly, PlanePoint(0.0, 0.0), range(4))
-    # Vertex 2 points away from the overflow.
-    assert _offsets(poly, PlanePoint(0.0, 0.0), (2,))[0] == [1e308 - 1e308]
+        _placed(poly)
 
 
 def _written_out_squares(n, r, l, t):

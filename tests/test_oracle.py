@@ -55,15 +55,6 @@ def test_splitmix64_uniform_range():
     assert all(0.1 <= v < 10.0 for v in values)
 
 
-def test_splitmix64_below_draws_in_range_and_refuses_an_empty_one():
-    rng = SplitMix64(42)
-    assert {rng.below(1) for _ in range(10)} == {0}
-    assert all(0 <= rng.below(5) < 5 for _ in range(1000))
-    for n in (0, -3):
-        with pytest.raises(ValueError, match=f"n >= 1, got {n}"):
-            rng.below(n)
-
-
 # The seed whose first state, seed + 0x9E3779B97F4A7C15 mod 2^64, is all
 # ones: its first right shifts push the most set bits into the padding of
 # the lane below its own.

@@ -277,6 +277,24 @@ def test_a_family_the_sweep_places_within_the_gate_is_reconstructed(radii):
     reconstruct_polygons(family)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="recover_circumradii rounds the circumradii into subnormals before "
+    "reconstruct_polygons takes them back into the averages' units",
+)
+@pytest.mark.parametrize("k", [-1050, -1060], ids=["k-1050", "k-1060"])
+def test_a_family_scaled_into_the_subnormal_range_keeps_its_placement(k):
+    # (0.5, 1, 1.5) times 2^k is exact, so the verdict and the phase must be
+    # those of scale 1. At 2^-1050 the circumradii keep 24 bits and the
+    # phase moves in its 14th digit; at 2^-1060 they keep 14 bits, and the
+    # placement misses its gate by 1.8e-4.
+    unit = reconstruct_polygons(CircleFamily(PlanePoint(0.0, 0.0), (0.5, 1.0, 1.5)))
+    assert unit.polygon1.phase == 5.902934100486652
+    radii = tuple(math.ldexp(r, k) for r in (0.5, 1.0, 1.5))
+    rec = reconstruct_polygons(CircleFamily(PlanePoint(0.0, 0.0), radii))
+    assert rec.polygon1.phase == rec.polygon2.phase == unit.polygon1.phase
+
+
 def test_reconstruct_all_zero_family():
     fam = CircleFamily(PlanePoint(2.0, -1.0), (0.0, 0.0, 0.0))
     rec = reconstruct_polygons(fam)

@@ -27,14 +27,6 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_certify_runs_on_a_tiny_sweep(tmp_path):
-    done = run_script("certify.py", "--samples", "2", "--max-order", "4", cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    rows = done.stdout.splitlines()
-    assert rows[0].split() == ["n", "identity", "round", "trip", "of", "gate", "radii"]
-    assert [row.split()[0] for row in rows[1:3]] == ["3", "4"]
-
-
 def test_draw_figures_writes_every_figure(tmp_path):
     out_dir = tmp_path / "figs"
     done = run_script("draw_figures.py", "--out-dir", str(out_dir), cwd=tmp_path)

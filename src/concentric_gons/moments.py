@@ -45,7 +45,8 @@ class LeadingAverages(_Value):
 
     ``values`` begins with S(2), S(4) of the radii divided by
     ``2^exponent``; :class:`CyclicAverages` continues it with the higher
-    orders.
+    orders. Those of :func:`_leading` carry exponent 0: they are averages of
+    the divided radii it returns, in whose units the circumradii are placed.
     """
 
     def __init__(self, n: int, values: tuple[float, ...], exponent: int = 0):
@@ -105,14 +106,14 @@ class FeasibilityReport(_Value):
         return self.condition1_ok and self.condition2_ok
 
 
-def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...]]:
+def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...], int]:
     """S(2) and S(4) as compensated sums (``math.fsum``), from which the
-    circumradii are recovered alone, and the radii in their units: divided
-    by ``2^e``, ``e = math.frexp(largest radius)[1]``, once. The division
-    is exact where the quotient is normal, and rounded once where it is
-    subnormal, as ``math.ldexp`` rounds; every power of the quotients is at
-    most 1, and every decision on them depends on shape alone. O(n). More
-    than ``MAX_VERTEX_COUNT`` radii raise ValueError."""
+    circumradii are recovered alone, of the radii in their units (divided
+    by ``2^e``, ``e = math.frexp(largest radius)[1]``, once); those radii;
+    and e. The division is exact where the quotient is normal, and rounded
+    once where it is subnormal, as ``math.ldexp`` rounds; every power of
+    the quotients is at most 1, and every decision on them depends on shape
+    alone. O(n). More than ``MAX_VERTEX_COUNT`` radii raise ValueError."""
     if family.n > MAX_VERTEX_COUNT:
         raise ValueError(f"vertex count {family.n} exceeds {MAX_VERTEX_COUNT}")
     exponent = math.frexp(family.radii[-1])[1]
@@ -129,7 +130,7 @@ def _leading(family: CircleFamily) -> tuple[LeadingAverages, tuple[float, ...]]:
     n = family.n
     # q * q, not q ** 2: libm's pow is not correctly rounded, and is slower.
     values = (math.fsum(squares) / n, math.fsum([q * q for q in squares]) / n)
-    return LeadingAverages(n, values, exponent), radii
+    return LeadingAverages(n, values), radii, exponent
 
 
 def cyclic_averages(family: CircleFamily) -> CyclicAverages:
@@ -145,14 +146,14 @@ def cyclic_averages(family: CircleFamily) -> CyclicAverages:
     condition-II gate). O(n^2): only the report reads it. More than
     ``MAX_VERTEX_COUNT`` radii raise ValueError.
     """
-    leading, radii = _leading(family)
+    leading, radii, exponent = _leading(family)
     squares = [r * r for r in radii]
     powers = [q * q for q in squares]  # correctly rounded, unlike libm's pow
     values = list(leading.values)
     for _ in range(3, family.n):
         powers = list(map(operator.mul, powers, squares))
         values.append(reduce(operator.add, powers) / family.n)
-    return CyclicAverages(n=family.n, values=tuple(values), exponent=leading.exponent)
+    return CyclicAverages(n=family.n, values=tuple(values), exponent=exponent)
 
 
 def _power_averages(a: float, h: float, top: int) -> list[float]:
@@ -271,7 +272,7 @@ def recover_circumradii(
     av: LeadingAverages, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> RadiiPair:
     """The two circumradii determined by the first two averages, in the
-    family's units.
+    family's units: times ``2^exponent`` (0 for :func:`_leading`'s).
 
     ``larger^2, smaller^2 = (S(2) +/- sqrt(3 S(2)^2 - 2 S(4))) / 2``. A
     discriminant within tolerance of zero (one polygon,

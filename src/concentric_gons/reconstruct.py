@@ -6,8 +6,10 @@ its gate (condition I's lower bound) and the polygons placed from the
 recovered circumradii reproduce the radii within
 :meth:`Tolerance.multiset_gate` times the largest radius. The decision reads
 S(2), S(4) and one placement, all from the radii divided by 2^e once per call
-(``moments._leading``), so it costs O(n log n). A placement that misses the
-gate by less than ``sqrt(relative_eps)`` of the largest radius is polished
+(``moments._leading``), so it costs O(n log n). The circumradii are recovered
+and placed in those units and multiplied by 2^e once, after the placement, so
+none is rounded into a subnormal before it is placed. A placement that misses
+the gate by less than ``sqrt(relative_eps)`` of the largest radius is polished
 by Gauss-Newton first: a discriminant inside its gate leaves the circumradii
 uncertain by about that much. The mirror of the placement's opening angle
 places the same distances bit for bit (the law-of-cosines kernel is exactly
@@ -240,17 +242,16 @@ def reconstruct_polygons(
     family reproduces the radii, the second polygon degenerates to a point
     at distance ``larger`` from the center and the phase search is skipped.
     """
-    # Decisions and the phase search run in the units of the averages,
-    # where every gate is relative and no square under- or overflows.
-    averages, radii = _leading(family)
+    # Decisions and the placement run in the units of the averages, where
+    # every gate is relative and no square under- or overflows.
+    averages, radii, exponent = _leading(family)
     try:
         pair = recover_circumradii(averages, tol)
     except InfeasibleMoments as exc:
         raise InfeasibleFamily(f"radii family fails condition I: {exc}") from None
     center = family.center
     n = family.n
-    larger = math.ldexp(pair.larger, -averages.exponent)
-    smaller = math.ldexp(pair.smaller, -averages.exponent)
+    larger, smaller = pair.larger, pair.smaller
     gate = tol.multiset_gate().relative_eps * max(larger, radii[-1])
     # A vanishing smaller circumradius is tested on squares: recovery ends in a square root.
     point_polygon = (
@@ -260,19 +261,15 @@ def reconstruct_polygons(
     )
     if point_polygon:
         # The first polygon is centered on the family, the second is a point.
-        second, phase = 0.0, 0.0
+        phase = 0.0
     else:
-        t, placed_larger, placed_smaller = _find_phase(n, larger, smaller, radii, tol)
-        if (placed_larger, placed_smaller) != (larger, smaller):
-            pair = RadiiPair(
-                math.ldexp(placed_larger, averages.exponent),
-                math.ldexp(placed_smaller, averages.exponent),
-            )
-        second = pair.smaller
+        t, larger, smaller = _find_phase(n, larger, smaller, radii, tol)
         # Each center sits on the +x axis, so the direction back to the
         # family center is pi; vertex angles are measured from that line.
         # One angle serves both polygons (see the module docstring).
         phase = normalize_angle(math.pi + t)
+    pair = RadiiPair(math.ldexp(larger, exponent), math.ldexp(smaller, exponent))
+    second = 0.0 if point_polygon else pair.smaller
     poly1 = RegularPolygonSpec(n, PlanePoint(center.x + second, center.y), pair.larger, phase)
     poly2 = RegularPolygonSpec(n, PlanePoint(center.x + pair.larger, center.y), second, phase)
     return Reconstruction(poly1, poly2, pair, point_polygon, family)

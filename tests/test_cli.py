@@ -269,9 +269,10 @@ def test_a_refused_check_recovers_from_the_report_averages(monkeypatch):
     payload = json.loads(out)
     assert code == 2 and payload["feasible"] is False
     assert seen == [cyclic_averages(family)]
-    pair = recover(_leading(family)[0])
+    averages, _, exponent = _leading(family)
+    pair = recover(averages)
     assert (payload["recovered"]["larger"], payload["recovered"]["smaller"]) == (
-        pair.larger, pair.smaller
+        math.ldexp(pair.larger, exponent), math.ldexp(pair.smaller, exponent)
     )
 
 
@@ -583,6 +584,31 @@ def test_verify_circles_sweeps_agree_across_arm_orders(tmp_path):
         )
         assert first["best_phase"] == second["best_phase"]
         assert first["best_residual"] == second["best_residual"]
+
+
+SUBNORMAL_SCALES = pytest.mark.parametrize("k", [-1060, -1070], ids=lambda k: f"k{k}")
+
+
+@SUBNORMAL_SCALES
+def test_check_and_reconstruct_accept_a_family_scaled_into_the_subnormal_range(k):
+    # (0.5, 1, 1.5) times 2^k is exact; its circumradii keep 14 bits at
+    # 2^-1060 and 4 at 2^-1070, but are placed before they are rounded.
+    radii = ",".join(repr(math.ldexp(r, k)) for r in (0.5, 1.0, 1.5))
+    for command in ("check", "reconstruct"):
+        code, out, _ = run_cli(command, "--radii", radii, "--json")
+        assert (code, json.loads(out)["feasible"]) == (0, True)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_verify_circles sweeps at the circumradii in the family's units, "
+    "already rounded into subnormals, scaled back into the averages' units",
+)
+@SUBNORMAL_SCALES
+def test_verify_passes_a_family_scaled_into_the_subnormal_range(k, tmp_path):
+    radii = [math.ldexp(r, k) for r in (0.5, 1.0, 1.5)]
+    code, out, _ = run_cli("verify", "--input", write_circles(tmp_path / "c.json", radii), "--json")
+    assert (code, json.loads(out)["result"]["pass"]) == (0, True)
 
 
 def test_verify_corrupted_radii_identifies_failing_order(tmp_path):

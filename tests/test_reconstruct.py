@@ -237,14 +237,12 @@ def test_reconstruct_never_returns_junk(radii):
     try:
         rec = reconstruct_polygons(fam)
     except InfeasibleFamily:
-        averages, units = _leading(fam)
+        averages, units, _ = _leading(fam)
         try:
             pair = recover_circumradii(averages)
         except InfeasibleMoments:
             return
-        larger = math.ldexp(pair.larger, -averages.exponent)
-        smaller = math.ldexp(pair.smaller, -averages.exponent)
-        sweep = angle_sweep(larger, smaller, fam.n, units)
+        sweep = angle_sweep(pair.larger, pair.smaller, fam.n, units)
         assert sweep.best_residual > Tolerance().multiset_gate().relative_eps * units[-1]
         return
     assert max(rec.residuals) <= 1e-7 * max(1.0, fam.radii[-1])
@@ -265,10 +263,9 @@ REFUSAL_BAND = [
 @pytest.mark.parametrize("radii", REFUSAL_BAND, ids=["n7", "n8"])
 def test_a_family_the_sweep_places_within_the_gate_is_reconstructed(radii):
     family = CircleFamily(PlanePoint(0.0, 0.0), radii)
-    averages, units = _leading(family)
+    averages, units, _ = _leading(family)
     pair = recover_circumradii(averages)
-    larger = math.ldexp(pair.larger, -averages.exponent)
-    smaller = math.ldexp(pair.smaller, -averages.exponent)
+    larger, smaller = pair.larger, pair.smaller
     sweep = angle_sweep(larger, smaller, family.n, units)
     placed = law_of_cosines_distances(
         larger * larger + smaller * smaller, 2.0 * larger * smaller, family.n, sweep.best_phase
@@ -277,17 +274,14 @@ def test_a_family_the_sweep_places_within_the_gate_is_reconstructed(radii):
     reconstruct_polygons(family)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="recover_circumradii rounds the circumradii into subnormals before "
-    "reconstruct_polygons takes them back into the averages' units",
+@pytest.mark.parametrize(
+    "k", [-1040, -1050, -1060, -1070, -1073], ids=lambda k: f"k{k}"
 )
-@pytest.mark.parametrize("k", [-1050, -1060], ids=["k-1050", "k-1060"])
 def test_a_family_scaled_into_the_subnormal_range_keeps_its_placement(k):
-    # (0.5, 1, 1.5) times 2^k is exact, so the verdict and the phase must be
-    # those of scale 1. At 2^-1050 the circumradii keep 24 bits and the
-    # phase moves in its 14th digit; at 2^-1060 they keep 14 bits, and the
-    # placement misses its gate by 1.8e-4.
+    # (0.5, 1, 1.5) times 2^k is exact down to k = -1073 (at -1074 the 0.5
+    # rounds to 0), so the verdict and the phase must be those of scale 1,
+    # although the circumradii keep only 24 bits at 2^-1050 and 1 at
+    # 2^-1073: they are placed before they are scaled into the family's units.
     unit = reconstruct_polygons(CircleFamily(PlanePoint(0.0, 0.0), (0.5, 1.0, 1.5)))
     assert unit.polygon1.phase == 5.902934100486652
     radii = tuple(math.ldexp(r, k) for r in (0.5, 1.0, 1.5))
@@ -457,6 +451,30 @@ def circles_path_record(family):
     return " ".join(value.hex() for value in values) + f" point={rec.point_polygon}"
 
 
+def test_a_circles_path_family_below_2_to_the_minus_1000_places_as_its_scaling():
+    # Scaling a family by 2^1000 keeps the bits of its radii in their units,
+    # so the placement and its phase must keep theirs, and each circumradius
+    # must be that of the scaling times 2^-1000, rounded once where it is
+    # subnormal.
+    tiny = [f for f in circles_path_families() if f.radii[-1] < math.ldexp(1.0, -1000)]
+    assert [family.n for family in tiny] == [3, 4, 8, 16, 32, 64]
+    moved = []
+    for family in tiny:
+        scaled = CircleFamily(
+            PlanePoint(math.ldexp(family.center.x, 1000), math.ldexp(family.center.y, 1000)),
+            tuple(math.ldexp(r, 1000) for r in family.radii),
+        )
+        rec, big = reconstruct_polygons(family), reconstruct_polygons(scaled)
+        got = (rec.polygon1.phase, rec.polygon2.phase,
+               rec.circumradii.larger, rec.circumradii.smaller)
+        want = (big.polygon1.phase, big.polygon2.phase,
+                math.ldexp(big.circumradii.larger, -1000),
+                math.ldexp(big.circumradii.smaller, -1000))
+        if got != want:
+            moved.append(family.n)
+    assert moved == []
+
+
 def test_circles_path_bits_are_pinned():
     # Every phase, center, circumradius and refusal message, bit for bit: a
     # change to how the decision scales or gates the radii must leave them.
@@ -465,4 +483,4 @@ def test_circles_path_bits_are_pinned():
     assert sum(record.startswith("infeasible") for record in records) == 72
     assert sum(record.endswith("point=True") for record in records) == 30
     digest = hashlib.sha256("\n".join(records).encode("utf-8")).hexdigest()
-    assert digest == "3e14acb2cae76ac635c84247620b18ffb0a1bfabc1f7c1c80a14c0a4bdcdfab3"
+    assert digest == "61e37a3d76cf64f93af28b065b8a2b45bf1fc7a789f1f5c027d73406b6fc7b97"

@@ -367,3 +367,32 @@ def test_ab_lists_the_tracked_paths_of_a_dirty_checkout():
     ]
     assert load_ab().dirty_paths("?? BENCH_label.json\n") == []
     assert load_ab().dirty_paths("") == []
+
+
+def test_ab_copies_the_checkout_with_its_edits_and_without_git(tmp_path):
+    # The change side runs from a copy, as the base runs from an archive:
+    # every tracked file as it stands on disk, one of them edited since the
+    # commit, and neither the untracked file nor the repository's .git.
+    repo, tree = tmp_path / "repo", tmp_path / "tree"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "pkg" / "a.py").write_text("x = 1\n", encoding="utf-8")
+    (repo / "README.md").write_text("readme\n", encoding="utf-8")
+    (repo / "gone.txt").write_text("deleted after the commit\n", encoding="utf-8")
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            capture_output=True, check=True,
+        )
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "one")
+    (repo / "src" / "pkg" / "a.py").write_text("x = 2\n", encoding="utf-8")
+    (repo / "gone.txt").unlink()
+    (repo / "untracked.txt").write_text("not added\n", encoding="utf-8")
+    load_ab().copy_checkout(repo, tree)
+    copied = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+    assert copied == ["README.md", "src/pkg/a.py"]
+    assert (tree / "src" / "pkg" / "a.py").read_text(encoding="utf-8") == "x = 2\n"
+    assert not (tree / ".git").exists()
